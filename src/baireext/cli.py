@@ -162,14 +162,13 @@ def _describe(scenario: Scenario) -> str:
     return "\n".join(lines)
 
 
-def _merge_config(args: argparse.Namespace) -> ScenarioConfig:
+def _merge_config(args: argparse.Namespace, loaded: dict) -> ScenarioConfig:
+    """Defaults, then the ``--config`` file's keys, then explicit flags."""
     base = dataclasses.asdict(ScenarioConfig())
-    if args.config:
-        loaded = json.loads(Path(args.config).read_text())
-        for key in loaded:
-            if key not in _CONFIG_KEYS and key not in ("scenario", "out", "format"):
-                raise ValueError(f"unknown config key {key!r}")
-        base.update({k: loaded[k] for k in _CONFIG_KEYS if k in loaded})
+    for key in loaded:
+        if key not in _CONFIG_KEYS and key not in ("scenario", "out", "format"):
+            raise ValueError(f"unknown config key {key!r}")
+    base.update({k: loaded[k] for k in _CONFIG_KEYS if k in loaded})
     for k in _CONFIG_KEYS:
         v = getattr(args, k, None)
         if v is not None:
@@ -216,19 +215,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0
 
     # run
-    name = args.scenario
-    if not name and args.config:
-        name = json.loads(Path(args.config).read_text()).get("scenario")
+    loaded = json.loads(Path(args.config).read_text()) if args.config else {}
+    name = args.scenario or loaded.get("scenario")
     if not name:
         print("run needs --scenario (or a config with a scenario key)", file=sys.stderr)
         return 2
-    cfg = _merge_config(args)
-    out = args.out
-    if out is None and args.config:
-        out = json.loads(Path(args.config).read_text()).get("out")
-    fmt = args.format
-    if fmt is None and args.config:
-        fmt = json.loads(Path(args.config).read_text()).get("format")
+    cfg = _merge_config(args, loaded)
+    out = args.out if args.out is not None else loaded.get("out")
+    fmt = args.format if args.format is not None else loaded.get("format")
     try:
         manifest, code = run_scenario(name, cfg, Path(out or "out"), fmt or "csv")
     except KeyError as exc:

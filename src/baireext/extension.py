@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .pipeline import FunSeqItem
+from .pipeline import FunSeqItem, m_bound
 from .space import CoverageError, SampledSpace
 from .target import norm
 
@@ -37,11 +37,6 @@ __all__ = [
     "field_to_csv",
     "CSV_NUM_FMT",
 ]
-
-
-def m_bound(n: int) -> float:
-    """Certified sup bound M_n = n + 2 of the finished pipeline item n."""
-    return float(n + 2)
 
 
 def local_lip_K(items: list[FunSeqItem], n: int, u_y: int, dist_h: float) -> float:
@@ -156,7 +151,7 @@ def extend_point(
     space: SampledSpace, items: list[FunSeqItem], f_h: np.ndarray, x: int
 ) -> tuple[float, int, int, np.ndarray, dict[int, float]]:
     """Extend at one X sample: returns (dist_h, u_y, n_of_x, g, K table)."""
-    row = space.dists_from(int(x))[space.h_idx][None, :]
+    row = space.cross_dists(np.array([int(x)]), space.h_idx)
     dist_h, u_y, n_of, g, tables = _extend_rows(items, f_h, row)
     return float(dist_h[0]), int(u_y[0]), int(n_of[0]), g[0], tables[0]
 
@@ -170,7 +165,7 @@ def build_extension(
 ) -> ExtensionField:
     """Run the extension at every query sample (all must lie off H)."""
     query_idx = np.asarray(query_idx, dtype=int)
-    qh = np.stack([space.dists_from(int(x))[space.h_idx] for x in query_idx])
+    qh = space.cross_dists(query_idx, space.h_idx)
     if not np.all(qh.min(axis=1) > 0):
         bad = int(query_idx[int(np.argmin(qh.min(axis=1)))])
         raise ValueError(f"query {bad} lies on a sampled H point")
@@ -220,21 +215,25 @@ def smooth_extension(field: ExtensionField, extra_midpoints: bool = True) -> Ext
         center_dh = np.concatenate(cdh)
         center_qh = np.concatenate(cqh)
         qpos = space.coords[field.query_idx]
-        dqc = np.linalg.norm(qpos[:, None, :] - center_pos[None, :, :], axis=2)
+
+        def dists_to_centers(q: int) -> np.ndarray:
+            return np.linalg.norm(center_pos - qpos[q], axis=1)
     else:
         center_pos = field.query_idx.copy()
         center_g = field.g.copy()
         center_dh = field.dist_h.copy()
         center_qh = field.qh.copy()
-        dqc = np.stack(
-            [field.space.dists_from(int(x))[field.query_idx] for x in field.query_idx]
-        )
 
+        def dists_to_centers(q: int) -> np.ndarray:
+            return space.dists_from(int(field.query_idx[q]))[center_pos]
+
+    # one query's row of center distances at a time: the smoothing balls are
+    # local, so a dense (queries x centers) table would be almost all misses
     radii = center_dh / 3.0
     contributors, weights = [], []
     g_smooth = np.zeros_like(field.g)
     for q in range(field.n_queries):
-        w = radii - dqc[q]
+        w = radii - dists_to_centers(q)
         inside = w > 0
         if not inside.any():
             raise CoverageError(

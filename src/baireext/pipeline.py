@@ -34,7 +34,7 @@ __all__ = [
     "lipschitz_mollify",
     "baire_approximate",
     "sampled_lip_oracle",
-    "mollify_sup_bound",
+    "m_bound",
     "monotone_lip_envelope",
 ]
 
@@ -370,12 +370,11 @@ def enforce_local_uniform_boundedness(
     m = bundle.m
     r_min = float(rad.r.min())
     factor = retraction_factor(tag, m)
+    finite = np.isfinite(rad.r)
     out = []
     for it in items:
         vals = it.values.copy()
-        finite = np.isfinite(rad.r)
-        for y in np.flatnonzero(finite):
-            vals[y] = radial_project(it.values[y], float(rad.r[y]), tag)
+        vals[finite] = radial_project(it.values[finite], rad.r[finite], tag)
         if it.sup_bound <= r_min:
             lip = it.lip_bound  # every projection is the identity on the range
         else:
@@ -397,9 +396,9 @@ def enforce_local_uniform_boundedness(
 # mollification: partition-of-unity blend over a fine ball cover
 # ---------------------------------------------------------------------------
 
-def mollify_sup_bound(n: int) -> float:
+def m_bound(n: int) -> float:
     """Certified sup bound M_n = n + 2 for the finished item n (radial bound n
-    plus blend error 2/n <= 2)."""
+    plus blend error 2/n <= 2); the extension's selection test uses it too."""
     return float(n + 2)
 
 
@@ -484,7 +483,7 @@ def lipschitz_mollify(space: SampledSpace, item: FunSeqItem, n: int) -> FunSeqIt
     return replace(
         item,
         values=values,
-        sup_bound=min(item.sup_bound + 2.0 / n, mollify_sup_bound(n)),
+        sup_bound=min(item.sup_bound + 2.0 / n, m_bound(n)),
         # the crossover bound is not monotone where the blend error first
         # appears; the envelope restores the nondecreasing-in-radius invariant
         lip_bound=monotone_lip_envelope(lip, float(D.max()), res),

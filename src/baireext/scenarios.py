@@ -115,11 +115,11 @@ def _sequence_length(space: SampledSpace, query_idx: np.ndarray) -> int:
     """Items needed so the selection scan can start at its analytic ceiling
     for every query and for the midpoint smoothing centers, whose distance to
     H is at least half the query's."""
-    worst = 1
-    for q in query_idx:
-        d = float(space.dists_from(int(q))[space.h_idx].min())
-        worst = max(worst, select_ceiling(d / 2.0))
-    return worst
+    if len(query_idx) == 0:
+        return 1
+    # the ceiling is nonincreasing in the distance: the nearest query decides
+    d = float(space.cross_dists(query_idx, space.h_idx).min())
+    return max(1, select_ceiling(d / 2.0))
 
 
 def _geometric_radii(t0: float, steps: int) -> np.ndarray:

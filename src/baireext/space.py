@@ -10,6 +10,8 @@ are supported:
   interiors are only trusted at scale delta.
 
 All objects are immutable after construction and all operations are pure.
+A coordinate-only space builds its dense distance matrix on the first
+``dense_matrix()`` call and keeps it, read-only, for the later calls.
 """
 from __future__ import annotations
 
@@ -72,6 +74,7 @@ class SampledSpace:
     mode: str = "sampled"  # "finite" | "sampled"
     delta: float = 0.0  # resolution; required > 0 in sampled mode
     labels: Optional[tuple] = None
+    _dense: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.coords is None and self.dmat is None:
@@ -106,9 +109,12 @@ class SampledSpace:
         return np.linalg.norm(self.coords - self.coords[i], axis=1)
 
     def pair_dist(self, i: int, j: int) -> float:
+        """d(i, j), bit-equal to ``dists_from(i)[j]``."""
         if self.dmat is not None:
             return float(self.dmat[i, j])
-        return float(np.linalg.norm(self.coords[i] - self.coords[j]))
+        # an explicit axis keeps numpy on the reduction dists_from uses
+        # rather than a BLAS dot, which may round differently
+        return float(np.linalg.norm(self.coords[i] - self.coords[j], axis=-1))
 
     def dists_coords(self, q: np.ndarray, idx: Optional[np.ndarray] = None) -> np.ndarray:
         """Distances from free coordinate points ``q`` (k, dim) to samples.
@@ -121,11 +127,21 @@ class SampledSpace:
         q = np.atleast_2d(np.asarray(q, dtype=float))
         return np.linalg.norm(q[:, None, :] - pts[None, :, :], axis=2)
 
+    def cross_dists(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Distances (len(rows), len(cols)) between two lists of samples;
+        entry [i, j] is bit-equal to ``dists_from(rows[i])[cols[j]]``."""
+        if self.dmat is not None:
+            return self.dmat[np.ix_(rows, cols)]
+        return self.dists_coords(self.coords[rows], cols)
+
     def dense_matrix(self) -> np.ndarray:
         if self.dmat is not None:
             return self.dmat
-        d = self.coords[:, None, :] - self.coords[None, :, :]
-        return np.linalg.norm(d, axis=2)
+        if self._dense is None:
+            m = self.dists_coords(self.coords)
+            m.flags.writeable = False
+            object.__setattr__(self, "_dense", m)
+        return self._dense
 
     def resolution(self) -> float:
         """Smallest positive pairwise distance among the samples."""
@@ -137,11 +153,9 @@ class SampledSpace:
         """Subspace on ``indices`` with a dense distance matrix; every point of
         the restriction is marked as belonging to H."""
         indices = np.asarray(indices)
-        m = self.dense_matrix()[np.ix_(indices, indices)]
-        coords = self.coords[indices] if self.coords is not None else None
         return SampledSpace(
-            coords=coords,
-            dmat=m,
+            coords=self.coords[indices] if self.coords is not None else None,
+            dmat=self.cross_dists(indices, indices),
             h_idx=np.arange(len(indices)),
             mode=self.mode,
             delta=self.delta,
@@ -230,8 +244,8 @@ def build_refinement(
         if covered[p]:
             continue
         r_new = rule[k] / 2.0
-        d_raw = np.array([space.pair_dist(int(p), int(c)) for c in raw.centers])
-        fits = np.flatnonzero(d_raw + r_new <= raw.radii)
+        d_p = space.dists_from(int(p))
+        fits = np.flatnonzero(d_p[raw.centers] + r_new <= raw.radii)
         if fits.size == 0:
             raise RefinementError(
                 f"point {int(p)} (rule radius {rule[k]}) fits in no raw ball"
@@ -239,7 +253,7 @@ def build_refinement(
         centers.append(int(p))
         radii.append(r_new)
         parents.append(int(fits[0]))
-        covered |= space.dists_from(int(p)) < r_new
+        covered |= d_p < r_new
     return CoverSystem(
         centers=np.array(centers, dtype=int),
         radii=np.array(radii, dtype=float),

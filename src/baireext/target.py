@@ -58,13 +58,18 @@ def norm(z: np.ndarray, tag: str = "linf") -> float | np.ndarray:
     return np.abs(z).max(axis=-1)
 
 
-def radial_project(z: np.ndarray, r: float, tag: str = "linf") -> np.ndarray:
+def radial_project(
+    z: np.ndarray, r: float | np.ndarray, tag: str = "linf"
+) -> np.ndarray:
     """Radial projection onto the closed ball of radius r >= 1 (r = inf is the
-    identity): z itself inside the ball, r*z/||z|| outside."""
-    if not (r >= 1):
-        raise ValueError(f"radial projection needs r >= 1, got {r}")
+    identity): z itself inside the ball, r*z/||z|| outside.
+
+    ``r`` may also be an array with one radius per row of ``z``.
+    """
+    if not np.all(np.asarray(r) >= 1):
+        raise ValueError(f"radial projection needs r >= 1, got {np.min(r)}")
     z = np.asarray(z, dtype=float)
-    if np.isinf(r):
+    if np.ndim(r) == 0 and np.isinf(r):
         return z.copy()
     nz = norm(z, tag)
     if np.ndim(nz) == 0:
