@@ -24,7 +24,6 @@ from .pipeline import (
 from .scenarios import SCENARIOS, Scenario, ScenarioConfig, get_scenario, list_scenarios
 from .space import (
     CoverSystem,
-    MetricBall,
     SampledSpace,
     build_refinement,
     dist_to_set,

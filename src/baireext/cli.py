@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .extension import build_extension, field_to_csv, smooth_extension
+from .extension import build_extension, field_rows, field_to_csv, smooth_extension
 from .pipeline import baire_approximate
 from .scenarios import Scenario, ScenarioConfig, get_scenario, list_scenarios
 from .verify import check_boundedness, check_continuity, check_nt, check_ucpc
@@ -109,7 +109,7 @@ def run_scenario(
                     field_to_csv(field, data.primary_anchor_y)
                 )
             else:
-                rows = _field_rows_json(field, data.primary_anchor_y)
+                rows = field_rows(field, data.primary_anchor_y)
                 (out_dir / f"{name}_field.json").write_text(
                     json.dumps(rows, sort_keys=True)
                 )
@@ -120,35 +120,6 @@ def run_scenario(
             "".join(json.dumps(d, sort_keys=True) + "\n" for d in diag_lines)
         )
     return manifest, (0 if verdict != "fail" else 1)
-
-
-def _field_rows_json(field, anchor_y: int) -> list[dict]:
-    from .extension import alp5_rhs, nt_quotient
-
-    q_nt = nt_quotient(field, anchor_y)
-    rhs = alp5_rhs(field, anchor_y)
-    rows = []
-    for q in range(field.n_queries):
-        x = int(field.query_idx[q])
-        coords = (
-            [float(c) for c in field.space.coords[x]]
-            if field.space.coords is not None
-            else [x]
-        )
-        rows.append(
-            {
-                "x": coords,
-                "dist_h": float(field.dist_h[q]),
-                "n_of_x": int(field.n_of_x[q]),
-                "u_index": int(field.u_x[q]),
-                "g": [float(v) for v in field.g[q]],
-                "g_smooth": [float(v) for v in field.g_smooth[q]],
-                "q_nt": float(q_nt[q]),
-                "alp5_rhs": float(rhs[q]),
-                "alp5_slack": float(rhs[q] - q_nt[q]),
-            }
-        )
-    return rows
 
 
 def _describe(scenario: Scenario) -> str:

@@ -9,7 +9,6 @@ the cover {B(x_a, dist(x_a,H)/3)} with partition-of-unity weights.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -34,8 +33,8 @@ __all__ = [
     "general_inequality_slacks",
     "branch_condition_violations",
     "factor4_ratio_range",
+    "field_rows",
     "field_to_csv",
-    "CSV_NUM_FMT",
 ]
 
 
@@ -48,13 +47,15 @@ def local_lip_K(items: list[FunSeqItem], n: int, u_y: int, dist_h: float) -> flo
     return max(1.0, float(items[n - 1].lip_bound(u_y, radius)))
 
 
+def _passes(n: int, k: float, dist_h: float) -> bool:
+    """The selection inequality dist < 1/(n K (n M_n + 2)); an infinite K
+    fails it (the 1/inf = 0 convention)."""
+    return not np.isinf(k) and dist_h < 1.0 / (n * k * (n * m_bound(n) + 2.0))
+
+
 def defnx_satisfied(items: list[FunSeqItem], n: int, u_y: int, dist_h: float) -> bool:
-    """Whether index n passes the selection test dist < 1/(n K (n M_n + 2));
-    an infinite K disqualifies n via the 1/inf = 0 convention."""
-    k = local_lip_K(items, n, u_y, dist_h)
-    if np.isinf(k):
-        return False
-    return dist_h < 1.0 / (n * k * (n * m_bound(n) + 2.0))
+    """Whether index n passes the selection test with K = K_{x,n}."""
+    return _passes(n, local_lip_K(items, n, u_y, dist_h), dist_h)
 
 
 def select_ceiling(dist_h: float) -> int:
@@ -84,11 +85,8 @@ def select_n(
         )
     table: dict[int, float] = {}
     for n in range(ceiling, 0, -1):
-        k = local_lip_K(items, n, u_y, dist_h)
-        table[n] = k
-        if np.isinf(k):
-            continue
-        if dist_h < 1.0 / (n * k * (n * m_bound(n) + 2.0)):
+        table[n] = local_lip_K(items, n, u_y, dist_h)
+        if _passes(n, table[n], dist_h):
             return n, table
     return 0, table
 
@@ -331,43 +329,48 @@ def factor4_ratio_range(field: ExtensionField) -> tuple[float, float]:
 # serialization
 # ---------------------------------------------------------------------------
 
-CSV_NUM_FMT = repr  # shortest round-trip float text; bit-stable across runs
+def field_rows(field: ExtensionField, anchor_y: int) -> list[dict]:
+    """One dict per query: x (coords, or [X index] without coordinates),
+    dist_h, n_of_x, u_index, g, g_smooth (NaN before smoothing), q_nt,
+    alp5_rhs, alp5_slack (NT columns vs the given anchor), in column order."""
+    coords = field.space.coords
+    q_nt = nt_quotient(field, anchor_y)
+    rhs = alp5_rhs(field, anchor_y)
+    gs = field.g_smooth if field.g_smooth is not None else np.full_like(field.g, np.nan)
+    rows = []
+    for q in range(field.n_queries):
+        x = int(field.query_idx[q])
+        rows.append(
+            {
+                "x": [float(c) for c in coords[x]] if coords is not None else [x],
+                "dist_h": float(field.dist_h[q]),
+                "n_of_x": int(field.n_of_x[q]),
+                "u_index": int(field.u_x[q]),
+                "g": [float(v) for v in field.g[q]],
+                "g_smooth": [float(v) for v in gs[q]],
+                "q_nt": float(q_nt[q]),
+                "alp5_rhs": float(rhs[q]),
+                "alp5_slack": float(rhs[q] - q_nt[q]),
+            }
+        )
+    return rows
 
 
 def field_to_csv(field: ExtensionField, anchor_y: int) -> str:
-    """One row per query: x coords..., dist_h, n_of_x, u_index, g...,
-    g_smooth..., q_nt, alp5_rhs, alp5_slack (NT columns vs the given anchor).
-    """
-    space = field.space
+    """The ``field_rows`` table as CSV: x0.. (or x_index), dist_h, n_of_x,
+    u_index, g.., g_smooth.., q_nt, alp5_rhs, alp5_slack.  Cells are ``repr``
+    text: the shortest round-trip float form, bit-stable across runs."""
     m = field.f_h.shape[1]
-    if space.coords is not None:
-        dim = space.coords.shape[1]
-        coord_cols = [f"x{i}" for i in range(dim)]
-    else:
-        coord_cols = ["x_index"]
+    coords = field.space.coords
     cols = (
-        coord_cols
+        ([f"x{i}" for i in range(coords.shape[1])] if coords is not None else ["x_index"])
         + ["dist_h", "n_of_x", "u_index"]
         + [f"g{i}" for i in range(m)]
         + [f"g_smooth{i}" for i in range(m)]
         + ["q_nt", "alp5_rhs", "alp5_slack"]
     )
-    q_nt = nt_quotient(field, anchor_y)
-    rhs = alp5_rhs(field, anchor_y)
-    slack = rhs - q_nt
-    gs = field.g_smooth if field.g_smooth is not None else np.full_like(field.g, np.nan)
-    buf = io.StringIO()
-    buf.write(",".join(cols) + "\n")
-    for q in range(field.n_queries):
-        x = int(field.query_idx[q])
-        row = (
-            [CSV_NUM_FMT(float(c)) for c in space.coords[x]]
-            if space.coords is not None
-            else [str(x)]
-        )
-        row += [CSV_NUM_FMT(float(field.dist_h[q])), str(int(field.n_of_x[q])), str(int(field.u_x[q]))]
-        row += [CSV_NUM_FMT(float(v)) for v in field.g[q]]
-        row += [CSV_NUM_FMT(float(v)) for v in gs[q]]
-        row += [CSV_NUM_FMT(float(q_nt[q])), CSV_NUM_FMT(float(rhs[q])), CSV_NUM_FMT(float(slack[q]))]
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+    lines = [",".join(cols)]
+    for row in field_rows(field, anchor_y):
+        cells = [v for val in row.values() for v in (val if isinstance(val, list) else [val])]
+        lines.append(",".join(map(repr, cells)))
+    return "\n".join(lines) + "\n"

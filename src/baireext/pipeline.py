@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .space import CoverSystem, SampledSpace, build_refinement, partition_of_unity
+from .space import CoverSystem, SampledSpace, ball_depth, build_refinement, partition_of_unity
 from .target import TargetBall, ball_intersection_point, norm, radial_project, retraction_factor
 
 __all__ = [
@@ -87,9 +87,6 @@ class FunSeqItem:
     norm_tag: str = "linf"
     extras: dict = field(default_factory=dict)
 
-    def eval(self, y: int) -> np.ndarray:
-        return self.values[y]
-
 
 @dataclass
 class FunctionBundle:
@@ -105,7 +102,6 @@ class FunctionBundle:
     ucpc_certified: bool = False
     continuity_idx: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
     discontinuity_idx: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
-    conv_tol: float = 1e-9
 
     @property
     def n_seq(self) -> int:
@@ -212,12 +208,10 @@ def ucpc_transform(bundle: FunctionBundle, n_seq: Optional[int] = None):
             centers=np.arange(nY), radii=rho, covered=np.arange(nY)
         )
         refined = build_refinement(space, raw, rho)
-        member = refined.membership(space)
-        depth = np.full((nY, refined.n_balls), np.inf)
-        for b in range(refined.n_balls):
-            outside = ~member[:, b]
-            if outside.any():
-                depth[:, b] = D[:, outside].min(axis=1)
+        member = np.zeros((nY, refined.n_balls), dtype=bool)
+        depth = np.zeros((nY, refined.n_balls))
+        for b, (c, r) in enumerate(zip(refined.centers, refined.radii)):
+            member[:, b], depth[:, b] = ball_depth(space, c, r)
         z = bundle.f_values[refined.centers]
         levels.append(LevelCover(k=k, cover=refined, z=z, member=member, depth=depth))
 
@@ -283,7 +277,6 @@ class BoundRadiusField:
     """
 
     r: np.ndarray  # (nY,)
-    phi: np.ndarray  # (n_sat, nY) candidate values, inf off O_n
     o_masks: np.ndarray  # (n_sat, nY)
     d_compl: np.ndarray  # (n_sat, nY) dist(y, Y \\ O_n), inf if complement empty
     n_sat: int
@@ -357,7 +350,7 @@ def local_bound_radius(bundle: FunctionBundle) -> BoundRadiusField:
             d_compl[n - 1] = D[:, ~o].min(axis=1)
         phi[n - 1, o] = (n + 1.0) + 1.0 / d_compl[n - 1, o]
     r = phi.min(axis=0)
-    return BoundRadiusField(r=r, phi=phi, o_masks=o_masks, d_compl=d_compl, n_sat=n_sat, D=D)
+    return BoundRadiusField(r=r, o_masks=o_masks, d_compl=d_compl, n_sat=n_sat, D=D)
 
 
 def enforce_local_uniform_boundedness(
@@ -427,17 +420,6 @@ def lipschitz_mollify(space: SampledSpace, item: FunSeqItem, n: int) -> FunSeqIt
     err = norm(values - item.values, tag)
 
     member = refined.membership(space)
-    w_tot = np.zeros(nY)
-    for b, (c, r) in enumerate(zip(refined.centers, refined.radii)):
-        d = D[int(c)]
-        inside = d < r
-        if space.mode == "finite":
-            outside = ~inside
-            wb = D[:, outside].min(axis=1) if outside.any() else np.full(nY, r)
-            w_tot[inside] += np.minimum(wb[inside], r)
-        else:
-            w_tot[inside] += r - d[inside]
-
     old = item.lip_bound
     centers, radii = refined.centers, refined.radii
 
@@ -455,7 +437,7 @@ def lipschitz_mollify(space: SampledSpace, item: FunSeqItem, n: int) -> FunSeqIt
         near = np.flatnonzero(D[c] <= rho + rad_max)
         mult = int(member[np.ix_(near, active)].sum(axis=1).max()) if active.size else 1
         n_pair = 2.0 * max(mult, 1)
-        w_min = float(w_tot[s].min())
+        w_min = float(pou.weight_sum[s].min())
         d_max = max(2.0 * rho, res)
         if not np.isfinite(lb) or w_min <= 0:
             return l_rho + 2.0 * e / res
@@ -476,7 +458,6 @@ def lipschitz_mollify(space: SampledSpace, item: FunSeqItem, n: int) -> FunSeqIt
         mollify_cover=refined,
         mollify_pou=pou,
         mollify_err=err,
-        mollify_w=w_tot,
         mollify_delta=delta,
         pre_blend_values=item.values,
     )

@@ -9,6 +9,10 @@ are supported:
 * ``sampled`` -- the samples discretize a continuum at resolution ``delta``;
   interiors are only trusted at scale delta.
 
+``ball_depth`` is the one place that applies this mode rule to a ball: it
+gives the depth dist(y, X \\ B) of every sample y, which is both the
+partition-of-unity weight and the interior margin of the selection transform.
+
 All objects are immutable after construction and all operations are pure.
 A coordinate-only space builds its dense distance matrix on the first
 ``dense_matrix()`` call and keeps it, read-only, for the later calls.
@@ -23,13 +27,13 @@ import numpy as np
 
 __all__ = [
     "SampledSpace",
-    "MetricBall",
     "CoverSystem",
     "SpaceConfigError",
     "RefinementError",
     "CoverageError",
     "dist_to_set",
     "nearest_with_slack",
+    "ball_depth",
     "build_refinement",
     "partition_of_unity",
     "load_space_json",
@@ -46,18 +50,6 @@ class RefinementError(ValueError):
 
 class CoverageError(ValueError):
     """A declared point is not covered by any ball of a cover."""
-
-
-@dataclass(frozen=True)
-class MetricBall:
-    """Open metric ball B(center, radius); ``center`` is a sample index."""
-
-    center: int
-    radius: float
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError(f"ball radius must be positive, got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -172,6 +164,7 @@ class CoverSystem:
 
     ``weights`` (when filled) has shape (n_points, n_balls); row sums are 1 on
     covered points and a ball's weight vanishes outside the ball.
+    ``weight_sum`` holds the row totals W(y) before normalization.
     """
 
     centers: np.ndarray  # (nb,) sample indices
@@ -180,14 +173,11 @@ class CoverSystem:
     parents: Optional[np.ndarray] = None  # (nb,) index into parent cover
     parent: Optional["CoverSystem"] = None
     weights: Optional[np.ndarray] = None
+    weight_sum: Optional[np.ndarray] = None
 
     @property
     def n_balls(self) -> int:
         return len(self.centers)
-
-    @property
-    def balls(self) -> list[MetricBall]:
-        return [MetricBall(int(c), float(r)) for c, r in zip(self.centers, self.radii)]
 
     def membership(self, space: SampledSpace) -> np.ndarray:
         """Boolean (n_points, n_balls): point lies in the open ball."""
@@ -205,11 +195,6 @@ class CoverSystem:
 def dist_to_set(space: SampledSpace, x: int) -> float:
     """dist(x, H) over the sampled H; zero iff x is an H sample (finite mode)."""
     return float(space.dists_from(x)[space.h_idx].min())
-
-
-def dist_coords_to_set(space: SampledSpace, q: np.ndarray) -> np.ndarray:
-    """Vectorized dist(., H) for free coordinate points (Euclidean only)."""
-    return space.dists_coords(q, space.h_idx).min(axis=1)
 
 
 def nearest_with_slack(space: SampledSpace, x: int) -> int:
@@ -263,34 +248,40 @@ def build_refinement(
     )
 
 
-def partition_of_unity(space: SampledSpace, cover: CoverSystem) -> CoverSystem:
-    """Fill normalized weights w_U(y)/W(y) with w_U(y) = dist(y, complement of U).
+def ball_depth(space: SampledSpace, c: int, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """(inside, depth) for the open ball B(c, r): the membership mask and
+    dist(y, X \\ B) for every sample y.
 
-    Finite mode takes the distance to the sampled complement (capped at the
-    radius); sampled mode uses the analytic distance radius - d(center, y).
+    Finite mode takes the distance to the sampled complement (inf when the
+    ball holds every sample); sampled mode uses the analytic distance
+    r - d(c, y) inside the ball and 0 outside.
     """
-    n = space.n_points
-    nb = cover.n_balls
-    w = np.zeros((n, nb), dtype=float)
-    for b, (c, r) in enumerate(zip(cover.centers, cover.radii)):
-        d = space.dists_from(int(c))
-        inside = d < r
-        if space.mode == "finite":
-            outside = ~inside
-            if outside.any():
-                m = space.dense_matrix()
-                wb = m[:, outside].min(axis=1)
-            else:
-                wb = np.full(n, r)
-            w[inside, b] = np.minimum(wb[inside], r)
+    d = space.dists_from(int(c))
+    inside = d < r
+    if space.mode == "finite":
+        outside = ~inside
+        if outside.any():
+            depth = space.dense_matrix()[:, outside].min(axis=1)
         else:
-            w[inside, b] = r - d[inside]
+            depth = np.full(space.n_points, np.inf)
+    else:
+        depth = np.where(inside, r - d, 0.0)
+    return inside, depth
+
+
+def partition_of_unity(space: SampledSpace, cover: CoverSystem) -> CoverSystem:
+    """Fill normalized weights w_U(y)/W(y) with w_U(y) = dist(y, complement of
+    U) capped at the radius, and keep the totals W(y) as ``weight_sum``."""
+    w = np.zeros((space.n_points, cover.n_balls), dtype=float)
+    for b, (c, r) in enumerate(zip(cover.centers, cover.radii)):
+        inside, depth = ball_depth(space, c, r)
+        w[inside, b] = np.minimum(depth[inside], r)
     tot = w.sum(axis=1)
     bad = [int(p) for p in cover.covered if tot[p] <= 0]
     if bad:
         raise CoverageError(f"point {bad[0]} is not covered by any ball")
     norm = np.where(tot > 0, tot, 1.0)
-    return replace(cover, weights=w / norm[:, None])
+    return replace(cover, weights=w / norm[:, None], weight_sum=tot)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ class TargetBall:
 
     center: np.ndarray
     radius: float
-    closed: bool = True
 
     def __post_init__(self):
         if self.radius < 0:

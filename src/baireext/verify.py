@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .extension import ExtensionField, alp5_rhs, nt_quotient
-from .space import SampledSpace
+from .space import SampledSpace, dist_to_set
 from .target import norm
 
 __all__ = [
@@ -87,7 +87,7 @@ def validate_path(space: SampledSpace, path: ApproachPath) -> None:
         if path.kind == "tangential":
             if path.eps is None:
                 raise ValueError("tangential paths need an eps ratio cap")
-            dist_h = float(space.dists_from(x)[space.h_idx].min())
+            dist_h = dist_to_set(space, x)
             if dist_h > path.eps * da[x]:
                 raise ValueError(
                     f"tangential ratio {dist_h / da[x]:.3f} exceeds eps={path.eps} at point {x}"

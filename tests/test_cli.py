@@ -53,6 +53,14 @@ class TestRun:
         assert isinstance(rows, list) and rows
         assert {"x", "dist_h", "n_of_x", "g", "g_smooth", "q_nt"} <= set(rows[0])
 
+    @pytest.mark.parametrize("grid", [41, 81])
+    def test_s1_passes_where_grid_points_touch_probe_balls(self, grid):
+        """At these grids linspace puts the neighbour of the jump a few ulps
+        inside the open continuity probe ball of radius delta."""
+        manifest, code = run_scenario("S1", ScenarioConfig(grid=grid))
+        assert manifest["verdict"] == "pass"
+        assert code == 0
+
     def test_unsupported_mode_rejected(self):
         with pytest.raises(ValueError, match="supports modes"):
             run_scenario("S1", ScenarioConfig(mode="finite"))

@@ -80,6 +80,16 @@ class TestSelection:
         assert n == 0
         assert np.isinf(table[1])
 
+    def test_select_evaluates_k_once_per_scanned_index(self, monkeypatch):
+        import baireext.extension as ext
+
+        calls = []
+        real = ext.local_lip_K
+        monkeypatch.setattr(ext, "local_lip_K", lambda *a: calls.append(a[1]) or real(*a))
+        n, table = select_n(flat_items(3, lip_value=2.0), 0, 0.049)
+        assert calls == [2, 1] == list(table)
+        assert n == 1
+
     def test_zero_distance_rejected(self):
         with pytest.raises(ValueError, match="dist"):
             select_n(flat_items(1), 0, 0.0)

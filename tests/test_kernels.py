@@ -1,19 +1,35 @@
-"""Row-sized distance kernels: each one is compared bit for bit with the
-per-pair or dense all-pairs formula it replaced, written out here."""
+"""Row-sized distance kernels and the shared ball-depth, weight and field-row
+code: each one is compared bit for bit with the per-pair, dense all-pairs or
+per-caller formula it replaced, written out here."""
+import hashlib
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from baireext.extension import build_extension, select_ceiling, smooth_extension
+from baireext.extension import (
+    build_extension,
+    field_rows,
+    field_to_csv,
+    select_ceiling,
+    smooth_extension,
+)
 from baireext.pipeline import (
     FunSeqItem,
     baire_approximate,
     enforce_local_uniform_boundedness,
 )
 from baireext.scenarios import ScenarioConfig, _sequence_length, get_scenario
-from baireext.space import CoverSystem, SampledSpace, build_refinement, load_space_json
+from baireext.space import (
+    CoverSystem,
+    SampledSpace,
+    ball_depth,
+    build_refinement,
+    load_space_json,
+    partition_of_unity,
+)
 from baireext.target import radial_project
 
 
@@ -305,3 +321,146 @@ class TestRadialProjectRows:
             rows[y] = radial_project(vals[y], float(rad.r[y]), tag)
         assert not np.array_equal(rows, vals)
         assert np.array_equal(out[0].values, rows)
+
+
+# ---------------------------------------------------------------------------
+# ball depth and partition-of-unity weights
+# ---------------------------------------------------------------------------
+
+def depth_by_mode(space, c, r):
+    """The finite-mode depth loop of the selection transform and the
+    sampled-mode weight of the partition of unity, per ball."""
+    d = space.dists_from(int(c))
+    inside = d < r
+    if space.mode == "finite":
+        outside = ~inside
+        depth = np.full(space.n_points, np.inf)
+        if outside.any():
+            depth = space.dense_matrix()[:, outside].min(axis=1)
+        return inside, depth
+    depth = np.zeros(space.n_points)
+    depth[inside] = r - d[inside]
+    return inside, depth
+
+
+def weights_by_loop(space, cover):
+    """The unnormalised partition-of-unity weights, one ball at a time."""
+    n = space.n_points
+    w = np.zeros((n, cover.n_balls))
+    for b, (c, r) in enumerate(zip(cover.centers, cover.radii)):
+        d = space.dists_from(int(c))
+        inside = d < r
+        if space.mode == "finite":
+            outside = ~inside
+            if outside.any():
+                wb = space.dense_matrix()[:, outside].min(axis=1)
+            else:
+                wb = np.full(n, r)
+            w[inside, b] = np.minimum(wb[inside], r)
+        else:
+            w[inside, b] = r - d[inside]
+    return w
+
+
+def mollify_covers(run):
+    return [it.extras["mollify_cover"] for it in run.items[:: max(1, len(run.items) // 6)]]
+
+
+class TestBallDepth:
+    def test_matches_mode_formulas(self, s1_run, s2_run):
+        for run in (s1_run, s2_run):
+            space = run.bundle.hspace
+            for cover in mollify_covers(run):
+                for c, r in zip(cover.centers, cover.radii):
+                    inside, depth = ball_depth(space, c, r)
+                    ref_inside, ref_depth = depth_by_mode(space, c, r)
+                    assert np.array_equal(inside, ref_inside)
+                    assert np.array_equal(depth, ref_depth)
+
+    def test_ball_holding_every_sample_is_infinitely_deep(self):
+        sp = json_line_space([0.0, 0.25, 0.5, 1.0], h=[0, 2])
+        inside, depth = ball_depth(sp, 1, 5.0)
+        assert inside.all()
+        assert np.all(np.isinf(depth))
+
+    def test_selection_levels_match_membership_and_depth_loop(self, s2_run):
+        space = s2_run.bundle.hspace
+        state = s2_run.items[0].extras["selection_state"]
+        for lev in state.levels:
+            member = lev.cover.membership(space)
+            depth = np.full(member.shape, np.inf)
+            for b in range(lev.cover.n_balls):
+                outside = ~member[:, b]
+                if outside.any():
+                    depth[:, b] = space.dense_matrix()[:, outside].min(axis=1)
+            assert np.array_equal(lev.member, member)
+            assert np.array_equal(lev.depth, depth)
+
+    def test_partition_weights_match_ball_loop(self, s1_run, s2_run):
+        """S2 is a finite space, S1 a sampled one."""
+        assert s2_run.bundle.hspace.mode == "finite"
+        assert s1_run.bundle.hspace.mode == "sampled"
+        for run in (s1_run, s2_run):
+            space = run.bundle.hspace
+            for cover in mollify_covers(run):
+                w = weights_by_loop(space, cover)
+                pou = partition_of_unity(space, cover)
+                tot = w.sum(axis=1)
+                assert np.array_equal(pou.weight_sum, tot)
+                assert np.array_equal(pou.weights, w / np.where(tot > 0, tot, 1.0)[:, None])
+
+
+# ---------------------------------------------------------------------------
+# field rows and the CSV writer
+# ---------------------------------------------------------------------------
+
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+
+
+class TestFieldRows:
+    def test_csv_bytes_match_benchmark_references(self, s0_run, s1_run, s2_run, s3_run):
+        """The default config is the benchmark gate's seed 0 at grid 201."""
+        refs = json.loads(REFERENCES.read_text())["runs"]
+        for k, run in enumerate((s0_run, s1_run, s2_run, s3_run)):
+            want = refs[f"S{k}@201/linf/csv"]["0"]["field_sha256"]
+            if run.field is None:
+                assert want is None
+                continue
+            text = field_to_csv(run.field, run.data.primary_anchor_y)
+            assert hashlib.sha256(text.encode()).hexdigest() == want, f"S{k}"
+
+    def dmat_field(self, smooth=True):
+        xs, h = DYADIC_XS, DYADIC_H
+        sp = json_line_space(xs, h)
+        q = np.array([i for i in range(len(xs)) if i not in h])
+        items = constant_lip_items(12, len(h))
+        field = build_extension(sp, items, items[-1].values, q)
+        return smooth_extension(field) if smooth else field
+
+    def test_csv_and_json_rows_agree_without_coordinates(self):
+        field = self.dmat_field()
+        rows = field_rows(field, 1)
+        lines = field_to_csv(field, 1).splitlines()
+        assert lines[0] == (
+            "x_index,dist_h,n_of_x,u_index,g0,g_smooth0,q_nt,alp5_rhs,alp5_slack"
+        )
+        assert len(lines) - 1 == len(rows) == field.n_queries
+        for line, row in zip(lines[1:], rows):
+            cells = line.split(",")
+            for i in (0, 2, 3):  # x_index, n_of_x, u_index
+                assert cells[i] == str(int(cells[i]))
+            assert [int(cells[0])] == row["x"]
+            assert int(cells[2]) == row["n_of_x"]
+            assert int(cells[3]) == row["u_index"]
+            floats = [float(c) for c in cells[4:]]
+            assert floats[:2] == row["g"] + row["g_smooth"]
+            assert [float(cells[1])] + floats[2:] == [
+                row["dist_h"], row["q_nt"], row["alp5_rhs"], row["alp5_slack"]
+            ]
+        assert json.loads(json.dumps(rows)) == rows
+
+    def test_unsmoothed_field_writes_nan(self):
+        field = self.dmat_field(smooth=False)
+        rows = field_rows(field, 1)
+        assert all(np.isnan(r["g_smooth"][0]) for r in rows)
+        assert all(line.split(",")[5] == "nan" for line in field_to_csv(field, 1).splitlines()[1:])
