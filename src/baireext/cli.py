@@ -23,7 +23,7 @@ import numpy as np
 
 from .extension import build_extension, field_rows, field_to_csv, smooth_extension
 from .pipeline import baire_approximate
-from .scenarios import Scenario, ScenarioConfig, get_scenario, list_scenarios
+from .scenarios import ConfigError, Scenario, ScenarioConfig, get_scenario, list_scenarios
 from .verify import check_boundedness, check_continuity, check_nt, check_ucpc
 
 __all__ = ["main", "run_scenario"]
@@ -40,7 +40,7 @@ def run_scenario(
     """Run one scenario; returns (manifest, exit_code) and writes artifacts."""
     scenario = get_scenario(name)
     if cfg.mode is not None and cfg.mode not in scenario.supported_modes:
-        raise ValueError(
+        raise ConfigError(
             f"scenario {name} supports modes {scenario.supported_modes}, not {cfg.mode!r}"
         )
     data = scenario.build(cfg)
@@ -196,7 +196,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     fmt = args.format if args.format is not None else loaded.get("format")
     try:
         manifest, code = run_scenario(name, cfg, Path(out or "out"), fmt or "csv")
-    except KeyError as exc:
+    except (KeyError, ConfigError) as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
     counts = manifest["counts"]

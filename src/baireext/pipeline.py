@@ -13,8 +13,8 @@ ball.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,10 +35,26 @@ __all__ = [
     "baire_approximate",
     "sampled_lip_oracle",
     "m_bound",
+    "map_centers",
     "monotone_lip_envelope",
 ]
 
-LipOracle = Callable[[int, float], float]
+# A Lipschitz oracle ``lip(c, rho)`` bounds the difference quotients of an
+# item over sampled pairs in the closed ball B_Y(c, rho).  ``c`` is one center
+# (an int), which gives a float, or a 1-D int array of centers, which gives a
+# float array; entry i of a batch equals the scalar call at c[i] bit for bit.
+LipOracle = Callable[[int | np.ndarray, float], float | np.ndarray]
+
+
+def map_centers(scalar: Callable[[int, float], float]) -> LipOracle:
+    """A ``LipOracle`` whose batch calls apply the scalar body per center."""
+
+    def lip(c, rho):
+        if not isinstance(c, np.ndarray):
+            return scalar(c, rho)
+        return np.array([scalar(ci, rho) for ci in c.tolist()], dtype=float)
+
+    return lip
 
 
 def monotone_lip_envelope(raw: LipOracle, r_top: float, res: float) -> LipOracle:
@@ -48,17 +64,20 @@ def monotone_lip_envelope(raw: LipOracle, r_top: float, res: float) -> LipOracle
     at rho returns the minimum over grid radii >= rho (a bound certified on a
     larger ball also bounds the smaller one).  Snapping to the grid makes the
     result nondecreasing in rho by construction and lets the evaluations be
-    memoized per center.
+    memoized per center.  A batch query makes one ``raw`` batch call per grid
+    level that still misses some of its centers.
     """
     grid = [res]
     while grid[-1] < r_top:
         grid.append(grid[-1] * 2.0)
     cache: dict[tuple[int, int], float] = {}
 
-    def lip(c: int, rho: float) -> float:
+    def lip(c, rho):
         lo = 0
         while lo < len(grid) - 1 and grid[lo] < rho:
             lo += 1
+        if isinstance(c, np.ndarray):
+            return lip_batch(c.tolist(), lo)
         best = np.inf
         for j in range(lo, len(grid)):
             key = (c, j)
@@ -66,6 +85,17 @@ def monotone_lip_envelope(raw: LipOracle, r_top: float, res: float) -> LipOracle
                 cache[key] = raw(c, grid[j])
             best = min(best, cache[key])
         return float(best)
+
+    def lip_batch(cs: list[int], lo: int) -> np.ndarray:
+        best = np.full(len(cs), np.inf)
+        for j in range(lo, len(grid)):
+            missing = [c for c in dict.fromkeys(cs) if (c, j) not in cache]
+            if missing:
+                vals = raw(np.array(missing), grid[j])
+                cache.update(((c, j), v) for c, v in zip(missing, vals.tolist()))
+            # fmin keeps the current value over a NaN, as the scalar min does
+            best = np.fmin(best, [cache[(c, j)] for c in cs])
+        return best
 
     return lip
 
@@ -76,7 +106,8 @@ class FunSeqItem:
 
     ``values`` holds the evaluations at the Y samples; ``lip_bound(c, rho)``
     upper-bounds the difference quotients over sampled pairs inside the closed
-    ball B_Y(c, rho); ``sup_bound`` dominates the sup norm of the values.
+    ball B_Y(c, rho), for one center or an array of them (``LipOracle``);
+    ``sup_bound`` dominates the sup norm of the values.
     """
 
     n: int
@@ -117,7 +148,9 @@ def sampled_lip_oracle(space: SampledSpace, values: np.ndarray, tag: str) -> Lip
     """
     D = space.dense_matrix()
 
-    def lip(c: int, rho: float) -> float:
+    def lip(c, rho):
+        if isinstance(c, np.ndarray):
+            return lip_batch(c, rho)
         s = np.flatnonzero(D[c] <= rho)
         if len(s) < 2:
             return 0.0
@@ -127,6 +160,29 @@ def sampled_lip_oracle(space: SampledSpace, values: np.ndarray, tag: str) -> Lip
         if not mask.any():
             return 0.0
         return float((vd[mask] / dd[mask]).max())
+
+    def lip_batch(cs: np.ndarray, rho: float) -> np.ndarray:
+        # one quotient table over the union of the balls; each center takes
+        # the max of its own sub-block (0 stands for a pair at distance 0,
+        # below every quotient, as the scalar call's mask leaves it out)
+        balls = [np.flatnonzero(D[c] <= rho) for c in cs.tolist()]
+        union = np.zeros(len(D), dtype=bool)
+        for s in balls:
+            union[s] = True
+        u = np.flatnonzero(union)
+        pos = np.cumsum(union) - 1
+        dd = D[np.ix_(u, u)]
+        vd = norm(values[u][:, None, :] - values[u][None, :, :], tag)
+        quot = np.divide(vd, dd, out=np.zeros_like(dd), where=dd > 0)
+        out = np.zeros(len(balls))
+        for i, s in enumerate(balls):
+            if len(s) >= 2:
+                p = pos[s]
+                lo, hi = p[0], p[-1] + 1
+                # a run of consecutive positions is a view, not a copy
+                block = quot[lo:hi, lo:hi] if hi - lo == len(p) else quot[p[:, None], p]
+                out[i] = block.max()
+        return out
 
     return lip
 
@@ -266,6 +322,9 @@ def bound_sequence(items: list[FunSeqItem]) -> list[FunSeqItem]:
 # local uniform boundedness via the radius field r(y)
 # ---------------------------------------------------------------------------
 
+_ROW_BLOCK = 256  # centers per distance-row block in batched oracles
+
+
 @dataclass
 class BoundRadiusField:
     """The radius field r(y) = inf_n [ (n+1) + 1/dist(y, Y \\ O_n) ] and the
@@ -282,43 +341,55 @@ class BoundRadiusField:
     n_sat: int
     D: np.ndarray  # pairwise distances on Y
 
-    def lip_r(self, c: int, rho: float) -> float:
+    def lip_r(self, c, rho: float):
         """Upper bound for difference quotients of r over sampled pairs in
-        B(c, rho); 0 where r is certifiably infinite or constant."""
-        # whole ball outside every O_n -> r = inf on the ball
-        ball_free = True
-        for n in range(self.n_sat):
-            on = self.o_masks[n]
-            if on.any() and (self.D[c][on] <= rho).any():
-                ball_free = False
-                break
-        if ball_free:
-            return 0.0
-        # certified sup of r over the ball
-        r_sup = np.inf
-        for n in range(self.n_sat):
-            dc = self.d_compl[n, c]
-            if not self.o_masks[n, c]:
-                continue
-            if np.isinf(dc):
-                r_sup = min(r_sup, n + 2.0)
-            elif dc > rho:
-                r_sup = min(r_sup, (n + 2.0) + 1.0 / (dc - rho))
-        if np.isinf(r_sup):
-            return np.inf
-        best = 0.0
-        for n in range(self.n_sat):
-            if n + 2.0 > r_sup:
-                continue  # candidate exceeds the sup, never the minimum
-            dc = self.d_compl[n, c]
-            if np.isinf(dc):
-                term = 0.0  # constant candidate
-            elif dc > rho:
-                term = 1.0 / (dc - rho) ** 2
-            else:
-                term = 2.0 * r_sup**2  # O_n boundary may cross the ball
-            best = max(best, term)
-        return best
+        B(c, rho); 0 where r is certifiably infinite or constant.  ``c`` is
+        one center or a 1-D array of centers (see ``LipOracle``)."""
+        cs = np.atleast_1d(c)
+        dc = self.d_compl[:, cs]
+        lvl = self._levels
+        inf_dc = np.isinf(dc)
+        clear = ~inf_dc & (dc > rho)
+        # certified sup of r over the ball: the min over levels n with c in O_n
+        # of n + 2 (O_n's complement empty) or (n + 2) + 1/(dc - rho) (dc > rho)
+        inv = np.divide(1.0, dc - rho, out=np.zeros_like(dc), where=clear)
+        cand = np.where(inf_dc, lvl, np.where(clear, lvl + inv, np.inf))
+        r_sup = np.where(self.o_masks[:, cs], cand, np.inf).min(axis=0)
+        # candidates above the sup are never the minimum; the others add
+        # 0 (constant), 1/(dc - rho)^2 (clear of the ball) or 2 r_sup^2 (the
+        # O_n boundary may cross the ball)
+        kept = lvl <= r_sup
+        gap = np.where(kept & clear, dc - rho, np.inf).min(axis=0)
+        crossed = (kept & ~inf_dc & ~clear).any(axis=0)
+        # scalar powers, as in the per-level formula: the array square x*x
+        # and pow(x, 2) differ in the last bit for some x.  1/gap^2 is the
+        # largest clear term, since pow and 1/x are monotone
+        best = [
+            max(0.0, 1.0 / g**2, 2.0 * r**2 if x else 0.0)
+            for g, r, x in zip(gap, r_sup, crossed)
+        ]
+        out = np.where(np.isinf(r_sup), np.inf, best)
+        # a ball outside every O_n has r = inf on all of it
+        out[~self._ball_meets_o(cs, rho)] = 0.0
+        return out if isinstance(c, np.ndarray) else float(out[0])
+
+    @cached_property
+    def _levels(self) -> np.ndarray:
+        return np.arange(self.n_sat, dtype=float)[:, None] + 2.0
+
+    @cached_property
+    def _o_cols(self) -> np.ndarray:
+        return np.flatnonzero(self.o_masks.any(axis=0))
+
+    def _ball_meets_o(self, cs: np.ndarray, rho: float) -> np.ndarray:
+        """Per center: does B(c, rho) hold a sample of some O_n.  Compared in
+        row blocks, so no len(cs) x nY copy of D is built."""
+        cols = self._o_cols
+        hit = np.zeros(len(cs), dtype=bool)
+        for i in range(0, len(cs), _ROW_BLOCK):
+            rows = cs[i:i + _ROW_BLOCK, None]
+            hit[i:i + _ROW_BLOCK] = (self.D[rows, cols] <= rho).any(axis=1)
+        return hit
 
 
 def local_bound_radius(bundle: FunctionBundle) -> BoundRadiusField:
@@ -407,7 +478,9 @@ def lipschitz_mollify(space: SampledSpace, item: FunSeqItem, n: int) -> FunSeqIt
     nY = len(item.values)
     res = space.resolution()
 
-    lip_at = np.array([item.lip_bound(y, 1.0 / n) for y in range(nY)])
+    lip_at = np.asarray(item.lip_bound(np.arange(nY), 1.0 / n), dtype=float)
+    if lip_at.shape != (nY,):
+        raise ValueError("the Lipschitz-bound oracle must map an array of centers to an array")
     with np.errstate(divide="ignore"):
         delta = np.minimum(1.0 / n, np.where(lip_at > 0, 1.0 / (n * lip_at), np.inf))
     delta = np.maximum(delta, res)  # floor at resolution: such balls are singletons
@@ -467,7 +540,7 @@ def lipschitz_mollify(space: SampledSpace, item: FunSeqItem, n: int) -> FunSeqIt
         sup_bound=min(item.sup_bound + 2.0 / n, m_bound(n)),
         # the crossover bound is not monotone where the blend error first
         # appears; the envelope restores the nondecreasing-in-radius invariant
-        lip_bound=monotone_lip_envelope(lip, float(D.max()), res),
+        lip_bound=monotone_lip_envelope(map_centers(lip), float(D.max()), res),
         extras=extras,
     )
 
@@ -520,18 +593,22 @@ def baire_approximate(
         items = []
         for k in range(1, n_seq + 1):
             vals = bundle.h_values[k - 1]
-            lip = lambda c, rho, _n=k: bundle.h_lip(_n, c, rho)
+            # the scenario's h_lip takes one center; batches map it
+            lip = map_centers(lambda c, rho, _n=k: bundle.h_lip(_n, c, rho))
             sup = float(norm(vals, tag).max())
             items.append(FunSeqItem(n=k, values=vals, sup_bound=sup, lip_bound=lip, norm_tag=tag))
 
     items = bound_sequence(items)
     for it in items:
-        emit("bound", it.n, 0.0, it.certified)
+        excess = float(norm(it.values, tag).max()) - it.n
+        emit("bound", it.n, max(0.0, excess), it.certified)
 
     items, rad = enforce_local_uniform_boundedness(items, bundle)
+    finite = np.isfinite(rad.r)
     for it in items:
         it.extras["bound_radius"] = rad
-        emit("enforce_bound", it.n, 0.0, it.certified)
+        excess = norm(it.values[finite], tag) - rad.r[finite]
+        emit("enforce_bound", it.n, float(excess.max(initial=0.0)), it.certified)
 
     out = []
     for it in items:

@@ -21,9 +21,10 @@ from .extension import select_ceiling
 from .pipeline import FunctionBundle
 from .space import SampledSpace
 from .target import norm
-from .verify import ApproachPath, oscillation
+from .verify import ApproachPath
 
 __all__ = [
+    "ConfigError",
     "ScenarioConfig",
     "PlannedCheck",
     "ScenarioData",
@@ -32,6 +33,11 @@ __all__ = [
     "get_scenario",
     "list_scenarios",
 ]
+
+
+class ConfigError(ValueError):
+    """A run configuration refused before anything is built; the CLI prints
+    its message as one line and exits with code 2."""
 
 
 @dataclass(frozen=True)
@@ -80,21 +86,29 @@ class _PointSet:
     """Append-only point list with tolerance-based deduplication."""
 
     def __init__(self, dim: int, tol: float = 1e-9):
-        self.pts = np.zeros((0, dim))
+        self._buf = np.zeros((16, dim))  # grows geometrically
+        self._n = 0
         self.tol = tol
+
+    @property
+    def pts(self) -> np.ndarray:
+        return self._buf[: self._n]
 
     def add(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         out = []
         for p in pts:
-            if len(self.pts):
+            if self._n:
                 d = np.linalg.norm(self.pts - p, axis=1)
                 j = int(np.argmin(d))
                 if d[j] <= self.tol:
                     out.append(j)
                     continue
-            self.pts = np.vstack([self.pts, p[None, :]])
-            out.append(len(self.pts) - 1)
+            if self._n == len(self._buf):
+                self._buf = np.concatenate([self._buf, np.zeros_like(self._buf)])
+            self._buf[self._n] = p
+            self._n += 1
+            out.append(self._n - 1)
         return np.array(out, dtype=int)
 
 
@@ -107,10 +121,18 @@ def _validate_continuity_declarations(
     # where linspace rounding puts it a few ulps inside or outside; shrinking
     # the radius by a relative 1e-9 keeps such a point out of the ball
     shrink = 1.0 - 1e-9
+    radii = [k * scale * shrink for k in (8, 4, 2, 1)]
     for y in idx:
-        oscs = [
-            oscillation(hspace, f_values, int(y), k * scale * shrink, tag) for k in (8, 4, 2, 1)
-        ]
+        # ``verify.oscillation`` at each radius from one value-difference
+        # table: with the largest ball's samples sorted by distance, each
+        # smaller ball is a prefix, and its oscillation a running maximum
+        row = hspace.dists_from(int(y))
+        s = np.flatnonzero(row < radii[0])
+        s = s[np.argsort(row[s], kind="stable")]
+        diffs = norm(f_values[s][:, None, :] - f_values[s][None, :, :], tag)
+        prefix_max = np.maximum.accumulate(np.tril(diffs).max(axis=1, initial=0.0))
+        sizes = np.searchsorted(row[s], radii)  # samples strictly inside
+        oscs = [float(prefix_max[k - 1]) if k >= 2 else 0.0 for k in sizes.tolist()]
         if any(b > a + 1e-12 for a, b in zip(oscs, oscs[1:])) or oscs[-1] > 1e-9:
             raise ValueError(
                 f"declared continuity point {int(y)} has oscillation profile {oscs}"

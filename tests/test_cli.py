@@ -5,7 +5,7 @@ import json
 import pytest
 
 from baireext.cli import main, run_scenario
-from baireext.scenarios import ScenarioConfig
+from baireext.scenarios import ConfigError, ScenarioConfig
 
 
 class TestListDescribe:
@@ -62,8 +62,15 @@ class TestRun:
         assert code == 0
 
     def test_unsupported_mode_rejected(self):
-        with pytest.raises(ValueError, match="supports modes"):
+        with pytest.raises(ConfigError, match="supports modes"):
             run_scenario("S1", ScenarioConfig(mode="finite"))
+
+    def test_unsupported_mode_exits_2_with_one_line(self, tmp_path, capsys):
+        assert main(["run", "--scenario", "S2", "--mode", "sampled", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "scenario S2 supports modes ('finite',), not 'sampled'\n"
+        assert not any(tmp_path.iterdir())
 
     def test_diag_lines_are_json(self, tmp_path):
         main(["run", "--scenario", "S0", "--out", str(tmp_path)])

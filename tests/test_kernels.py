@@ -1,9 +1,12 @@
-"""Row-sized distance kernels and the shared ball-depth, weight and field-row
-code: each one is compared bit for bit with the per-pair, dense all-pairs or
-per-caller formula it replaced, written out here."""
+"""Row-sized distance kernels, the shared ball-depth, weight and field-row
+code and the batched Lipschitz oracles: each one is compared bit for bit with
+the per-pair, dense all-pairs, per-caller or per-center formula it replaced,
+written out here."""
 import hashlib
 import json
+import re
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +20,23 @@ from baireext.extension import (
     smooth_extension,
 )
 from baireext.pipeline import (
+    BoundRadiusField,
+    FunctionBundle,
     FunSeqItem,
     baire_approximate,
     enforce_local_uniform_boundedness,
+    local_bound_radius,
+    map_centers,
+    monotone_lip_envelope,
+    sampled_lip_oracle,
 )
-from baireext.scenarios import ScenarioConfig, _sequence_length, get_scenario
+from baireext.scenarios import (
+    ScenarioConfig,
+    _PointSet,
+    _sequence_length,
+    _validate_continuity_declarations,
+    get_scenario,
+)
 from baireext.space import (
     CoverSystem,
     SampledSpace,
@@ -30,7 +45,8 @@ from baireext.space import (
     load_space_json,
     partition_of_unity,
 )
-from baireext.target import radial_project
+from baireext.target import norm, radial_project
+from baireext.verify import oscillation
 
 
 def cloud_space(n, dim, seed):
@@ -464,3 +480,310 @@ class TestFieldRows:
         rows = field_rows(field, 1)
         assert all(np.isnan(r["g_smooth"][0]) for r in rows)
         assert all(line.split(",")[5] == "nan" for line in field_to_csv(field, 1).splitlines()[1:])
+
+
+# ---------------------------------------------------------------------------
+# batched Lipschitz oracles
+# ---------------------------------------------------------------------------
+
+def per_center(lip, cs, rho):
+    return np.array([lip(int(c), rho) for c in cs], dtype=float)
+
+
+def oracle_rhos(space):
+    res = space.resolution()
+    diam = float(space.dense_matrix().max())
+    return [0.0, res, 1.5 * res, 0.1 * diam, 0.5, 1.0 / 3.0, diam, 2.0 * diam]
+
+
+class TestSampledLipOracleBatch:
+    @pytest.mark.parametrize("tag", ["linf", "l2"])
+    def test_matches_scalar_calls_on_scenario_items(self, s2_run, s3_run, tag):
+        for run in (s2_run, s3_run):
+            space = run.bundle.hspace
+            assert space.mode == "finite"
+            cs = np.arange(space.n_points)
+            for it in (run.items[1], run.items[-1]):
+                for vals in (it.extras["pre_blend_values"], it.values):
+                    lip = sampled_lip_oracle(space, vals, tag)
+                    for rho in oracle_rhos(space)[:-2] + [1.0 / it.n]:
+                        assert np.array_equal(lip(cs, rho), per_center(lip, cs, rho))
+
+    @pytest.mark.parametrize("dim,m,tag", [(1, 1, "linf"), (2, 2, "l2"), (3, 3, "linf"), (2, 3, "l2")])
+    def test_matches_scalar_calls_on_random_clouds(self, dim, m, tag):
+        rng = np.random.default_rng(10 * dim + m)
+        pts = rng.uniform(-1.0, 1.0, size=(40, dim))
+        pts[30:] = pts[:10]  # repeated points give pairs at distance 0
+        space = SampledSpace(coords=pts, dmat=None, h_idx=np.arange(40), mode="finite")
+        lip = sampled_lip_oracle(space, rng.normal(size=(40, m)), tag)
+        for cs in (np.arange(40), rng.permutation(40)[:13], np.array([5, 5, 35]), np.array([], dtype=int)):
+            for rho in oracle_rhos(space):
+                got = lip(cs, rho)
+                assert got.shape == cs.shape
+                assert np.array_equal(got, per_center(lip, cs, rho))
+
+    def test_batch_call_leaves_no_table_behind(self, s2_run):
+        """The union table of a batch (nY x nY at rho = 1) is freed on return."""
+        space = s2_run.bundle.hspace
+        nY = space.n_points
+        assert nY == 201
+        lip = sampled_lip_oracle(space, s2_run.items[0].extras["pre_blend_values"], "linf")
+        table = nY * nY * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = lip(np.arange(nY), 1.0)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base >= table  # the table was built ...
+        assert held - base < table // 8  # ... and nothing of its size is kept
+        assert out.shape == (nY,)
+
+
+def lip_r_by_levels(rad, c, rho):
+    """``BoundRadiusField.lip_r`` as three Python loops over the levels."""
+    ball_free = True
+    for n in range(rad.n_sat):
+        on = rad.o_masks[n]
+        if on.any() and (rad.D[c][on] <= rho).any():
+            ball_free = False
+            break
+    if ball_free:
+        return 0.0
+    r_sup = np.inf
+    for n in range(rad.n_sat):
+        dc = rad.d_compl[n, c]
+        if not rad.o_masks[n, c]:
+            continue
+        if np.isinf(dc):
+            r_sup = min(r_sup, n + 2.0)
+        elif dc > rho:
+            r_sup = min(r_sup, (n + 2.0) + 1.0 / (dc - rho))
+    if np.isinf(r_sup):
+        return np.inf
+    best = 0.0
+    for n in range(rad.n_sat):
+        if n + 2.0 > r_sup:
+            continue
+        dc = rad.d_compl[n, c]
+        if np.isinf(dc):
+            term = 0.0
+        elif dc > rho:
+            term = 1.0 / (dc - rho) ** 2
+        else:
+            term = 2.0 * r_sup**2
+        best = max(best, term)
+    return best
+
+
+def partly_certified_field(mode):
+    """A radius field on [0, 1] with f = 3y, certified only on y <= 0.7."""
+    ts = np.linspace(0.0, 1.0, 41)
+    space = SampledSpace(
+        coords=ts[:, None], dmat=None, h_idx=np.arange(41), mode=mode,
+        delta=0.025 if mode == "sampled" else 0.0,
+    )
+    f = 3.0 * ts[:, None]
+    bundle = FunctionBundle(
+        hspace=space, m=1, norm_tag="linf", h_values=f[None], f_values=f, h_lip=None,
+        conv_mask=ts <= 0.7,
+    )
+    return local_bound_radius(bundle)
+
+
+class TestLipRBatch:
+    def check(self, rad, rhos):
+        cs = np.arange(len(rad.r))
+        for rho in rhos:
+            want = np.array([lip_r_by_levels(rad, int(c), rho) for c in cs])
+            assert np.array_equal(rad.lip_r(cs, rho), want)
+            assert np.array_equal(per_center(rad.lip_r, cs, rho), want)
+            assert np.array_equal(rad.lip_r(cs[::-3], rho), want[::-3])
+        return want
+
+    def test_matches_level_loops_on_s3(self, s3_run):
+        rad = s3_run.items[0].extras["bound_radius"]
+        assert isinstance(rad, BoundRadiusField)
+        finite_dc = np.unique(rad.d_compl[np.isfinite(rad.d_compl)])
+        assert np.isinf(rad.d_compl).any()  # a level whose complement is empty
+        # rho equal to some dc takes the branch where O_n's boundary may cross
+        rhos = [0.0, 1e-3, 0.01, 0.05, 0.3, 1.0, 2.0] + finite_dc[:: max(1, len(finite_dc) // 5)].tolist()
+        self.check(rad, rhos)
+
+    @pytest.mark.parametrize("mode", ["finite", "sampled"])
+    def test_ball_free_and_infinite_sup_cases(self, mode):
+        rad = partly_certified_field(mode)
+        rhos = [0.0, 0.01, 0.025, 0.05, 0.1, 0.3, 0.5, 1.5]
+        rhos += np.unique(rad.d_compl[np.isfinite(rad.d_compl)])[:6].tolist()
+        seen = set()
+        for rho in rhos:
+            want = self.check(rad, [rho])
+            seen |= {"zero" if w == 0.0 else "inf" if np.isinf(w) else "finite" for w in want}
+        assert seen == {"zero", "inf", "finite"}
+
+    def test_random_fields(self):
+        """Thousands of distinct gaps dc - rho and sups: where x*x and pow(x, 2)
+        round apart, only the per-level formula's pow matches."""
+        rng = np.random.default_rng(7)
+        n_sat, nY = 30, 300
+        pts = rng.uniform(0.0, 1.0, size=(nY, 1))
+        d_compl = rng.uniform(0.0, 0.5, size=(n_sat, nY))
+        d_compl[rng.uniform(size=d_compl.shape) < 0.1] = np.inf
+        rad = BoundRadiusField(
+            r=np.zeros(nY), o_masks=rng.uniform(size=(n_sat, nY)) < 0.7, d_compl=d_compl,
+            n_sat=n_sat, D=np.abs(pts - pts.T),
+        )
+        self.check(rad, rng.uniform(0.0, 0.3, size=12).tolist())
+
+    def test_batch_spanning_two_row_blocks(self):
+        rad = partly_certified_field("finite")
+        cs = np.tile(np.arange(41), 8)  # 328 centers, two row blocks
+        want = np.array([lip_r_by_levels(rad, int(c), 0.1) for c in cs])
+        assert np.array_equal(rad.lip_r(cs, 0.1), want)
+
+
+class TestEnvelopeBatch:
+    @staticmethod
+    def body(c, rho):
+        return float((c * 7919) % 13) / (1.0 + rho) + rho
+
+    def test_batch_fills_missing_levels_with_one_raw_call_each(self):
+        batches = []
+
+        def raw(c, rho):
+            assert isinstance(c, np.ndarray)
+            batches.append(c.tolist())
+            return map_centers(self.body)(c, rho)
+
+        res, r_top = 0.01, 1.0
+        env = monotone_lip_envelope(raw, r_top, res)
+        ref = monotone_lip_envelope(self.body, r_top, res)
+        grid = [res]
+        while grid[-1] < r_top:
+            grid.append(grid[-1] * 2.0)
+        filled = set()
+
+        def query(cs, rho):
+            lo = next((j for j, g in enumerate(grid) if g >= rho), len(grid) - 1)
+            missing = [j for j in range(lo, len(grid)) if any((c, j) not in filled for c in cs)]
+            before = len(batches)
+            got = env(np.array(cs), rho)
+            assert len(batches) - before == len(missing)
+            for j, b in zip(missing, batches[before:]):
+                assert b == [c for c in dict.fromkeys(cs) if (c, j) not in filled]
+                filled.update((c, j) for c in b)
+            assert np.array_equal(got, per_center(ref, cs, rho))
+
+        query(list(range(10)), 0.3)
+        query(list(range(10)), 0.3)  # every entry cached: no raw call
+        query([3, 12, 3, 0, 15], 0.05)
+        query(list(range(16)), 0.0)
+        query([40], 5.0)  # above the grid: the top level only
+
+    def test_scalar_and_batch_calls_share_the_cache(self):
+        calls = []
+
+        def raw(c, rho):
+            calls.append(c)
+            return map_centers(self.body)(c, rho)
+
+        env = monotone_lip_envelope(raw, 1.0, 0.01)
+        scalar = [env(c, 0.02) for c in range(6)]
+        n_scalar = len(calls)
+        assert np.array_equal(env(np.arange(6), 0.02), scalar)
+        assert len(calls) == n_scalar
+
+
+class TestHLipAdapter:
+    def test_batch_items_match_scalar_items_on_s1(self):
+        """The sampled-mode adapter maps the scenario's scalar h_lip over the
+        centers; the finished items' oracles agree call for call."""
+        data = get_scenario("S1").build(ScenarioConfig(grid=41))
+        seen = []
+
+        def h_lip(n, c, rho):
+            seen.append(type(c))
+            return data.bundle.h_lip(n, c, rho)
+
+        bundle = replace(data.bundle, h_lip=h_lip)
+        a = baire_approximate(bundle, 3)
+        b = baire_approximate(bundle, 3)
+        assert seen and not any(issubclass(t, np.ndarray) for t in seen)
+        cs = np.arange(bundle.hspace.n_points)
+        for ia, ib in zip(a, b):
+            for rho in (0.01, 0.05, 0.2, 0.7):
+                assert np.array_equal(ia.lip_bound(cs, rho), per_center(ib.lip_bound, cs, rho))
+        adapter = map_centers(lambda c, rho: h_lip(2, c, rho))
+        for rho in (0.0, 0.02, 0.3):
+            assert np.array_equal(adapter(cs, rho), per_center(adapter, cs, rho))
+
+
+# ---------------------------------------------------------------------------
+# scenario build helpers
+# ---------------------------------------------------------------------------
+
+class PointSetByStacking:
+    """The point set that re-stacked its array for every new point."""
+
+    def __init__(self, dim, tol=1e-9):
+        self.pts = np.zeros((0, dim))
+        self.tol = tol
+
+    def add(self, pts):
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        out = []
+        for p in pts:
+            if len(self.pts):
+                d = np.linalg.norm(self.pts - p, axis=1)
+                j = int(np.argmin(d))
+                if d[j] <= self.tol:
+                    out.append(j)
+                    continue
+            self.pts = np.vstack([self.pts, p[None, :]])
+            out.append(len(self.pts) - 1)
+        return np.array(out, dtype=int)
+
+
+class TestScenarioHelpers:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_point_set_matches_stacking(self, dim):
+        rng = np.random.default_rng(dim)
+        grid = np.round(rng.uniform(-1.0, 1.0, size=(300, dim)), 1)  # many repeats
+        chunks = [grid[:1], grid[1:40], grid[40:41], grid[41:], grid[:50] + 1e-10]
+        ps, ref = _PointSet(dim), PointSetByStacking(dim)
+        for chunk in chunks:
+            assert np.array_equal(ps.add(chunk), ref.add(chunk))
+            assert np.array_equal(ps.pts, ref.pts)
+
+    @pytest.mark.parametrize("name", ["S1", "S2", "S3"])
+    def test_continuity_check_matches_oscillation_calls(self, name):
+        data = get_scenario(name).build(ScenarioConfig(grid=81))
+        b = data.bundle
+        spacing = b.hspace.delta if b.hspace.mode == "sampled" else b.hspace.resolution()
+        # at 1.5 spacings the smallest probe ball holds a neighbour, so points
+        # next to the jump fail the check
+        scale = 1.5 * spacing
+        # a jump between the two closest samples, plus rounding-size noise:
+        # the points next to the jump fail, the others pass
+        x = np.sort(b.hspace.coords[:, 0])
+        i = int(np.argmin(np.diff(x)))
+        noise = np.random.default_rng(0).normal(size=(len(x), 1)) * 1e-14
+        vals = np.where(b.hspace.coords[:, :1] > (x[i] + x[i + 1]) / 2.0, 1.0, 0.0) + noise
+        outcomes = set()
+        for y in b.continuity_idx:
+            oscs = [
+                oscillation(b.hspace, vals, int(y), k * scale * (1.0 - 1e-9), b.norm_tag)
+                for k in (8, 4, 2, 1)
+            ]
+            fails = any(q > p + 1e-12 for p, q in zip(oscs, oscs[1:])) or oscs[-1] > 1e-9
+            one = np.array([y])
+            outcomes.add(fails)
+            if fails:
+                with pytest.raises(ValueError, match=f"point {int(y)} has oscillation profile"):
+                    _validate_continuity_declarations(b.hspace, vals, one, scale, b.norm_tag)
+                with pytest.raises(ValueError, match=re.escape(repr(oscs))):
+                    _validate_continuity_declarations(b.hspace, vals, one, scale, b.norm_tag)
+            else:
+                _validate_continuity_declarations(b.hspace, vals, one, scale, b.norm_tag)
+        assert outcomes == {True, False}

@@ -289,3 +289,39 @@ class TestLipOracles:
                 rhos = [res, 2 * res, 0.1, 0.25, 0.5]
                 vals = [it.lip_bound(c, r) for r in rhos]
                 assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+class TestBoundDiagnostics:
+    @staticmethod
+    def violations(bundle, stage):
+        diags = []
+        baire_approximate(bundle, diag=diags.append)
+        return [d["max_violation"] for d in diags if d["stage"] == stage]
+
+    def test_enforce_bound_reports_the_measured_excess(self, s3_run):
+        lines = [d for d in s3_run.diags if d["stage"] == "enforce_bound"]
+        assert len(lines) == len(s3_run.items)
+        for d, it in zip(lines, s3_run.items):
+            rad = it.extras["bound_radius"]
+            fin = np.isfinite(rad.r)
+            pre = it.extras["pre_blend_values"]
+            want = max(0.0, float((norm(pre[fin], it.norm_tag) - rad.r[fin]).max()))
+            assert d["n"] == it.n
+            assert d["max_violation"] == want
+            assert 0.0 <= want <= 1e-12  # P_{r(y)} holds up to rounding
+
+    def test_lines_report_a_missing_projection(self, monkeypatch):
+        """With the radial projections made the identity, ``bound`` reports
+        max ||v|| - n and ``enforce_bound`` max ||v|| - r instead of 0."""
+        import baireext.pipeline as pipeline
+
+        ts = np.linspace(0.0, 1.0, 5)[:, None]
+        space = SampledSpace(coords=ts, dmat=None, h_idx=np.arange(5), mode="sampled", delta=0.25)
+        bundle = constant_bundle(space, [2.5], n_seq=3)
+        # sampled mode keeps the raw values: ||h_n|| = 7.5 against r = 4
+        bundle = replace(bundle, h_values=3.0 * bundle.h_values, h_lip=lambda n, c, rho: 0.0)
+        assert self.violations(bundle, "bound") == [0.0, 0.0, 0.0]
+        assert self.violations(bundle, "enforce_bound") == [0.0, 0.0, 0.0]
+        monkeypatch.setattr(pipeline, "radial_project", lambda z, r, tag="linf": z)
+        assert self.violations(bundle, "bound") == [6.5, 5.5, 4.5]
+        assert self.violations(bundle, "enforce_bound") == [3.5, 3.5, 3.5]
