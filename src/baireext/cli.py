@@ -15,13 +15,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .extension import build_extension, field_rows, field_to_csv, smooth_extension
+from .extension import ExtensionField, build_extension, field_rows, field_to_csv, smooth_extension
 from .pipeline import baire_approximate
 from .scenarios import ConfigError, Scenario, ScenarioConfig, get_scenario, list_scenarios
 from .verify import check_boundedness, check_continuity, check_nt, check_ucpc
@@ -85,12 +86,13 @@ def run_scenario(
     manifest = {
         "scenario": name,
         "seed": cfg.seed,
-        "grid": cfg.grid,
+        "grid": data.grid,
         "norm": cfg.norm,
         "mode": cfg.mode or scenario.default_mode,
         "tol": cfg.tol,
         "steps": cfg.steps,
         "n_seq": data.n_seq,
+        "extension": _extension_summary(field) if field is not None else None,
         "reports": [r.to_dict() for r in reports],
         "counts": {
             "pass": statuses.count("pass"),
@@ -122,6 +124,18 @@ def run_scenario(
     return manifest, (0 if verdict != "fail" else 1)
 
 
+def _extension_summary(field: ExtensionField) -> dict:
+    """Selection statistics of the query field: the K_{x,n} evaluations of
+    the scan, how many were infinite, and the n(x) histogram (entry n counts
+    the queries with n(x) = n)."""
+    ks = [k for table in field.k_tables for k in table.values()]
+    return {
+        "k_evals": len(ks),
+        "k_inf": sum(math.isinf(k) for k in ks),
+        "n_of_x_hist": np.bincount(field.n_of_x).tolist(),
+    }
+
+
 def _describe(scenario: Scenario) -> str:
     lines = [
         f"{scenario.name}: {scenario.title}",
@@ -138,7 +152,7 @@ def _merge_config(args: argparse.Namespace, loaded: dict) -> ScenarioConfig:
     base = dataclasses.asdict(ScenarioConfig())
     for key in loaded:
         if key not in _CONFIG_KEYS and key not in ("scenario", "out", "format"):
-            raise ValueError(f"unknown config key {key!r}")
+            raise ConfigError(f"unknown config key {key!r}")
     base.update({k: loaded[k] for k in _CONFIG_KEYS if k in loaded})
     for k in _CONFIG_KEYS:
         v = getattr(args, k, None)
@@ -191,10 +205,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     if not name:
         print("run needs --scenario (or a config with a scenario key)", file=sys.stderr)
         return 2
-    cfg = _merge_config(args, loaded)
     out = args.out if args.out is not None else loaded.get("out")
     fmt = args.format if args.format is not None else loaded.get("format")
     try:
+        cfg = _merge_config(args, loaded)
         manifest, code = run_scenario(name, cfg, Path(out or "out"), fmt or "csv")
     except (KeyError, ConfigError) as exc:
         print(exc.args[0], file=sys.stderr)

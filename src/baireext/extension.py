@@ -38,24 +38,29 @@ __all__ = [
 ]
 
 
+def _k_values(items: list[FunSeqItem], n: int, u_y: np.ndarray, dist_h: np.ndarray) -> np.ndarray:
+    """K_{x,n} per query: item n's bound over the ball around u(x) of radius
+    (n M_n + 2) dist(x,H), floored at 1 (fmax gives 1 over NaN, as max does)."""
+    return np.fmax(1.0, items[n - 1].lip_bound(u_y, (n * m_bound(n) + 2.0) * dist_h))
+
+
 def local_lip_K(items: list[FunSeqItem], n: int, u_y: int, dist_h: float) -> float:
     """K_{x,n}: certified Lipschitz bound of item n over the ball around u(x)
     of radius (n M_n + 2) dist(x,H), floored at 1; may be infinite."""
     if n < 1:
         raise ValueError("K is defined for n >= 1")
-    radius = (n * m_bound(n) + 2.0) * dist_h
-    return max(1.0, float(items[n - 1].lip_bound(u_y, radius)))
+    return float(_k_values(items, n, np.array([u_y]), np.array([dist_h]))[0])
 
 
-def _passes(n: int, k: float, dist_h: float) -> bool:
-    """The selection inequality dist < 1/(n K (n M_n + 2)); an infinite K
-    fails it (the 1/inf = 0 convention)."""
-    return not np.isinf(k) and dist_h < 1.0 / (n * k * (n * m_bound(n) + 2.0))
+def _passes(n: int, k, dist_h):
+    """The selection inequality dist < 1/(n K (n M_n + 2)), per query; an
+    infinite K fails it (the 1/inf = 0 convention)."""
+    return ~np.isinf(k) & (dist_h < 1.0 / (n * k * (n * m_bound(n) + 2.0)))
 
 
 def defnx_satisfied(items: list[FunSeqItem], n: int, u_y: int, dist_h: float) -> bool:
     """Whether index n passes the selection test with K = K_{x,n}."""
-    return _passes(n, local_lip_K(items, n, u_y, dist_h), dist_h)
+    return bool(_passes(n, local_lip_K(items, n, u_y, dist_h), dist_h))
 
 
 def select_ceiling(dist_h: float) -> int:
@@ -67,28 +72,42 @@ def select_ceiling(dist_h: float) -> int:
     return n
 
 
+def _scan(items: list[FunSeqItem], u_y: np.ndarray, dist_h: np.ndarray):
+    """Descending scan from each query's analytic ceiling; returns n(x) and
+    the K table per query.
+
+    The satisfying set need not be an interval, so a query stops at its first
+    (hence largest) passing n, or ends at 0.  Each level n makes one oracle
+    call over the queries still pending.
+    """
+    ceilings = []
+    for d in dist_h.tolist():
+        if not d > 0:
+            raise ValueError("selection needs dist(x, H) > 0")
+        ceilings.append(select_ceiling(d))
+        if ceilings[-1] > len(items):
+            raise ValueError(
+                f"selection ceiling {ceilings[-1]} exceeds the {len(items)} built items; "
+                "increase the sequence length"
+            )
+    ceilings = np.array(ceilings, dtype=int)
+    n_of = np.zeros(len(ceilings), dtype=int)
+    tables: list[dict[int, float]] = [{} for _ in ceilings]
+    for n in range(int(ceilings.max(initial=0)), 0, -1):
+        rows = np.flatnonzero((n_of == 0) & (ceilings >= n))
+        k = _k_values(items, n, u_y[rows], dist_h[rows])
+        for q, kq in zip(rows.tolist(), k.tolist()):
+            tables[q][n] = kq
+        n_of[rows[_passes(n, k, dist_h[rows])]] = n
+    return n_of, tables
+
+
 def select_n(
     items: list[FunSeqItem], u_y: int, dist_h: float
 ) -> tuple[int, dict[int, float]]:
-    """Descending scan from the analytic ceiling; returns (n(x), K table).
-
-    The satisfying set need not be an interval, so the scan walks down and
-    returns the first (hence largest) passing n, or 0 when none passes.
-    """
-    if not dist_h > 0:
-        raise ValueError("selection needs dist(x, H) > 0")
-    ceiling = select_ceiling(dist_h)
-    if ceiling > len(items):
-        raise ValueError(
-            f"selection ceiling {ceiling} exceeds the {len(items)} built items; "
-            "increase the sequence length"
-        )
-    table: dict[int, float] = {}
-    for n in range(ceiling, 0, -1):
-        table[n] = local_lip_K(items, n, u_y, dist_h)
-        if _passes(n, table[n], dist_h):
-            return n, table
-    return 0, table
+    """The descending scan for one query; returns (n(x), K table)."""
+    n_of, tables = _scan(items, np.array([u_y]), np.array([dist_h], dtype=float))
+    return int(n_of[0]), tables[0]
 
 
 @dataclass
@@ -129,19 +148,13 @@ class ExtensionField:
 
 def _extend_rows(items, f_h, qh_rows):
     """Core per-query extension given query-to-H distance rows."""
-    nq = len(qh_rows)
-    m = f_h.shape[1]
     dist_h = qh_rows.min(axis=1)
     u_y = qh_rows.argmin(axis=1)
-    n_of = np.zeros(nq, dtype=int)
-    g = np.zeros((nq, m))
-    tables: list[dict[int, float]] = []
-    for q in range(nq):
-        n, table = select_n(items, int(u_y[q]), float(dist_h[q]))
-        n_of[q] = n
-        tables.append(table)
-        if n > 0:
-            g[q] = items[n - 1].values[int(u_y[q])]
+    n_of, tables = _scan(items, u_y, dist_h)
+    g = np.zeros((len(qh_rows), f_h.shape[1]))
+    for n in np.unique(n_of[n_of > 0]).tolist():
+        rows = n_of == n
+        g[rows] = items[n - 1].values[u_y[rows]]
     return dist_h, u_y, n_of, g, tables
 
 

@@ -14,7 +14,7 @@ ball.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,26 +35,19 @@ __all__ = [
     "baire_approximate",
     "sampled_lip_oracle",
     "m_bound",
-    "map_centers",
     "monotone_lip_envelope",
 ]
 
-# A Lipschitz oracle ``lip(c, rho)`` bounds the difference quotients of an
-# item over sampled pairs in the closed ball B_Y(c, rho).  ``c`` is one center
-# (an int), which gives a float, or a 1-D int array of centers, which gives a
-# float array; entry i of a batch equals the scalar call at c[i] bit for bit.
-LipOracle = Callable[[int | np.ndarray, float], float | np.ndarray]
+# A Lipschitz oracle ``lip(cs, rho)`` bounds the difference quotients of an
+# item over sampled pairs in closed balls B_Y(c, rho).  ``cs`` is a 1-D int
+# array of centers and ``rho`` one radius or one radius per center; the result
+# is a float array with one bound per center, and entry i depends only on
+# (cs[i], rho[i]), never on the other centers of the call.
+LipOracle = Callable[[np.ndarray, float | np.ndarray], np.ndarray]
 
-
-def map_centers(scalar: Callable[[int, float], float]) -> LipOracle:
-    """A ``LipOracle`` whose batch calls apply the scalar body per center."""
-
-    def lip(c, rho):
-        if not isinstance(c, np.ndarray):
-            return scalar(c, rho)
-        return np.array([scalar(ci, rho) for ci in c.tolist()], dtype=float)
-
-    return lip
+# centers per oracle call of the envelope and per distance-row block: bounds
+# the (centers x samples) temporaries of one call
+_ROW_BLOCK = 256
 
 
 def monotone_lip_envelope(raw: LipOracle, r_top: float, res: float) -> LipOracle:
@@ -64,38 +57,38 @@ def monotone_lip_envelope(raw: LipOracle, r_top: float, res: float) -> LipOracle
     at rho returns the minimum over grid radii >= rho (a bound certified on a
     larger ball also bounds the smaller one).  Snapping to the grid makes the
     result nondecreasing in rho by construction and lets the evaluations be
-    memoized per center.  A batch query makes one ``raw`` batch call per grid
-    level that still misses some of its centers.
+    memoized per center.  A query fills the (center, level) pairs it needs
+    and the cache lacks with ``raw`` calls of up to ``_ROW_BLOCK`` pairs,
+    one grid radius per pair.
     """
     grid = [res]
     while grid[-1] < r_top:
         grid.append(grid[-1] * 2.0)
     cache: dict[tuple[int, int], float] = {}
 
-    def lip(c, rho):
-        lo = 0
-        while lo < len(grid) - 1 and grid[lo] < rho:
-            lo += 1
-        if isinstance(c, np.ndarray):
-            return lip_batch(c.tolist(), lo)
-        best = np.inf
-        for j in range(lo, len(grid)):
-            key = (c, j)
-            if key not in cache:
-                cache[key] = raw(c, grid[j])
-            best = min(best, cache[key])
-        return float(best)
-
-    def lip_batch(cs: list[int], lo: int) -> np.ndarray:
-        best = np.full(len(cs), np.inf)
-        for j in range(lo, len(grid)):
-            missing = [c for c in dict.fromkeys(cs) if (c, j) not in cache]
-            if missing:
-                vals = raw(np.array(missing), grid[j])
-                cache.update(((c, j), v) for c, v in zip(missing, vals.tolist()))
-            # fmin keeps the current value over a NaN, as the scalar min does
-            best = np.fmin(best, [cache[(c, j)] for c in cs])
-        return best
+    def lip(cs, rho):
+        # per center: the first grid level at or above its radius
+        lo = np.broadcast_to(np.minimum(np.searchsorted(grid, rho), len(grid) - 1), cs.shape)
+        # the distinct centers in order of first appearance, and per center
+        # the lowest level any of its queries needs
+        slot: dict[int, int] = {}
+        inv = np.array([slot.setdefault(c, len(slot)) for c in cs.tolist()], dtype=int)
+        first = np.full(len(slot), len(grid))
+        np.minimum.at(first, inv, lo)
+        missing = [
+            (c, j) for c, f in zip(slot, first.tolist()) for j in range(f, len(grid))
+            if (c, j) not in cache
+        ]
+        for i in range(0, len(missing), _ROW_BLOCK):
+            part = missing[i:i + _ROW_BLOCK]
+            vals = raw(np.array([c for c, _ in part]), np.array([grid[j] for _, j in part]))
+            cache.update(zip(part, vals.tolist()))
+        levels = [[cache.get((c, j), np.inf) for j in range(len(grid))] for c in slot]
+        table = np.array(levels, dtype=float).reshape(len(slot), len(grid))
+        # min over the levels from lo up; fmin skips a NaN bound, and the
+        # final fmin with inf turns an all-NaN suffix into inf
+        suffix = np.fmin.accumulate(table[:, ::-1], axis=1)[:, ::-1]
+        return np.fmin(suffix[inv, lo], np.inf)
 
     return lip
 
@@ -104,10 +97,11 @@ def monotone_lip_envelope(raw: LipOracle, r_top: float, res: float) -> LipOracle
 class FunSeqItem:
     """One member of a function sequence on the sampled set Y = H.
 
-    ``values`` holds the evaluations at the Y samples; ``lip_bound(c, rho)``
-    upper-bounds the difference quotients over sampled pairs inside the closed
-    ball B_Y(c, rho), for one center or an array of them (``LipOracle``);
-    ``sup_bound`` dominates the sup norm of the values.
+    ``values`` holds the evaluations at the Y samples; ``lip_bound(cs, rho)``
+    upper-bounds, per center c in the int array ``cs``, the difference
+    quotients over sampled pairs inside the closed ball B_Y(c, rho), with one
+    radius or one radius per center (``LipOracle``); ``sup_bound`` dominates
+    the sup norm of the values.
     """
 
     n: int
@@ -128,7 +122,8 @@ class FunctionBundle:
     norm_tag: str
     h_values: np.ndarray  # (n_seq, nY, m)
     f_values: np.ndarray  # (nY, m)
-    h_lip: Optional[Callable[[int, int, float], float]]  # (n, center, rho) -> L
+    # (n, centers, rho) -> one Lipschitz bound of h_n per center, as a LipOracle
+    h_lip: Optional[Callable[[int, np.ndarray, float | np.ndarray], np.ndarray]]
     conv_mask: np.ndarray  # (nY,) pointwise convergence certified
     ucpc_certified: bool = False
     continuity_idx: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
@@ -148,24 +143,12 @@ def sampled_lip_oracle(space: SampledSpace, values: np.ndarray, tag: str) -> Lip
     """
     D = space.dense_matrix()
 
-    def lip(c, rho):
-        if isinstance(c, np.ndarray):
-            return lip_batch(c, rho)
-        s = np.flatnonzero(D[c] <= rho)
-        if len(s) < 2:
-            return 0.0
-        dd = D[np.ix_(s, s)]
-        vd = norm(values[s][:, None, :] - values[s][None, :, :], tag)
-        mask = dd > 0
-        if not mask.any():
-            return 0.0
-        return float((vd[mask] / dd[mask]).max())
-
-    def lip_batch(cs: np.ndarray, rho: float) -> np.ndarray:
+    def lip(cs: np.ndarray, rho) -> np.ndarray:
         # one quotient table over the union of the balls; each center takes
         # the max of its own sub-block (0 stands for a pair at distance 0,
-        # below every quotient, as the scalar call's mask leaves it out)
-        balls = [np.flatnonzero(D[c] <= rho) for c in cs.tolist()]
+        # which no quotient is taken over, and for a ball of one sample)
+        rhos = np.broadcast_to(rho, cs.shape).tolist()
+        balls = [np.flatnonzero(D[c] <= r) for c, r in zip(cs.tolist(), rhos)]
         union = np.zeros(len(D), dtype=bool)
         for s in balls:
             union[s] = True
@@ -322,9 +305,6 @@ def bound_sequence(items: list[FunSeqItem]) -> list[FunSeqItem]:
 # local uniform boundedness via the radius field r(y)
 # ---------------------------------------------------------------------------
 
-_ROW_BLOCK = 256  # centers per distance-row block in batched oracles
-
-
 @dataclass
 class BoundRadiusField:
     """The radius field r(y) = inf_n [ (n+1) + 1/dist(y, Y \\ O_n) ] and the
@@ -341,11 +321,11 @@ class BoundRadiusField:
     n_sat: int
     D: np.ndarray  # pairwise distances on Y
 
-    def lip_r(self, c, rho: float):
+    def lip_r(self, cs: np.ndarray, rho) -> np.ndarray:
         """Upper bound for difference quotients of r over sampled pairs in
-        B(c, rho); 0 where r is certifiably infinite or constant.  ``c`` is
-        one center or a 1-D array of centers (see ``LipOracle``)."""
-        cs = np.atleast_1d(c)
+        B(c, rho) per center c; 0 where r is certifiably infinite or constant
+        (a ``LipOracle``)."""
+        rho = np.broadcast_to(rho, cs.shape)
         dc = self.d_compl[:, cs]
         lvl = self._levels
         inf_dc = np.isinf(dc)
@@ -371,7 +351,7 @@ class BoundRadiusField:
         out = np.where(np.isinf(r_sup), np.inf, best)
         # a ball outside every O_n has r = inf on all of it
         out[~self._ball_meets_o(cs, rho)] = 0.0
-        return out if isinstance(c, np.ndarray) else float(out[0])
+        return out
 
     @cached_property
     def _levels(self) -> np.ndarray:
@@ -381,14 +361,14 @@ class BoundRadiusField:
     def _o_cols(self) -> np.ndarray:
         return np.flatnonzero(self.o_masks.any(axis=0))
 
-    def _ball_meets_o(self, cs: np.ndarray, rho: float) -> np.ndarray:
+    def _ball_meets_o(self, cs: np.ndarray, rho: np.ndarray) -> np.ndarray:
         """Per center: does B(c, rho) hold a sample of some O_n.  Compared in
         row blocks, so no len(cs) x nY copy of D is built."""
         cols = self._o_cols
         hit = np.zeros(len(cs), dtype=bool)
         for i in range(0, len(cs), _ROW_BLOCK):
-            rows = cs[i:i + _ROW_BLOCK, None]
-            hit[i:i + _ROW_BLOCK] = (self.D[rows, cols] <= rho).any(axis=1)
+            block = slice(i, i + _ROW_BLOCK)
+            hit[block] = (self.D[cs[block, None], cols] <= rho[block, None]).any(axis=1)
         return hit
 
 
@@ -492,39 +472,45 @@ def lipschitz_mollify(space: SampledSpace, item: FunSeqItem, n: int) -> FunSeqIt
     values = pou.weights @ anchors
     err = norm(values - item.values, tag)
 
-    member = refined.membership(space)
+    member = pou.weights > 0  # a ball's weight is positive on its open ball
     old = item.lip_bound
     centers, radii = refined.centers, refined.radii
 
-    def lip(c: int, rho: float) -> float:
-        s = np.flatnonzero(D[c] <= rho)
-        if s.size == 0:
-            return 0.0
-        e = float(err[s].max())
-        if e == 0.0:
-            return old(c, rho)  # blend is the identity on these samples
-        active = np.flatnonzero(D[c][centers] <= rho + radii)
-        rad_max = float(radii[active].max()) if active.size else 0.0
-        lb = old(c, rho + 2.0 * rad_max)
-        l_rho = old(c, rho)
-        near = np.flatnonzero(D[c] <= rho + rad_max)
-        mult = int(member[np.ix_(near, active)].sum(axis=1).max()) if active.size else 1
-        n_pair = 2.0 * max(mult, 1)
-        w_min = float(pou.weight_sum[s].min())
-        d_max = max(2.0 * rho, res)
-        if not np.isfinite(lb) or w_min <= 0:
-            return l_rho + 2.0 * e / res
+    def lip(cs: np.ndarray, rho) -> np.ndarray:
+        rho = np.broadcast_to(rho, cs.shape)
+        Dc = D[cs]
+        s = Dc <= rho[:, None]  # D[c, c] = 0: no ball is empty
+        e = np.where(s, err, -np.inf).max(axis=1, initial=-np.inf)
+        active = Dc[:, centers] <= rho[:, None] + radii
+        rad_max = np.where(active, radii, 0.0).max(axis=1, initial=0.0)
+        near = Dc <= (rho + rad_max)[:, None]
+        # multiplicity: the most active balls holding one sample near the ball
+        counts = np.matmul(active, member.T, dtype=float)
+        mult = np.where(near, counts, 0.0).max(axis=1, initial=0.0)
+        n_pair = 2.0 * np.maximum(mult, 1.0)
+        w_min = np.where(s, pou.weight_sum, np.inf).min(axis=1, initial=np.inf)
+        d_max = np.maximum(2.0 * rho, res)
+        l_rho = old(cs, rho)
+        blended = e != 0.0  # elsewhere the blend is the identity on the ball
+        lb = np.full(len(cs), np.inf)
+        lb[blended] = old(cs[blended], (rho + 2.0 * rad_max)[blended])
         # quotient <= min(a(d), l_rho + 2E/d) with a(d) = alpha*(rad_max+d);
         # alpha carries the weight-sum variation (1 + N*rad_max/W) and the
         # max over pair distances d in [res, d_max] sits at the crossover
-        alpha = 2.0 * n_pair * lb / w_min * (1.0 + n_pair * rad_max / w_min)
-        if alpha == 0.0:
-            return l_rho
-        bq = alpha * rad_max - l_rho
-        d_star = (-bq + np.sqrt(bq * bq + 8.0 * alpha * e)) / (2.0 * alpha)
-        dc = float(np.clip(d_star, res, d_max))
-        bound = min(alpha * (rad_max + dc), l_rho + 2.0 * e / dc)
-        return max(bound, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            alpha = 2.0 * n_pair * lb / w_min * (1.0 + n_pair * rad_max / w_min)
+            bq = alpha * rad_max - l_rho
+            d_star = (-bq + np.sqrt(bq * bq + 8.0 * alpha * e)) / (2.0 * alpha)
+            dc = np.clip(d_star, res, d_max)
+            # min(a, b) and max(bound, 0) as the scalar formula takes them:
+            # the first operand unless the second is strictly smaller/larger
+            a, b = alpha * (rad_max + dc), l_rho + 2.0 * e / dc
+            bound = np.where(b < a, b, a)
+            out = np.where(0.0 > bound, 0.0, bound)
+        # the branches in order of precedence, the first one last
+        out = np.where(alpha == 0.0, l_rho, out)
+        out = np.where(~np.isfinite(lb) | (w_min <= 0), l_rho + 2.0 * e / res, out)
+        return np.where(blended, out, l_rho)
 
     extras = dict(item.extras)
     extras.update(
@@ -540,7 +526,7 @@ def lipschitz_mollify(space: SampledSpace, item: FunSeqItem, n: int) -> FunSeqIt
         sup_bound=min(item.sup_bound + 2.0 / n, m_bound(n)),
         # the crossover bound is not monotone where the blend error first
         # appears; the envelope restores the nondecreasing-in-radius invariant
-        lip_bound=monotone_lip_envelope(map_centers(lip), float(D.max()), res),
+        lip_bound=monotone_lip_envelope(lip, float(D.max()), res),
         extras=extras,
     )
 
@@ -593,8 +579,7 @@ def baire_approximate(
         items = []
         for k in range(1, n_seq + 1):
             vals = bundle.h_values[k - 1]
-            # the scenario's h_lip takes one center; batches map it
-            lip = map_centers(lambda c, rho, _n=k: bundle.h_lip(_n, c, rho))
+            lip = partial(bundle.h_lip, k)
             sup = float(norm(vals, tag).max())
             items.append(FunSeqItem(n=k, values=vals, sup_bound=sup, lip_bound=lip, norm_tag=tag))
 

@@ -68,6 +68,7 @@ class ScenarioData:
     query_idx: np.ndarray
     plan: list[PlannedCheck]
     primary_anchor_y: int
+    grid: int  # the grid the scenario ran at, after its clamps
     run_extension: bool = True
 
 
@@ -194,7 +195,7 @@ def _build_s0(cfg: ScenarioConfig) -> ScenarioData:
         norm_tag=cfg.norm,
         h_values=h_values,
         f_values=f_values,
-        h_lip=(lambda n, cc, rho: 0.0) if mode == "sampled" else None,
+        h_lip=(lambda n, cs, rho: np.zeros(len(cs))) if mode == "sampled" else None,
         conv_mask=np.ones(nH, dtype=bool),
         ucpc_certified=True,
         continuity_idx=np.arange(nH),
@@ -217,6 +218,7 @@ def _build_s0(cfg: ScenarioConfig) -> ScenarioData:
         query_idx=query_idx,
         plan=plan,
         primary_anchor_y=anchor_x,
+        grid=g,
     )
 
 
@@ -271,12 +273,11 @@ def _build_s1(cfg: ScenarioConfig) -> ScenarioData:
     for n in range(1, n_seq + 1):
         h_values[n - 1, :, 0] = np.clip(n * t + 1.0, -1.0, 1.0)
 
-    def h_lip(n: int, c: int, rho: float) -> float:
+    def h_lip(n: int, cs: np.ndarray, rho) -> np.ndarray:
         # the ramp of h_n lives on (-2/n, 0); outside it the value is constant
-        tc = t[c]
-        if tc - rho >= 0.0 or tc + rho <= -2.0 / n:
-            return 0.0
-        return float(n)
+        tc = t[cs]
+        flat = (tc - rho >= 0.0) | (tc + rho <= -2.0 / n)
+        return np.where(flat, 0.0, float(n))
 
     cont = np.flatnonzero(np.abs(t) > 1e-12)
     disc = np.flatnonzero(np.abs(t) <= 1e-12)
@@ -309,6 +310,7 @@ def _build_s1(cfg: ScenarioConfig) -> ScenarioData:
         query_idx=query_idx,
         plan=plan,
         primary_anchor_y=a0,
+        grid=g,
     )
 
 
@@ -366,6 +368,7 @@ def _build_s2(cfg: ScenarioConfig) -> ScenarioData:
         query_idx=np.array([], dtype=int),
         plan=plan,
         primary_anchor_y=0,
+        grid=nY,
         run_extension=False,
     )
 
@@ -442,6 +445,7 @@ def _build_s3(cfg: ScenarioConfig) -> ScenarioData:
         query_idx=query_idx,
         plan=plan,
         primary_anchor_y=a_half,
+        grid=g,
     )
 
 

@@ -179,14 +179,6 @@ class CoverSystem:
     def n_balls(self) -> int:
         return len(self.centers)
 
-    def membership(self, space: SampledSpace) -> np.ndarray:
-        """Boolean (n_points, n_balls): point lies in the open ball."""
-        n = space.n_points
-        out = np.zeros((n, self.n_balls), dtype=bool)
-        for b, (c, r) in enumerate(zip(self.centers, self.radii)):
-            out[:, b] = space.dists_from(int(c)) < r
-        return out
-
 
 # ---------------------------------------------------------------------------
 # operations

@@ -1,11 +1,15 @@
 """Command-line interface: subcommands, config merging, artifacts and
 byte-level determinism."""
+import argparse
 import json
+import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from baireext.cli import main, run_scenario
-from baireext.scenarios import ConfigError, ScenarioConfig
+from baireext.cli import _extension_summary, _merge_config, main, run_scenario
+from baireext.scenarios import ConfigError, ScenarioConfig, get_scenario
 
 
 class TestListDescribe:
@@ -72,6 +76,33 @@ class TestRun:
         assert captured.err == "scenario S2 supports modes ('finite',), not 'sampled'\n"
         assert not any(tmp_path.iterdir())
 
+    def test_manifest_records_the_effective_grid(self):
+        manifest, _ = run_scenario("S0", ScenarioConfig(grid=500))
+        assert manifest["grid"] == 81
+        for name, asked, used in (
+            ("S0", 5, 21), ("S1", 40, 41), ("S1", 100, 101), ("S2", 500, 201), ("S2", 10, 41),
+            ("S3", 50, 101), ("S3", 150, 151),
+        ):
+            assert get_scenario(name).build(ScenarioConfig(grid=asked)).grid == used
+
+    def test_manifest_extension_block_matches_the_field(self, s3_run):
+        manifest, _ = run_scenario("S3", ScenarioConfig())
+        field = s3_run.field
+        ks = [k for table in field.k_tables for k in table.values()]
+        top = int(field.n_of_x.max())
+        assert manifest["extension"] == {
+            "k_evals": len(ks),
+            "k_inf": int(np.isinf(ks).sum()),
+            "n_of_x_hist": [int((field.n_of_x == n).sum()) for n in range(top + 1)],
+        }
+        assert run_scenario("S2", ScenarioConfig(grid=41))[0]["extension"] is None
+
+    def test_extension_block_counts_infinite_k(self):
+        field = SimpleNamespace(
+            k_tables=[{3: math.inf, 2: 4.0, 1: 1.0}, {1: math.inf}, {}], n_of_x=np.array([1, 0, 0])
+        )
+        assert _extension_summary(field) == {"k_evals": 4, "k_inf": 2, "n_of_x_hist": [2, 1]}
+
     def test_diag_lines_are_json(self, tmp_path):
         main(["run", "--scenario", "S0", "--out", str(tmp_path)])
         lines = (tmp_path / "S0_diag.jsonl").read_text().strip().split("\n")
@@ -96,11 +127,19 @@ class TestConfigMerging:
         manifest = json.loads((tmp_path / "S0_manifest.json").read_text())
         assert manifest["grid"] == 41
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self):
+        with pytest.raises(ConfigError, match="unknown config key 'gird'"):
+            _merge_config(argparse.Namespace(), {"scenario": "S0", "gird": 31})
+
+    def test_unknown_config_key_exits_2_with_one_line(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"scenario": "S0", "gird": 31}))
-        with pytest.raises(ValueError, match="unknown config key"):
-            main(["run", "--config", str(cfgfile), "--out", str(tmp_path)])
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "unknown config key 'gird'\n"
+        assert not out.exists()
 
 
 class TestDeterminism:

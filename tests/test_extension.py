@@ -1,5 +1,7 @@
 """Extension operator: scale-index selection, the g field, smoothing, and the
 inequality diagnostics."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -29,10 +31,35 @@ def flat_items(count, lip_value=0.0, m=1, nY=4):
             n=n,
             values=np.zeros((nY, m)),
             sup_bound=0.0,
-            lip_bound=lambda c, rho, _l=lip_value: _l,
+            lip_bound=lambda cs, rho, _l=lip_value: np.full(len(cs), _l),
         )
         for n in range(1, count + 1)
     ]
+
+
+def counting_items(items, calls):
+    """Copies of ``items`` whose oracles log (n, centers) per call."""
+
+    def counted(it):
+        def lip(cs, rho):
+            calls.append((it.n, cs.tolist()))
+            return it.lip_bound(cs, rho)
+
+        return replace(it, lip_bound=lip)
+
+    return [counted(it) for it in items]
+
+
+def scan_by_query(items, u_y, dist_h):
+    """The selection scan of one query, one n and one oracle call at a time."""
+    table = {}
+    for n in range(select_ceiling(dist_h), 0, -1):
+        radius = (n * (n + 2.0) + 2.0) * dist_h
+        k = max(1.0, float(items[n - 1].lip_bound(np.array([u_y]), np.array([radius]))[0]))
+        table[n] = k
+        if not np.isinf(k) and dist_h < 1.0 / (n * k * (n * (n + 2.0) + 2.0)):
+            return n, table
+    return 0, table
 
 
 class TestSelection:
@@ -73,21 +100,18 @@ class TestSelection:
         items = [
             FunSeqItem(
                 n=1, values=np.zeros((4, 1)), sup_bound=0.0,
-                lip_bound=lambda c, rho: np.inf,
+                lip_bound=lambda cs, rho: np.full(len(cs), np.inf),
             )
         ]
         n, table = select_n(items, 0, 0.15)
         assert n == 0
         assert np.isinf(table[1])
 
-    def test_select_evaluates_k_once_per_scanned_index(self, monkeypatch):
-        import baireext.extension as ext
-
+    def test_select_evaluates_k_once_per_scanned_index(self):
         calls = []
-        real = ext.local_lip_K
-        monkeypatch.setattr(ext, "local_lip_K", lambda *a: calls.append(a[1]) or real(*a))
-        n, table = select_n(flat_items(3, lip_value=2.0), 0, 0.049)
-        assert calls == [2, 1] == list(table)
+        items = counting_items(flat_items(3, lip_value=2.0), calls)
+        n, table = select_n(items, 0, 0.049)
+        assert [n for n, _ in calls] == [2, 1] == list(table)
         assert n == 1
 
     def test_zero_distance_rejected(self):
@@ -97,6 +121,24 @@ class TestSelection:
     def test_ceiling_above_item_count_raises(self):
         with pytest.raises(ValueError, match="ceiling"):
             select_n(flat_items(1), 0, 1e-3)
+
+    @pytest.mark.parametrize("which", ["s1", "s3"])
+    def test_batched_scan_matches_the_scan_per_query(self, which, s1_run, s3_run):
+        """One oracle call per item for the whole query set, and the same
+        (query, n) pairs, K values and n(x) as a scan run query by query."""
+        field = {"s1": s1_run, "s3": s3_run}[which].field
+        calls = []
+        items = counting_items(field.items, calls)
+        batch = build_extension(field.space, items, field.f_h, field.query_idx, field.norm_tag)
+        levels = [n for n, _ in calls]
+        top = max(select_ceiling(d) for d in field.dist_h)
+        assert levels == sorted(set(levels), reverse=True) and levels[0] == top
+        assert sum(len(cs) for _, cs in calls) == sum(len(t) for t in batch.k_tables)
+        assert np.array_equal(batch.n_of_x, field.n_of_x)
+        for q in range(0, field.n_queries, 7):
+            n, table = scan_by_query(field.items, int(field.u_y[q]), float(field.dist_h[q]))
+            assert n == batch.n_of_x[q]
+            assert list(table.items()) == list(batch.k_tables[q].items())
 
     @pytest.mark.parametrize("which", ["s1", "s3"])
     def test_selected_index_is_maximal(self, which, s1_run, s3_run):

@@ -1,7 +1,7 @@
 """Row-sized distance kernels, the shared ball-depth, weight and field-row
-code and the batched Lipschitz oracles: each one is compared bit for bit with
-the per-pair, dense all-pairs, per-caller or per-center formula it replaced,
-written out here."""
+code and the array-only Lipschitz oracles: each one is compared bit for bit
+with the per-pair, dense all-pairs, per-caller or per-center formula it
+replaced, written out here."""
 import hashlib
 import json
 import re
@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_scenario_objects
 
 from baireext.extension import (
     build_extension,
@@ -20,13 +21,14 @@ from baireext.extension import (
     smooth_extension,
 )
 from baireext.pipeline import (
+    _ROW_BLOCK,
     BoundRadiusField,
     FunctionBundle,
     FunSeqItem,
     baire_approximate,
     enforce_local_uniform_boundedness,
+    lipschitz_mollify,
     local_bound_radius,
-    map_centers,
     monotone_lip_envelope,
     sampled_lip_oracle,
 )
@@ -240,7 +242,8 @@ def constant_lip_items(count, nY, lip=1.0):
     base = np.arange(1.0, nY + 1.0)[:, None]
     return [
         FunSeqItem(
-            n=n, values=base / (n + 1.0), sup_bound=float(nY), lip_bound=lambda c, rho: lip
+            n=n, values=base / (n + 1.0), sup_bound=float(nY),
+            lip_bound=lambda cs, rho: np.full(len(cs), lip),
         )
         for n in range(1, count + 1)
     ]
@@ -329,7 +332,7 @@ class TestRadialProjectRows:
         vals = np.random.default_rng(3).normal(scale=20.0, size=(nY, 1))
         item = FunSeqItem(
             n=1, values=vals, sup_bound=float(np.abs(vals).max()),
-            lip_bound=lambda c, rho: 0.0, norm_tag=tag,
+            lip_bound=lambda cs, rho: np.zeros(len(cs)), norm_tag=tag,
         )
         out, _ = enforce_local_uniform_boundedness([item], bundle, rad)
         rows = vals.copy()
@@ -378,6 +381,14 @@ def weights_by_loop(space, cover):
     return w
 
 
+def open_ball_members(space, cover):
+    """(n_points, n_balls): the sample lies in the open ball, one ball at a time."""
+    member = np.zeros((space.n_points, cover.n_balls), dtype=bool)
+    for b, (c, r) in enumerate(zip(cover.centers, cover.radii)):
+        member[:, b] = space.dists_from(int(c)) < r
+    return member
+
+
 def mollify_covers(run):
     return [it.extras["mollify_cover"] for it in run.items[:: max(1, len(run.items) // 6)]]
 
@@ -403,7 +414,7 @@ class TestBallDepth:
         space = s2_run.bundle.hspace
         state = s2_run.items[0].extras["selection_state"]
         for lev in state.levels:
-            member = lev.cover.membership(space)
+            member = open_ball_members(space, lev.cover)
             depth = np.full(member.shape, np.inf)
             for b in range(lev.cover.n_balls):
                 outside = ~member[:, b]
@@ -411,6 +422,14 @@ class TestBallDepth:
                     depth[:, b] = space.dense_matrix()[:, outside].min(axis=1)
             assert np.array_equal(lev.member, member)
             assert np.array_equal(lev.depth, depth)
+
+    def test_positive_weights_mark_the_open_balls(self, s1_run, s2_run, s3_run):
+        """The mollify oracle counts ball multiplicity from ``weights > 0``."""
+        for run in (s1_run, s2_run, s3_run):
+            space = run.bundle.hspace
+            for it in run.items:
+                pou = it.extras["mollify_pou"]
+                assert np.array_equal(pou.weights > 0, open_ball_members(space, pou))
 
     def test_partition_weights_match_ball_loop(self, s1_run, s2_run):
         """S2 is a finite space, S1 a sampled one."""
@@ -435,15 +454,24 @@ REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.jso
 
 class TestFieldRows:
     def test_csv_bytes_match_benchmark_references(self, s0_run, s1_run, s2_run, s3_run):
-        """The default config is the benchmark gate's seed 0 at grid 201."""
+        """The default config is the benchmark gate's seed 0 at grid 201; the
+        S3 runs at grid 3201 are the blowup1d workload's JSON fields."""
         refs = json.loads(REFERENCES.read_text())["runs"]
-        for k, run in enumerate((s0_run, s1_run, s2_run, s3_run)):
-            want = refs[f"S{k}@201/linf/csv"]["0"]["field_sha256"]
+        runs = {f"S{k}@201/linf/csv": run for k, run in enumerate((s0_run, s1_run, s2_run, s3_run))}
+        for tag in ("linf", "l2"):
+            runs[f"S3@3201/{tag}/json"] = run_scenario_objects(
+                "S3", ScenarioConfig(grid=3201, norm=tag)
+            )
+        for key, run in runs.items():
+            want = refs[key]["0"]["field_sha256"]
             if run.field is None:
                 assert want is None
                 continue
-            text = field_to_csv(run.field, run.data.primary_anchor_y)
-            assert hashlib.sha256(text.encode()).hexdigest() == want, f"S{k}"
+            if key.endswith("csv"):
+                text = field_to_csv(run.field, run.data.primary_anchor_y)
+            else:
+                text = json.dumps(field_rows(run.field, run.data.primary_anchor_y), sort_keys=True)
+            assert hashlib.sha256(text.encode()).hexdigest() == want, key
 
     def dmat_field(self, smooth=True):
         xs, h = DYADIC_XS, DYADIC_H
@@ -483,11 +511,21 @@ class TestFieldRows:
 
 
 # ---------------------------------------------------------------------------
-# batched Lipschitz oracles
+# array-only Lipschitz oracles
 # ---------------------------------------------------------------------------
 
-def per_center(lip, cs, rho):
-    return np.array([lip(int(c), rho) for c in cs], dtype=float)
+def quotients_by_center(space, values, tag, cs, rho):
+    """The largest sampled difference quotient in each ball B(c, rho), one
+    ball at a time (0 for a ball without a pair at positive distance)."""
+    D = space.dense_matrix()
+    out = []
+    for c, r in zip(cs.tolist(), np.broadcast_to(rho, cs.shape).tolist()):
+        s = np.flatnonzero(D[c] <= r)
+        dd = D[np.ix_(s, s)]
+        vd = norm(values[s][:, None, :] - values[s][None, :, :], tag)
+        mask = dd > 0
+        out.append(float((vd[mask] / dd[mask]).max()) if mask.any() else 0.0)
+    return np.array(out, dtype=float)
 
 
 def oracle_rhos(space):
@@ -496,7 +534,15 @@ def oracle_rhos(space):
     return [0.0, res, 1.5 * res, 0.1 * diam, 0.5, 1.0 / 3.0, diam, 2.0 * diam]
 
 
+def mixed_rhos(rhos, n):
+    """One radius per center, cycling through ``rhos``."""
+    return np.resize(np.asarray(rhos, dtype=float), n)
+
+
 class TestSampledLipOracleBatch:
+    """``sampled_lip_oracle`` against the per-ball quotient loop that its
+    scalar calls ran."""
+
     @pytest.mark.parametrize("tag", ["linf", "l2"])
     def test_matches_scalar_calls_on_scenario_items(self, s2_run, s3_run, tag):
         for run in (s2_run, s3_run):
@@ -506,8 +552,10 @@ class TestSampledLipOracleBatch:
             for it in (run.items[1], run.items[-1]):
                 for vals in (it.extras["pre_blend_values"], it.values):
                     lip = sampled_lip_oracle(space, vals, tag)
-                    for rho in oracle_rhos(space)[:-2] + [1.0 / it.n]:
-                        assert np.array_equal(lip(cs, rho), per_center(lip, cs, rho))
+                    rhos = oracle_rhos(space)[:-2] + [1.0 / it.n]
+                    for rho in rhos + [mixed_rhos(rhos, len(cs))]:
+                        want = quotients_by_center(space, vals, tag, cs, rho)
+                        assert np.array_equal(lip(cs, rho), want)
 
     @pytest.mark.parametrize("dim,m,tag", [(1, 1, "linf"), (2, 2, "l2"), (3, 3, "linf"), (2, 3, "l2")])
     def test_matches_scalar_calls_on_random_clouds(self, dim, m, tag):
@@ -515,12 +563,14 @@ class TestSampledLipOracleBatch:
         pts = rng.uniform(-1.0, 1.0, size=(40, dim))
         pts[30:] = pts[:10]  # repeated points give pairs at distance 0
         space = SampledSpace(coords=pts, dmat=None, h_idx=np.arange(40), mode="finite")
-        lip = sampled_lip_oracle(space, rng.normal(size=(40, m)), tag)
+        vals = rng.normal(size=(40, m))
+        lip = sampled_lip_oracle(space, vals, tag)
+        rhos = oracle_rhos(space)
         for cs in (np.arange(40), rng.permutation(40)[:13], np.array([5, 5, 35]), np.array([], dtype=int)):
-            for rho in oracle_rhos(space):
+            for rho in rhos + [mixed_rhos(rhos, len(cs))]:
                 got = lip(cs, rho)
                 assert got.shape == cs.shape
-                assert np.array_equal(got, per_center(lip, cs, rho))
+                assert np.array_equal(got, quotients_by_center(space, vals, tag, cs, rho))
 
     def test_batch_call_leaves_no_table_behind(self, s2_run):
         """The union table of a batch (nY x nY at rho = 1) is freed on return."""
@@ -598,8 +648,10 @@ class TestLipRBatch:
         for rho in rhos:
             want = np.array([lip_r_by_levels(rad, int(c), rho) for c in cs])
             assert np.array_equal(rad.lip_r(cs, rho), want)
-            assert np.array_equal(per_center(rad.lip_r, cs, rho), want)
             assert np.array_equal(rad.lip_r(cs[::-3], rho), want[::-3])
+        mixed = mixed_rhos(rhos, len(cs))
+        want_mixed = np.array([lip_r_by_levels(rad, int(c), r) for c, r in zip(cs, mixed)])
+        assert np.array_equal(rad.lip_r(cs, mixed), want_mixed)
         return want
 
     def test_matches_level_loops_on_s3(self, s3_run):
@@ -639,8 +691,27 @@ class TestLipRBatch:
     def test_batch_spanning_two_row_blocks(self):
         rad = partly_certified_field("finite")
         cs = np.tile(np.arange(41), 8)  # 328 centers, two row blocks
-        want = np.array([lip_r_by_levels(rad, int(c), 0.1) for c in cs])
-        assert np.array_equal(rad.lip_r(cs, 0.1), want)
+        for rho in (0.1, mixed_rhos([0.0, 0.05, 0.1, 0.3, 0.6], len(cs))):
+            r = np.broadcast_to(rho, cs.shape)
+            want = np.array([lip_r_by_levels(rad, int(c), rc) for c, rc in zip(cs, r)])
+            assert np.array_equal(rad.lip_r(cs, rho), want)
+
+
+def radius_grid(res, r_top):
+    """The envelope's radius levels res, 2 res, ... up to the first >= r_top."""
+    grid = [res]
+    while grid[-1] < r_top:
+        grid.append(grid[-1] * 2.0)
+    return grid
+
+
+def envelope_by_levels(body, grid, c, rho):
+    """The envelope of one center: the min of ``body`` over the grid radii
+    from the first one >= rho (the top radius when rho is above the grid)."""
+    lo = 0
+    while lo < len(grid) - 1 and grid[lo] < rho:
+        lo += 1
+    return min(body(c, g) for g in grid[lo:])
 
 
 class TestEnvelopeBatch:
@@ -648,75 +719,197 @@ class TestEnvelopeBatch:
     def body(c, rho):
         return float((c * 7919) % 13) / (1.0 + rho) + rho
 
+    def raw(self, log):
+        def lip(cs, rho):
+            rhos = np.broadcast_to(rho, cs.shape).tolist()
+            log.append(list(zip(cs.tolist(), rhos)))
+            return np.array([self.body(c, r) for c, r in zip(cs.tolist(), rhos)], dtype=float)
+
+        return lip
+
     def test_batch_fills_missing_levels_with_one_raw_call_each(self):
+        """A query fills the (center, level) pairs the cache lacks, per
+        center in order of first appearance the levels from the lowest its
+        radii reach, with one raw call per block of ``_ROW_BLOCK`` pairs and
+        one grid radius per pair."""
         batches = []
-
-        def raw(c, rho):
-            assert isinstance(c, np.ndarray)
-            batches.append(c.tolist())
-            return map_centers(self.body)(c, rho)
-
         res, r_top = 0.01, 1.0
-        env = monotone_lip_envelope(raw, r_top, res)
-        ref = monotone_lip_envelope(self.body, r_top, res)
-        grid = [res]
-        while grid[-1] < r_top:
-            grid.append(grid[-1] * 2.0)
+        env = monotone_lip_envelope(self.raw(batches), r_top, res)
+        grid = radius_grid(res, r_top)
         filled = set()
 
         def query(cs, rho):
-            lo = next((j for j, g in enumerate(grid) if g >= rho), len(grid) - 1)
-            missing = [j for j in range(lo, len(grid)) if any((c, j) not in filled for c in cs)]
+            rhos = np.broadcast_to(rho, (len(cs),)).tolist()
+            los = [next((j for j, g in enumerate(grid) if g >= r), len(grid) - 1) for r in rhos]
+            first = {}
+            for c, lo in zip(cs, los):
+                first[c] = min(first.get(c, lo), lo)
+            pairs = [(c, j) for c, lo in first.items() for j in range(lo, len(grid))]
+            pairs = [p for p in pairs if p not in filled]
+            filled.update(pairs)
             before = len(batches)
-            got = env(np.array(cs), rho)
-            assert len(batches) - before == len(missing)
-            for j, b in zip(missing, batches[before:]):
-                assert b == [c for c in dict.fromkeys(cs) if (c, j) not in filled]
-                filled.update((c, j) for c in b)
-            assert np.array_equal(got, per_center(ref, cs, rho))
+            got = env(np.array(cs, dtype=int), rho)
+            blocks = [pairs[i:i + _ROW_BLOCK] for i in range(0, len(pairs), _ROW_BLOCK)]
+            assert batches[before:] == [[(c, grid[j]) for c, j in b] for b in blocks]
+            want = [envelope_by_levels(self.body, grid, c, r) for c, r in zip(cs, rhos)]
+            assert np.array_equal(got, want)
 
         query(list(range(10)), 0.3)
         query(list(range(10)), 0.3)  # every entry cached: no raw call
         query([3, 12, 3, 0, 15], 0.05)
         query(list(range(16)), 0.0)
         query([40], 5.0)  # above the grid: the top level only
+        query([41, 7, 41, 42, 43], np.array([0.5, 0.0, 0.02, 5.0, 0.3]))  # a radius per center
+        query(list(range(100, 160)), 0.0)  # 60 x 8 pairs: more than one block
+        query([], 0.3)
 
-    def test_scalar_and_batch_calls_share_the_cache(self):
+    def test_per_center_radii_share_the_cache(self):
+        """Level values fetched for a center at one radius serve every later
+        call: a call whose levels are all cached makes no raw call."""
         calls = []
+        env = monotone_lip_envelope(self.raw(calls), 1.0, 0.01)
+        grid = radius_grid(0.01, 1.0)
+        cs = np.arange(6)
+        rhos = np.array([0.02, 0.3, 0.02, 0.0, 0.7, 0.3])
+        want = np.array([envelope_by_levels(self.body, grid, c, r) for c, r in zip(cs, rhos)])
+        assert np.array_equal(env(cs, rhos), want)
+        n_calls = len(calls)
+        pick = np.array([4, 1, 1, 0, 3])
+        assert np.array_equal(env(cs[pick], rhos[pick]), want[pick])
+        at_half = [envelope_by_levels(self.body, grid, c, 0.5) for c in range(3)]
+        assert np.array_equal(env(cs[:3], 0.5), at_half)
+        assert len(calls) == n_calls
 
-        def raw(c, rho):
-            calls.append(c)
-            return map_centers(self.body)(c, rho)
 
-        env = monotone_lip_envelope(raw, 1.0, 0.01)
-        scalar = [env(c, 0.02) for c in range(6)]
-        n_scalar = len(calls)
-        assert np.array_equal(env(np.arange(6), 0.02), scalar)
-        assert len(calls) == n_scalar
+def post_blend_by_center(space, item, mo, seen):
+    """The post-blend crossover bound of one ball at a time, as scalar code:
+    ``item`` went into ``lipschitz_mollify`` and ``mo`` came out.  Each call
+    adds the name of the branch it took to ``seen``."""
+    D = space.dense_matrix()
+    res = space.resolution()
+    pou, err = mo.extras["mollify_pou"], mo.extras["mollify_err"]
+    member = open_ball_members(space, pou)
+    centers, radii = pou.centers, pou.radii
+
+    def old(c, rho):
+        return float(item.lip_bound(np.array([c]), np.array([rho]))[0])
+
+    def body(c, rho):
+        s = np.flatnonzero(D[c] <= rho)
+        e = float(err[s].max())
+        if e == 0.0:
+            seen.add("identity")
+            return old(c, rho)
+        active = np.flatnonzero(D[c][centers] <= rho + radii)
+        rad_max = float(radii[active].max())
+        lb = old(c, rho + 2.0 * rad_max)
+        l_rho = old(c, rho)
+        near = np.flatnonzero(D[c] <= rho + rad_max)
+        mult = int(member[np.ix_(near, active)].sum(axis=1).max())
+        n_pair = 2.0 * max(mult, 1)
+        w_min = float(pou.weight_sum[s].min())
+        d_max = max(2.0 * rho, res)
+        if not np.isfinite(lb) or w_min <= 0:
+            seen.add("unbounded")
+            return l_rho + 2.0 * e / res
+        alpha = 2.0 * n_pair * lb / w_min * (1.0 + n_pair * rad_max / w_min)
+        if alpha == 0.0:
+            seen.add("flat")
+            return l_rho
+        seen.add("crossover")
+        bq = alpha * rad_max - l_rho
+        d_star = (-bq + np.sqrt(bq * bq + 8.0 * alpha * e)) / (2.0 * alpha)
+        dc = float(np.clip(d_star, res, d_max))
+        return max(min(alpha * (rad_max + dc), l_rho + 2.0 * e / dc), 0.0)
+
+    return body
 
 
-class TestHLipAdapter:
-    def test_batch_items_match_scalar_items_on_s1(self):
-        """The sampled-mode adapter maps the scenario's scalar h_lip over the
-        centers; the finished items' oracles agree call for call."""
-        data = get_scenario("S1").build(ScenarioConfig(grid=41))
+class TestPostBlendOracle:
+    @staticmethod
+    def check(space, pairs, seen):
+        res = space.resolution()
+        grid = radius_grid(res, float(space.dense_matrix().max()))
+        cs = np.arange(space.n_points)
+        rhos = [0.0, res, 0.05, 0.3]
+        for item, mo in pairs:
+            body = post_blend_by_center(space, item, mo, seen)
+            for rho in rhos + [mixed_rhos(rhos, len(cs))]:
+                r = np.broadcast_to(rho, cs.shape)
+                want = [envelope_by_levels(body, grid, int(c), rc) for c, rc in zip(cs, r)]
+                assert np.array_equal(mo.lip_bound(cs, rho), want)
+
+    @pytest.mark.parametrize(
+        "name,grid,branches",
+        [("S1", 41, {"identity", "crossover"}), ("S2", 41, {"identity", "crossover"}),
+         ("S3", 101, {"identity"})],
+    )
+    def test_matches_the_crossover_bound_per_ball(self, monkeypatch, name, grid, branches):
+        import baireext.pipeline as pipeline
+
+        pairs = []
+        mollify = pipeline.lipschitz_mollify
+
+        def record(space, item, n):
+            pairs.append((item, mollify(space, item, n)))
+            return pairs[-1][1]
+
+        monkeypatch.setattr(pipeline, "lipschitz_mollify", record)
+        data = get_scenario(name).build(ScenarioConfig(grid=grid))
+        baire_approximate(data.bundle, data.n_seq)
+        seen = set()
+        # the first items carry the blend error; the last is the finest
+        self.check(data.bundle.hspace, pairs[:3] + pairs[-1:], seen)
+        assert seen == branches
+
+    def test_flat_and_unbounded_input_bounds(self):
+        """An input bound of 0 makes alpha = 0; one that is finite at the cover
+        radius 1/n but infinite on the widened ball falls back to
+        l_rho + 2E/res."""
+        ys = np.linspace(0.0, 1.0, 21)
+        space = SampledSpace(coords=ys[:, None], dmat=None, h_idx=np.arange(21), mode="finite")
+        vals = ys[:, None] ** 2
+
+        def flat(cs, rho):
+            return np.zeros(len(cs))
+
+        def steep(cs, rho):
+            return np.where(np.broadcast_to(rho, cs.shape) > 0.6, np.inf, 1.0)
+
+        for lip, branch in ((flat, "flat"), (steep, "unbounded")):
+            item = FunSeqItem(n=2, values=vals, sup_bound=1.0, lip_bound=lip)
+            seen = set()
+            self.check(space, [(item, lipschitz_mollify(space, item, 2))], seen)
+            assert branch in seen, seen
+
+
+class TestScenarioHLip:
+    def test_h_lip_matches_the_scenario_formulas(self):
+        """S1's h_lip is the ramp bound per center and S0's sampled h_lip is
+        0; ``baire_approximate`` hands them center arrays."""
+        s1 = get_scenario("S1").build(ScenarioConfig(grid=41)).bundle
+        s0 = get_scenario("S0").build(ScenarioConfig(mode="sampled")).bundle
         seen = []
 
-        def h_lip(n, c, rho):
-            seen.append(type(c))
-            return data.bundle.h_lip(n, c, rho)
+        def h_lip(n, cs, rho):
+            seen.append(type(cs))
+            return s1.h_lip(n, cs, rho)
 
-        bundle = replace(data.bundle, h_lip=h_lip)
-        a = baire_approximate(bundle, 3)
-        b = baire_approximate(bundle, 3)
-        assert seen and not any(issubclass(t, np.ndarray) for t in seen)
-        cs = np.arange(bundle.hspace.n_points)
-        for ia, ib in zip(a, b):
-            for rho in (0.01, 0.05, 0.2, 0.7):
-                assert np.array_equal(ia.lip_bound(cs, rho), per_center(ib.lip_bound, cs, rho))
-        adapter = map_centers(lambda c, rho: h_lip(2, c, rho))
-        for rho in (0.0, 0.02, 0.3):
-            assert np.array_equal(adapter(cs, rho), per_center(adapter, cs, rho))
+        baire_approximate(replace(s1, h_lip=h_lip), 3)
+        assert seen and all(issubclass(t, np.ndarray) for t in seen)
+        t = s1.hspace.coords[:, 0]
+        cs = np.arange(len(t))
+        cs0 = np.arange(s0.hspace.n_points)
+        rhos = [0.0, 0.02, 0.05, 0.3, 1.5]
+        for n in (1, 2, 5):
+            for rho in rhos + [mixed_rhos(rhos, len(cs))]:
+                r = np.broadcast_to(rho, cs.shape)
+                want = [
+                    0.0 if t[c] - r[c] >= 0.0 or t[c] + r[c] <= -2.0 / n else float(n) for c in cs
+                ]
+                assert np.array_equal(s1.h_lip(n, cs, rho), want)
+            for rho in (0.0, mixed_rhos(rhos, len(cs0))):
+                assert np.array_equal(s0.h_lip(n, cs0, rho), np.zeros(len(cs0)))
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,8 @@ class TestLocalBoundRadius:
         bundle.conv_mask = np.zeros(2, dtype=bool)
         rad = local_bound_radius(bundle)
         assert np.all(np.isinf(rad.r))
-        assert rad.lip_r(0, 10.0) == 0.0  # r is constant (infinite) on the ball
+        # r is constant (infinite) on the ball
+        assert np.array_equal(rad.lip_r(np.array([0, 1]), 10.0), [0.0, 0.0])
 
     def test_radius_shrinks_near_blowup(self, s3_run):
         rad = s3_run.items[0].extras["bound_radius"]
@@ -254,10 +255,9 @@ class TestLipOracles:
         space = finite_line([0.0, 1.0, 3.0])
         vals = np.array([[0.0], [2.0], [2.0]])
         lip = sampled_lip_oracle(space, vals, "linf")
-        assert lip(0, 1.0) == 2.0  # pair (0, 1)
-        assert lip(0, 3.0) == 2.0
-        assert lip(2, 1.5) == 0.0  # only the flat pair (1, 2) in range
-        assert lip(0, 0.5) == 0.0  # singleton ball
+        # pair (0, 1); all pairs; only the flat pair (1, 2); a singleton ball
+        got = lip(np.array([0, 0, 2, 0]), np.array([1.0, 3.0, 1.5, 0.5]))
+        assert np.array_equal(got, [2.0, 2.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("which", ["s1", "s3"])
     def test_oracle_honesty_on_final_items(self, which, s1_run, s3_run):
@@ -267,10 +267,12 @@ class TestLipOracles:
         tag = run.bundle.norm_tag
         rng = np.random.default_rng(5)
         for it in (run.items[0], run.items[len(run.items) // 2], run.items[-1]):
-            for _ in range(20):
-                c = int(rng.integers(0, space.n_points))
-                rho = float(rng.uniform(space.resolution(), 0.5))
-                bound = it.lip_bound(c, rho)
+            # (c, rho) drawn in turn, one pair at a time
+            cs, rhos = np.zeros(20, dtype=int), np.zeros(20)
+            for i in range(20):
+                cs[i] = rng.integers(0, space.n_points)
+                rhos[i] = rng.uniform(space.resolution(), 0.5)
+            for c, rho, bound in zip(cs, rhos, it.lip_bound(cs, rhos)):
                 s = np.flatnonzero(D[c] <= rho)
                 if len(s) < 2:
                     continue
@@ -285,9 +287,9 @@ class TestLipOracles:
         for run in (s1_run, s3_run):
             it = run.items[-1]
             res = run.bundle.hspace.resolution()
+            rhos = np.array([res, 2 * res, 0.1, 0.25, 0.5])
             for c in (0, run.bundle.hspace.n_points // 2):
-                rhos = [res, 2 * res, 0.1, 0.25, 0.5]
-                vals = [it.lip_bound(c, r) for r in rhos]
+                vals = it.lip_bound(np.full(len(rhos), c), rhos)
                 assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -319,7 +321,7 @@ class TestBoundDiagnostics:
         space = SampledSpace(coords=ts, dmat=None, h_idx=np.arange(5), mode="sampled", delta=0.25)
         bundle = constant_bundle(space, [2.5], n_seq=3)
         # sampled mode keeps the raw values: ||h_n|| = 7.5 against r = 4
-        bundle = replace(bundle, h_values=3.0 * bundle.h_values, h_lip=lambda n, c, rho: 0.0)
+        bundle = replace(bundle, h_values=3.0 * bundle.h_values, h_lip=lambda n, cs, rho: np.zeros(len(cs)))
         assert self.violations(bundle, "bound") == [0.0, 0.0, 0.0]
         assert self.violations(bundle, "enforce_bound") == [0.0, 0.0, 0.0]
         monkeypatch.setattr(pipeline, "radial_project", lambda z, r, tag="linf": z)

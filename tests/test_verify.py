@@ -33,7 +33,7 @@ def synthetic_field(g_values):
     )
     query_idx = np.arange(1, steps + 1)
     items = [
-        FunSeqItem(n=1, values=np.zeros((1, 1)), sup_bound=0.0, lip_bound=lambda c, r: 0.0)
+        FunSeqItem(n=1, values=np.zeros((1, 1)), sup_bound=0.0, lip_bound=lambda cs, r: np.zeros(len(cs)))
     ]
     field = ExtensionField(
         space=space,
