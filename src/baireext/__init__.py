@@ -5,7 +5,6 @@ numerical certification harness."""
 from .extension import (
     ExtensionField,
     build_extension,
-    extend_point,
     field_to_csv,
     local_lip_K,
     select_n,
@@ -26,9 +25,7 @@ from .space import (
     CoverSystem,
     SampledSpace,
     build_refinement,
-    dist_to_set,
     load_space_json,
-    nearest_with_slack,
     partition_of_unity,
 )
 from .target import TargetBall, ball_intersection_point, norm, radial_project

@@ -6,6 +6,12 @@ n(x) = the largest n whose certified local Lipschitz constant K_{x,n} of item
 n around u(x) still satisfies dist(x,H) < 1/(n K_{x,n} (n M_n + 2)), and sets
 g(x) = f_{n(x)}(u(x)) with f_0 = 0.  The smoothing step blends g values over
 the cover {B(x_a, dist(x_a,H)/3)} with partition-of-unity weights.
+
+dist(x,H) and u(x) come from ``SampledSpace.nearest_h``, for the queries and
+for the midpoint centers alike.  The field keeps no (queries x H) table: the
+NT quotient and the boundedness check read one anchor column
+(``ExtensionField.anchor_dists``), and the inequality diagnostics stream their
+distance rows in ``_ROW_BLOCK`` blocks.
 """
 from __future__ import annotations
 
@@ -15,17 +21,15 @@ from typing import Optional
 import numpy as np
 
 from .pipeline import FunSeqItem, m_bound
-from .space import CoverageError, SampledSpace
+from .space import _ROW_BLOCK, CoverageError, SampledSpace
 from .target import norm
 
 __all__ = [
     "ExtensionField",
     "m_bound",
     "local_lip_K",
-    "defnx_satisfied",
     "select_ceiling",
     "select_n",
-    "extend_point",
     "build_extension",
     "smooth_extension",
     "nt_quotient",
@@ -56,11 +60,6 @@ def _passes(n: int, k, dist_h):
     """The selection inequality dist < 1/(n K (n M_n + 2)), per query; an
     infinite K fails it (the 1/inf = 0 convention)."""
     return ~np.isinf(k) & (dist_h < 1.0 / (n * k * (n * m_bound(n) + 2.0)))
-
-
-def defnx_satisfied(items: list[FunSeqItem], n: int, u_y: int, dist_h: float) -> bool:
-    """Whether index n passes the selection test with K = K_{x,n}."""
-    return bool(_passes(n, local_lip_K(items, n, u_y, dist_h), dist_h))
 
 
 def select_ceiling(dist_h: float) -> int:
@@ -119,7 +118,6 @@ class ExtensionField:
     f_h: np.ndarray  # (nH, m) limit values in H-sample order
     norm_tag: str
     query_idx: np.ndarray  # (nq,) X sample indices
-    qh: np.ndarray  # (nq, nH) query-to-H distances
     dist_h: np.ndarray  # (nq,)
     u_x: np.ndarray  # (nq,) X index of the nearest H sample
     u_y: np.ndarray  # (nq,) same, in H-sample order
@@ -130,7 +128,6 @@ class ExtensionField:
     center_pos: Optional[np.ndarray] = None  # coords (nc, dim) or X indices (nc,)
     center_g: Optional[np.ndarray] = None
     center_dist_h: Optional[np.ndarray] = None
-    center_qh: Optional[np.ndarray] = None
     contributors: Optional[list[np.ndarray]] = None
     contrib_w: Optional[list[np.ndarray]] = None
     g_smooth: Optional[np.ndarray] = None
@@ -145,26 +142,20 @@ class ExtensionField:
             raise KeyError(f"sample {x_idx} is not a query of this field")
         return int(rows[0])
 
+    def anchor_dists(self, anchor_y: int) -> np.ndarray:
+        """d(x, a) for every query x, for the H sample a = ``anchor_y``."""
+        a = self.space.h_idx[[anchor_y]]
+        return self.space.cross_dists(self.query_idx, a)[:, 0]
 
-def _extend_rows(items, f_h, qh_rows):
-    """Core per-query extension given query-to-H distance rows."""
-    dist_h = qh_rows.min(axis=1)
-    u_y = qh_rows.argmin(axis=1)
+
+def _extend_rows(items, f_h, dist_h, u_y):
+    """Core per-query extension given dist(x,H) and u(x): (n(x), g, K tables)."""
     n_of, tables = _scan(items, u_y, dist_h)
-    g = np.zeros((len(qh_rows), f_h.shape[1]))
+    g = np.zeros((len(dist_h), f_h.shape[1]))
     for n in np.unique(n_of[n_of > 0]).tolist():
         rows = n_of == n
         g[rows] = items[n - 1].values[u_y[rows]]
-    return dist_h, u_y, n_of, g, tables
-
-
-def extend_point(
-    space: SampledSpace, items: list[FunSeqItem], f_h: np.ndarray, x: int
-) -> tuple[float, int, int, np.ndarray, dict[int, float]]:
-    """Extend at one X sample: returns (dist_h, u_y, n_of_x, g, K table)."""
-    row = space.cross_dists(np.array([int(x)]), space.h_idx)
-    dist_h, u_y, n_of, g, tables = _extend_rows(items, f_h, row)
-    return float(dist_h[0]), int(u_y[0]), int(n_of[0]), g[0], tables[0]
+    return n_of, g, tables
 
 
 def build_extension(
@@ -176,18 +167,17 @@ def build_extension(
 ) -> ExtensionField:
     """Run the extension at every query sample (all must lie off H)."""
     query_idx = np.asarray(query_idx, dtype=int)
-    qh = space.cross_dists(query_idx, space.h_idx)
-    if not np.all(qh.min(axis=1) > 0):
-        bad = int(query_idx[int(np.argmin(qh.min(axis=1)))])
+    dist_h, u_y = space.nearest_h(query_idx)
+    if not np.all(dist_h > 0):
+        bad = int(query_idx[int(np.argmin(dist_h))])
         raise ValueError(f"query {bad} lies on a sampled H point")
-    dist_h, u_y, n_of, g, tables = _extend_rows(items, f_h, qh)
+    n_of, g, tables = _extend_rows(items, f_h, dist_h, u_y)
     return ExtensionField(
         space=space,
         items=items,
         f_h=f_h,
         norm_tag=norm_tag,
         query_idx=query_idx,
-        qh=qh,
         dist_h=dist_h,
         u_x=space.h_idx[u_y],
         u_y=u_y,
@@ -211,20 +201,17 @@ def smooth_extension(field: ExtensionField, extra_midpoints: bool = True) -> Ext
         pos = [space.coords[field.query_idx]]
         cg = [field.g]
         cdh = [field.dist_h]
-        cqh = [field.qh]
         if extra_midpoints:
             mids = (space.coords[field.query_idx] + space.coords[field.u_x]) / 2.0
-            mqh = space.dists_coords(mids, space.h_idx)
-            mdh, mu, mn, mg, _ = _extend_rows(items, f_h, mqh)
+            mdh, mu = space.nearest_h(mids)
+            _, mg, _ = _extend_rows(items, f_h, mdh, mu)
             keep = mdh > 0
             pos.append(mids[keep])
             cg.append(mg[keep])
             cdh.append(mdh[keep])
-            cqh.append(mqh[keep])
         center_pos = np.concatenate(pos)
         center_g = np.concatenate(cg)
         center_dh = np.concatenate(cdh)
-        center_qh = np.concatenate(cqh)
         qpos = space.coords[field.query_idx]
 
         def dists_to_centers(q: int) -> np.ndarray:
@@ -233,7 +220,6 @@ def smooth_extension(field: ExtensionField, extra_midpoints: bool = True) -> Ext
         center_pos = field.query_idx.copy()
         center_g = field.g.copy()
         center_dh = field.dist_h.copy()
-        center_qh = field.qh.copy()
 
         def dists_to_centers(q: int) -> np.ndarray:
             return space.dists_from(int(field.query_idx[q]))[center_pos]
@@ -261,7 +247,6 @@ def smooth_extension(field: ExtensionField, extra_midpoints: bool = True) -> Ext
         center_pos=center_pos,
         center_g=center_g,
         center_dist_h=center_dh,
-        center_qh=center_qh,
         contributors=contributors,
         contrib_w=weights,
         g_smooth=g_smooth,
@@ -275,7 +260,7 @@ def smooth_extension(field: ExtensionField, extra_midpoints: bool = True) -> Ext
 def nt_quotient(field: ExtensionField, anchor_y: int) -> np.ndarray:
     """q(x) = ||g(x) - f(a)|| dist(x,H)/d(x,a) per query, for anchor a in H."""
     dev = norm(field.g - field.f_h[anchor_y], field.norm_tag)
-    return dev * field.dist_h / field.qh[:, anchor_y]
+    return dev * field.dist_h / field.anchor_dists(anchor_y)
 
 
 def alp5_rhs(field: ExtensionField, anchor_y: int) -> np.ndarray:
@@ -293,33 +278,40 @@ def alp5_rhs(field: ExtensionField, anchor_y: int) -> np.ndarray:
     return out
 
 
+def _query_blocks(field: ExtensionField):
+    """(first query, d(x, a) rows) for every ``_ROW_BLOCK`` block of queries;
+    row i of a block is the query ``first + i`` against every H sample."""
+    for a in range(0, field.n_queries, _ROW_BLOCK):
+        yield a, field.space.h_dists(field.query_idx[a:a + _ROW_BLOCK])
+
+
 def general_inequality_slacks(field: ExtensionField) -> dict[str, float]:
     """Worst-case slacks of dist(x,H) <= d(x,a) and d(a,u(x)) <= 3 d(a,x) over
     every (query, H sample) pair; both must be >= 0."""
-    d_xa = field.qh  # (nq, nH)
-    slack1 = float((d_xa - field.dist_h[:, None]).min())
-    hs = field.space.h_space()
-    d_au = hs.dense_matrix()[field.u_y]  # (nq, nH): d(u(x), a)
-    slack2 = float((3.0 * d_xa - d_au).min())
+    d_ua = field.space.h_space().dense_matrix()  # (nH, nH)
+    slack1, slack2 = np.inf, np.inf
+    for a, d_xa in _query_blocks(field):
+        b = slice(a, a + len(d_xa))
+        slack1 = min(slack1, float((d_xa - field.dist_h[b, None]).min()))
+        slack2 = min(slack2, float((3.0 * d_xa - d_ua[field.u_y[b]]).min()))
     return {"dist_le_d": slack1, "dau_le_3dax": slack2}
 
 
 def branch_condition_violations(field: ExtensionField) -> int:
     """Count of (query, a) pairs violating: dist/d > 1/(n M_n) implies
     d(u(x), a) < 1/(n K_{x,n}); pairs with K = inf are skipped."""
-    hs = field.space.h_space()
-    d_au = hs.dense_matrix()[field.u_y]
+    d_ua = field.space.h_space().dense_matrix()
     bad = 0
-    for q in range(field.n_queries):
-        n = int(field.n_of_x[q])
-        if n == 0:
-            continue
-        k = field.k_tables[q][n]
-        if np.isinf(k):
-            continue
-        ratio = field.dist_h[q] / field.qh[q]
-        hot = ratio > 1.0 / (n * m_bound(n))
-        bad += int(np.count_nonzero(hot & ~(d_au[q] < 1.0 / (n * k))))
+    for a, d_xa in _query_blocks(field):
+        for q, row in enumerate(d_xa, start=a):
+            n = int(field.n_of_x[q])
+            if n == 0:
+                continue
+            k = field.k_tables[q][n]
+            if np.isinf(k):
+                continue
+            hot = field.dist_h[q] / row > 1.0 / (n * m_bound(n))
+            bad += int(np.count_nonzero(hot & ~(d_ua[field.u_y[q]] < 1.0 / (n * k))))
     return bad
 
 
@@ -329,12 +321,13 @@ def factor4_ratio_range(field: ExtensionField) -> tuple[float, float]:
     if field.contributors is None:
         raise ValueError("smooth_extension has not been run")
     lo, hi = np.inf, -np.inf
-    ratio_q = field.dist_h[:, None] / field.qh  # (nq, nH)
-    ratio_c = field.center_dist_h[:, None] / field.center_qh  # (nc, nH)
-    for q in range(field.n_queries):
-        rr = ratio_c[field.contributors[q]] / ratio_q[q][None, :]
-        lo = min(lo, float(rr.min()))
-        hi = max(hi, float(rr.max()))
+    for a, d_xa in _query_blocks(field):
+        for q, row in enumerate(d_xa, start=a):
+            cs = field.contributors[q]
+            ratio_c = field.center_dist_h[cs, None] / field.space.h_dists(field.center_pos[cs])
+            rr = ratio_c / (field.dist_h[q] / row)[None, :]
+            lo = min(lo, float(rr.min()))
+            hi = max(hi, float(rr.max()))
     return lo, hi
 
 

@@ -19,7 +19,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .space import CoverSystem, SampledSpace, ball_depth, build_refinement, partition_of_unity
+from .space import (
+    _ROW_BLOCK,
+    CoverSystem,
+    SampledSpace,
+    ball_depth,
+    build_refinement,
+    partition_of_unity,
+)
 from .target import TargetBall, ball_intersection_point, norm, radial_project, retraction_factor
 
 __all__ = [
@@ -44,11 +51,6 @@ __all__ = [
 # is a float array with one bound per center, and entry i depends only on
 # (cs[i], rho[i]), never on the other centers of the call.
 LipOracle = Callable[[np.ndarray, float | np.ndarray], np.ndarray]
-
-# centers per oracle call of the envelope and per distance-row block: bounds
-# the (centers x samples) temporaries of one call
-_ROW_BLOCK = 256
-
 
 def monotone_lip_envelope(raw: LipOracle, r_top: float, res: float) -> LipOracle:
     """Monotone-nondecreasing envelope of a certified Lipschitz-bound oracle.

@@ -20,7 +20,7 @@ import numpy as np
 from .extension import select_ceiling
 from .pipeline import FunctionBundle
 from .space import SampledSpace
-from .target import norm
+from .target import NORM_TAGS, norm
 from .verify import ApproachPath
 
 __all__ = [
@@ -48,6 +48,15 @@ class ScenarioConfig:
     tol: float = 5e-2
     steps: int = 12
     seed: int = 0
+
+    def __post_init__(self):
+        """Refuse a config that no scenario can run, before anything is built."""
+        if not self.steps >= 1:
+            raise ConfigError(f"steps must be at least 1, not {self.steps!r}")
+        if not self.tol > 0:
+            raise ConfigError(f"tol must be positive, not {self.tol!r}")
+        if self.norm not in NORM_TAGS:
+            raise ConfigError(f"norm must be one of {NORM_TAGS}, not {self.norm!r}")
 
 
 @dataclass
@@ -147,7 +156,7 @@ def _sequence_length(space: SampledSpace, query_idx: np.ndarray) -> int:
     if len(query_idx) == 0:
         return 1
     # the ceiling is nonincreasing in the distance: the nearest query decides
-    d = float(space.cross_dists(query_idx, space.h_idx).min())
+    d = float(space.nearest_h(query_idx)[0].min())
     return max(1, select_ceiling(d / 2.0))
 
 

@@ -1,5 +1,5 @@
-"""Metric-space substrate: point samples, distance-to-set, slack nearest points,
-ball covers, greedy refinements and partitions of unity.
+"""Metric-space substrate: point samples, the nearest-H kernel, ball covers,
+greedy refinements and partitions of unity.
 
 A space is a finite list of sample points together with a metric.  Two modes
 are supported:
@@ -12,6 +12,10 @@ are supported:
 ``ball_depth`` is the one place that applies this mode rule to a ball: it
 gives the depth dist(y, X \\ B) of every sample y, which is both the
 partition-of-unity weight and the interior margin of the selection transform.
+
+``SampledSpace.nearest_h`` is the one place that computes dist(x, H) and a
+nearest H sample u(x).  It streams the distances to the H samples in blocks
+of ``_ROW_BLOCK`` rows, so no caller holds a (points x H) table.
 
 All objects are immutable after construction and all operations are pure.
 A coordinate-only space builds its dense distance matrix on the first
@@ -31,13 +35,15 @@ __all__ = [
     "SpaceConfigError",
     "RefinementError",
     "CoverageError",
-    "dist_to_set",
-    "nearest_with_slack",
     "ball_depth",
     "build_refinement",
     "partition_of_unity",
     "load_space_json",
 ]
+
+# rows per block of a row-streamed kernel: bounds its (rows x samples)
+# temporaries
+_ROW_BLOCK = 256
 
 
 class SpaceConfigError(ValueError):
@@ -90,23 +96,11 @@ class SampledSpace:
         m[self.h_idx] = True
         return m
 
-    @property
-    def not_h_idx(self) -> np.ndarray:
-        return np.flatnonzero(~self.h_mask)
-
     def dists_from(self, i: int) -> np.ndarray:
         """Distances from sample ``i`` to every sample."""
         if self.dmat is not None:
             return self.dmat[i]
         return np.linalg.norm(self.coords - self.coords[i], axis=1)
-
-    def pair_dist(self, i: int, j: int) -> float:
-        """d(i, j), bit-equal to ``dists_from(i)[j]``."""
-        if self.dmat is not None:
-            return float(self.dmat[i, j])
-        # an explicit axis keeps numpy on the reduction dists_from uses
-        # rather than a BLAS dot, which may round differently
-        return float(np.linalg.norm(self.coords[i] - self.coords[j], axis=-1))
 
     def dists_coords(self, q: np.ndarray, idx: Optional[np.ndarray] = None) -> np.ndarray:
         """Distances from free coordinate points ``q`` (k, dim) to samples.
@@ -117,7 +111,11 @@ class SampledSpace:
             raise SpaceConfigError("coordinate queries need a Euclidean space")
         pts = self.coords if idx is None else self.coords[idx]
         q = np.atleast_2d(np.asarray(q, dtype=float))
-        return np.linalg.norm(q[:, None, :] - pts[None, :, :], axis=2)
+        # the arithmetic of np.linalg.norm(diff, axis=2), bit for bit, without
+        # its second (k, n, dim) temporary
+        diff = q[:, None, :] - pts[None, :, :]
+        diff *= diff
+        return np.sqrt(np.add.reduce(diff, axis=2))
 
     def cross_dists(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Distances (len(rows), len(cols)) between two lists of samples;
@@ -125,6 +123,29 @@ class SampledSpace:
         if self.dmat is not None:
             return self.dmat[np.ix_(rows, cols)]
         return self.dists_coords(self.coords[rows], cols)
+
+    def h_dists(self, x: np.ndarray) -> np.ndarray:
+        """Distances (len(x), nH) to the H samples from the samples ``x`` (a
+        1-D index array) or from free coordinate points ``x`` (k, dim), which
+        only Euclidean spaces accept."""
+        if np.ndim(x) == 2:
+            return self.dists_coords(x, self.h_idx)
+        return self.cross_dists(np.asarray(x, dtype=int), self.h_idx)
+
+    def nearest_h(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(dist_h, u_y) for every sample or free point of ``x`` (as in
+        ``h_dists``): dist(x, H) over the sampled H, and the H-sample-order
+        index of the nearest H sample, the lowest one on a tie.  The exact
+        nearest sample meets the slack contract d(x, u(x)) <= 2 dist(x, H)
+        with room to spare.  Rows are processed ``_ROW_BLOCK`` at a time."""
+        dist_h = np.empty(len(x))
+        u_y = np.empty(len(x), dtype=np.intp)
+        for a in range(0, len(x), _ROW_BLOCK):
+            b = slice(a, a + _ROW_BLOCK)
+            d = self.h_dists(x[b])
+            dist_h[b] = d.min(axis=1)
+            u_y[b] = d.argmin(axis=1)
+        return dist_h, u_y
 
     def dense_matrix(self) -> np.ndarray:
         if self.dmat is not None:
@@ -183,21 +204,6 @@ class CoverSystem:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def dist_to_set(space: SampledSpace, x: int) -> float:
-    """dist(x, H) over the sampled H; zero iff x is an H sample (finite mode)."""
-    return float(space.dists_from(x)[space.h_idx].min())
-
-
-def nearest_with_slack(space: SampledSpace, x: int) -> int:
-    """An H sample u(x) with d(x, u(x)) <= 2 dist(x, H).
-
-    Returns the exact nearest H sample (ties broken by lowest index), which
-    satisfies the factor-2 slack contract with room to spare.
-    """
-    d = space.dists_from(x)[space.h_idx]
-    return int(space.h_idx[int(np.argmin(d))])
-
 
 def build_refinement(
     space: SampledSpace,

@@ -15,14 +15,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .extension import ExtensionField, alp5_rhs, nt_quotient
-from .space import SampledSpace, dist_to_set
+from .space import SampledSpace
 from .target import norm
 
 __all__ = [
     "ApproachPath",
     "CertReport",
     "validate_path",
-    "boundary_h_points",
     "check_nt",
     "check_continuity",
     "check_boundedness",
@@ -76,39 +75,23 @@ def validate_path(space: SampledSpace, path: ApproachPath) -> None:
         raise ValueError(f"anchor {path.anchor_x} is not an H sample")
     da = space.dists_from(path.anchor_x)
     h_mask = space.h_mask
+    points = np.asarray(path.points, dtype=int)
+    tangential = path.kind == "tangential"
+    if tangential:
+        if path.eps is None:
+            raise ValueError("tangential paths need an eps ratio cap")
+        dist_h, _ = space.nearest_h(points)
     prev = np.inf
-    for x in path.points:
-        x = int(x)
+    for j, x in enumerate(points.tolist()):
         if h_mask[x]:
             raise ValueError(f"path point {x} lies in H")
         if not da[x] < prev:
             raise ValueError(f"d(x_j, a) is not strictly decreasing at point {x}")
         prev = da[x]
-        if path.kind == "tangential":
-            if path.eps is None:
-                raise ValueError("tangential paths need an eps ratio cap")
-            dist_h = dist_to_set(space, x)
-            if dist_h > path.eps * da[x]:
-                raise ValueError(
-                    f"tangential ratio {dist_h / da[x]:.3f} exceeds eps={path.eps} at point {x}"
-                )
-
-
-def boundary_h_points(space: SampledSpace) -> np.ndarray:
-    """H samples with a non-H sample within 2*delta (grid-scale boundary).
-
-    In finite mode the scale is twice the sample resolution.
-    """
-    scale = space.delta if space.mode == "sampled" else space.resolution()
-    others = space.not_h_idx
-    if others.size == 0:
-        return np.array([], dtype=int)
-    out = [
-        int(a)
-        for a in space.h_idx
-        if space.dists_from(int(a))[others].min() <= 2.0 * scale
-    ]
-    return np.array(out, dtype=int)
+        if tangential and dist_h[j] > path.eps * da[x]:
+            raise ValueError(
+                f"tangential ratio {dist_h[j] / da[x]:.3f} exceeds eps={path.eps} at point {x}"
+            )
 
 
 def _decay_status(values: np.ndarray, ok_tail: bool) -> str:
@@ -207,7 +190,7 @@ def check_boundedness(
         )
     if field_.g_smooth is None:
         raise ValueError("smooth_extension has not been run")
-    rows = np.flatnonzero(field_.qh[:, anchor_y] < r)
+    rows = np.flatnonzero(field_.anchor_dists(anchor_y) < r)
     bound = sup_cert_p0 + 1.0 + 1.0 / r + 2.0
     if rows.size == 0:
         return CertReport(

@@ -2,6 +2,7 @@
 unit, property and acceptance tests."""
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from baireext.extension import build_extension, smooth_extension
@@ -25,6 +26,15 @@ def run_scenario_objects(name: str, cfg: ScenarioConfig | None = None) -> Simple
     return SimpleNamespace(
         cfg=cfg, data=data, bundle=data.bundle, items=items, field=field, diags=diags
     )
+
+
+def selection_passes(items, n, u_y, dist_h):
+    """The selection test at one index n for one query, written out:
+    K = max(1, item n's bound over B(u(x), (n M_n + 2) dist)) with M_n = n + 2,
+    and dist < 1/(n K (n M_n + 2)); an infinite K fails."""
+    radius = (n * (n + 2.0) + 2.0) * dist_h
+    k = max(1.0, float(items[n - 1].lip_bound(np.array([u_y]), np.array([radius]))[0]))
+    return not np.isinf(k) and dist_h < 1.0 / (n * k * (n * (n + 2.0) + 2.0))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

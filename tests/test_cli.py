@@ -141,6 +141,26 @@ class TestConfigMerging:
         assert captured.err == "unknown config key 'gird'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("steps", 0, "steps must be at least 1, not 0"),
+            ("tol", -1.0, "tol must be positive, not -1.0"),
+            ("norm", "l1", "norm must be one of ('l2', 'linf'), not 'l1'"),
+        ],
+    )
+    def test_bad_config_value_exits_2_with_one_line(self, tmp_path, capsys, key, value, message):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"scenario": "S0", key: value}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+        assert not out.exists()
+        with pytest.raises(ConfigError, match=key):
+            ScenarioConfig(**{key: value})
+
 
 class TestDeterminism:
     def test_two_runs_are_byte_identical(self, tmp_path):

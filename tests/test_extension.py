@@ -9,8 +9,6 @@ from baireext.extension import (
     alp5_rhs,
     branch_condition_violations,
     build_extension,
-    defnx_satisfied,
-    extend_point,
     factor4_ratio_range,
     field_to_csv,
     general_inequality_slacks,
@@ -22,6 +20,7 @@ from baireext.extension import (
 )
 from baireext.pipeline import FunSeqItem
 from baireext.target import norm
+from conftest import selection_passes
 
 
 def flat_items(count, lip_value=0.0, m=1, nY=4):
@@ -87,8 +86,8 @@ class TestSelection:
         assert n == 2
         assert table[2] == 1.0
         # n = 3 genuinely fails the test at this distance
-        assert not defnx_satisfied(items, 3, 0, 0.049)
-        assert defnx_satisfied(items, 2, 0, 0.049)
+        assert not selection_passes(items, 3, 0, 0.049)
+        assert selection_passes(items, 2, 0, 0.049)
 
     def test_boundary_distance_is_excluded(self):
         # at dist = 1/20 exactly, n = 2 fails the strict inequality
@@ -150,12 +149,11 @@ class TestSelection:
             q = int(q)
             n = int(field.n_of_x[q])
             ceiling = select_ceiling(float(field.dist_h[q]))
+            u, dh = int(field.u_y[q]), float(field.dist_h[q])
             if n > 0:
-                assert defnx_satisfied(field.items, n, int(field.u_y[q]), float(field.dist_h[q]))
+                assert selection_passes(field.items, n, u, dh)
             for n2 in range(n + 1, ceiling + 1):
-                assert not defnx_satisfied(
-                    field.items, n2, int(field.u_y[q]), float(field.dist_h[q])
-                )
+                assert not selection_passes(field.items, n2, u, dh)
 
 
 class TestField:
@@ -173,13 +171,16 @@ class TestField:
                 assert np.array_equal(field.g[q], expect)
 
     def test_extend_point_matches_batch(self, s1_run):
+        """Extending at one query alone gives that query's row of the batch."""
         field = s1_run.field
-        x = int(field.query_idx[3])
-        dh, uy, n, g, table = extend_point(field.space, field.items, field.f_h, x)
-        assert dh == pytest.approx(float(field.dist_h[3]))
-        assert uy == int(field.u_y[3])
-        assert n == int(field.n_of_x[3])
-        assert np.array_equal(g, field.g[3])
+        one = build_extension(
+            field.space, field.items, field.f_h, field.query_idx[3:4], field.norm_tag
+        )
+        assert one.dist_h[0] == field.dist_h[3]
+        assert one.u_y[0] == field.u_y[3]
+        assert one.n_of_x[0] == field.n_of_x[3]
+        assert np.array_equal(one.g[0], field.g[3])
+        assert one.k_tables[0] == field.k_tables[3]
 
     def test_query_on_h_rejected(self, s1_run):
         field = s1_run.field

@@ -14,14 +14,17 @@ import pytest
 from conftest import run_scenario_objects
 
 from baireext.extension import (
+    branch_condition_violations,
     build_extension,
+    factor4_ratio_range,
     field_rows,
     field_to_csv,
+    general_inequality_slacks,
+    m_bound,
     select_ceiling,
     smooth_extension,
 )
 from baireext.pipeline import (
-    _ROW_BLOCK,
     BoundRadiusField,
     FunctionBundle,
     FunSeqItem,
@@ -40,8 +43,10 @@ from baireext.scenarios import (
     get_scenario,
 )
 from baireext.space import (
+    _ROW_BLOCK,
     CoverSystem,
     SampledSpace,
+    SpaceConfigError,
     ball_depth,
     build_refinement,
     load_space_json,
@@ -69,8 +74,17 @@ def json_line_space(xs, h):
 # build_refinement
 # ---------------------------------------------------------------------------
 
+def pair_dist(space, i, j):
+    """d(i, j) for one pair: a matrix entry, or the norm of one coordinate
+    difference (an explicit axis keeps numpy off a BLAS dot, which may round
+    differently)."""
+    if space.dmat is not None:
+        return float(space.dmat[i, j])
+    return float(np.linalg.norm(space.coords[i] - space.coords[j], axis=-1))
+
+
 def refine_by_pairs(space, raw, rule):
-    """The greedy refinement with one scalar pair_dist call per raw ball."""
+    """The greedy refinement with one scalar pair distance per raw ball."""
     pts = np.asarray(raw.covered)
     rule = np.asarray(rule, dtype=float)[pts]
     centers, radii, parents = [], [], []
@@ -79,7 +93,7 @@ def refine_by_pairs(space, raw, rule):
         if covered[p]:
             continue
         r_new = rule[k] / 2.0
-        d_raw = np.array([space.pair_dist(int(p), int(c)) for c in raw.centers])
+        d_raw = np.array([pair_dist(space, int(p), int(c)) for c in raw.centers])
         fits = np.flatnonzero(d_raw + r_new <= raw.radii)
         centers.append(int(p))
         radii.append(r_new)
@@ -93,7 +107,7 @@ class TestRefinementKernel:
     def test_pair_dist_matches_distance_rows(self, dim):
         sp = cloud_space(40, dim, seed=dim)
         for i in range(sp.n_points):
-            row = np.array([sp.pair_dist(i, j) for j in range(sp.n_points)])
+            row = np.array([pair_dist(sp, i, j) for j in range(sp.n_points)])
             assert np.array_equal(row, sp.dists_from(i))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -157,11 +171,69 @@ class TestRestrictKernel:
 
 
 # ---------------------------------------------------------------------------
-# query-to-H distances
+# query-to-H distances and the nearest-H kernel
 # ---------------------------------------------------------------------------
 
 def stacked_h_rows(space, query_idx):
     return np.stack([space.dists_from(int(x))[space.h_idx] for x in query_idx])
+
+
+def nearest_by_rows(rows):
+    """dist(x, H) and the argmin, lowest index on a tie, of distance rows."""
+    return rows.min(axis=1), rows.argmin(axis=1)
+
+
+def assert_nearest_matches(space, x, rows):
+    dist_h, u_y = space.nearest_h(x)
+    ref_d, ref_u = nearest_by_rows(rows)
+    assert u_y.dtype == ref_u.dtype
+    assert np.array_equal(dist_h, ref_d)
+    assert np.array_equal(u_y, ref_u)
+
+
+class TestNearestH:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_samples_match_the_per_sample_formula(self, dim):
+        sp = cloud_space(3 * _ROW_BLOCK + 40, dim, seed=40 + dim)
+        x = np.arange(sp.n_points)[::-1]
+        assert len(x) > 2 * _ROW_BLOCK
+        assert_nearest_matches(sp, x, stacked_h_rows(sp, x))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_free_points_match_the_per_point_formula(self, dim):
+        sp = cloud_space(90, dim, seed=50 + dim)
+        pts = np.random.default_rng(dim).uniform(-1.5, 1.5, size=(_ROW_BLOCK + 7, dim))
+        rows = np.stack([np.linalg.norm(sp.coords[sp.h_idx] - p, axis=1) for p in pts])
+        assert_nearest_matches(sp, pts, rows)
+
+    def test_dmat_space_matches_the_per_sample_formula(self):
+        xs = np.random.default_rng(3).uniform(0.0, 4.0, size=_ROW_BLOCK + 30)
+        sp = json_line_space(xs, h=range(0, len(xs), 5))
+        x = np.arange(sp.n_points)
+        assert_nearest_matches(sp, x, stacked_h_rows(sp, x))
+
+    def test_exact_tie_takes_the_lowest_index(self):
+        # H samples 0 and 2 sit at distance 1 from sample 1
+        sp = SampledSpace(
+            coords=np.array([[-1.0], [0.0], [1.0]]), dmat=None, h_idx=np.array([0, 2]),
+            mode="finite",
+        )
+        dist_h, u_y = sp.nearest_h(np.array([1, 1]))
+        assert dist_h.tolist() == [1.0, 1.0] and u_y.tolist() == [0, 0]
+        # duplicated H coordinates tie at every row, past the first block too
+        pts = np.random.default_rng(4).uniform(-1.0, 1.0, size=(2 * _ROW_BLOCK, 2))
+        pts[1] = pts[0]
+        twin = SampledSpace(coords=pts, dmat=None, h_idx=np.array([0, 1]), mode="finite")
+        x = np.arange(2, len(pts))
+        assert np.all(twin.nearest_h(x)[1] == 0)
+        assert_nearest_matches(twin, x, stacked_h_rows(twin, x))
+
+    def test_empty_input_and_points_on_a_metric_matrix(self):
+        sp = json_line_space([0.0, 1.0, 2.5], h=[1])
+        dist_h, u_y = sp.nearest_h(np.array([], dtype=int))
+        assert dist_h.shape == u_y.shape == (0,)
+        with pytest.raises(SpaceConfigError, match="Euclidean"):
+            sp.nearest_h(np.zeros((2, 1)))
 
 
 class TestQueryToH:
@@ -174,7 +246,27 @@ class TestQueryToH:
     def test_build_extension_rows(self, s1_run, s3_run):
         for run in (s1_run, s3_run):
             f = run.field
-            assert np.array_equal(f.qh, stacked_h_rows(f.space, f.query_idx))
+            rows = stacked_h_rows(f.space, f.query_idx)
+            dist_h, u_y = nearest_by_rows(rows)
+            assert np.array_equal(f.dist_h, dist_h)
+            assert np.array_equal(f.u_y, u_y)
+            assert np.array_equal(f.u_x, f.space.h_idx[u_y])
+            for a in (0, run.data.primary_anchor_y, len(f.space.h_idx) - 1):
+                assert np.array_equal(f.anchor_dists(a), rows[:, a])
+
+    def test_build_extension_holds_no_query_by_h_table(self, s1_run):
+        """Peak traced memory of building S1's field stays below one
+        (queries x H) float64 table."""
+        f = s1_run.field
+        table_bytes = f.n_queries * len(f.space.h_idx) * 8
+        tracemalloc.start()
+        try:
+            build_extension(f.space, f.items, f.f_h, f.query_idx, f.norm_tag)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table_bytes > 2_000_000
+        assert peak < table_bytes
 
     def test_sequence_length_matches_per_query_scan(self, s1_run, s3_run):
         for run in (s1_run, s3_run):
@@ -280,7 +372,7 @@ class TestSmoothingKernel:
         )
         fd = smooth_extension(build_extension(sp_d, items, f_h, q))
         fc = smooth_extension(build_extension(sp_c, items, f_h, q), extra_midpoints=False)
-        for name in ("qh", "dist_h", "u_x", "n_of_x", "g", "g_smooth"):
+        for name in ("dist_h", "u_x", "n_of_x", "g", "g_smooth"):
             assert np.array_equal(getattr(fd, name), getattr(fc, name)), name
 
     def test_no_dense_query_center_temporary(self):
@@ -301,6 +393,63 @@ class TestSmoothingKernel:
         dense_bytes = field.n_queries * len(smoothed.center_pos) * 8
         assert dense_bytes > 20_000_000
         assert peak < dense_bytes
+
+
+# ---------------------------------------------------------------------------
+# streamed inequality diagnostics
+# ---------------------------------------------------------------------------
+
+def diagnostics_by_tables(field):
+    """The three inequality diagnostics over whole (queries x H) and
+    (centers x H) distance tables, in the form they took before streaming."""
+    space = field.space
+    qh = stacked_h_rows(space, field.query_idx)
+    d_au = space.h_space().dense_matrix()[field.u_y]
+    slacks = {
+        "dist_le_d": float((qh - field.dist_h[:, None]).min()),
+        "dau_le_3dax": float((3.0 * qh - d_au).min()),
+    }
+    bad = 0
+    for q in range(field.n_queries):
+        n = int(field.n_of_x[q])
+        if n == 0:
+            continue
+        k = field.k_tables[q][n]
+        if np.isinf(k):
+            continue
+        hot = field.dist_h[q] / qh[q] > 1.0 / (n * m_bound(n))
+        bad += int(np.count_nonzero(hot & ~(d_au[q] < 1.0 / (n * k))))
+    center_qh = qh
+    if space.coords is not None:
+        # the query centers come first, then the midpoint centers
+        mids = field.center_pos[field.n_queries:]
+        hpts = space.coords[space.h_idx]
+        mqh = np.linalg.norm(mids[:, None, :] - hpts[None, :, :], axis=2)
+        center_qh = np.concatenate([qh, mqh])
+    ratio_q = field.dist_h[:, None] / qh
+    ratio_c = field.center_dist_h[:, None] / center_qh
+    lo, hi = np.inf, -np.inf
+    for q in range(field.n_queries):
+        rr = ratio_c[field.contributors[q]] / ratio_q[q][None, :]
+        lo = min(lo, float(rr.min()))
+        hi = max(hi, float(rr.max()))
+    return slacks, bad, (lo, hi)
+
+
+class TestStreamedDiagnostics:
+    def dyadic_field(self):
+        xs, h = DYADIC_XS, DYADIC_H
+        q = np.array([i for i in range(len(xs)) if i not in h])
+        items = constant_lip_items(12, len(h))
+        return smooth_extension(build_extension(json_line_space(xs, h), items, items[-1].values, q))
+
+    def test_match_the_whole_table_formulas(self, s1_run, s3_run):
+        assert s1_run.field.n_queries > 2 * _ROW_BLOCK
+        for field in (s1_run.field, s3_run.field, self.dyadic_field()):
+            slacks, bad, ratios = diagnostics_by_tables(field)
+            assert general_inequality_slacks(field) == slacks
+            assert branch_condition_violations(field) == bad
+            assert factor4_ratio_range(field) == ratios
 
 
 # ---------------------------------------------------------------------------

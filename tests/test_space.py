@@ -1,5 +1,5 @@
-"""Metric substrate: distances to H, slack nearest points, refinements,
-partitions of unity and finite-metric loading."""
+"""Metric substrate: the nearest-H kernel, refinements, partitions of unity
+and finite-metric loading."""
 import json
 
 import numpy as np
@@ -15,9 +15,7 @@ from baireext.space import (
     SampledSpace,
     SpaceConfigError,
     build_refinement,
-    dist_to_set,
     load_space_json,
-    nearest_with_slack,
     partition_of_unity,
     validate_metric,
 )
@@ -28,6 +26,21 @@ def line_space(pts, h, mode="finite", delta=0.0):
     return SampledSpace(
         coords=pts[:, None], dmat=None, h_idx=np.array(sorted(h)), mode=mode, delta=delta
     )
+
+
+def pair_dist(space, i, j):
+    """d(i, j) of a coordinate space, written out for one pair."""
+    return float(np.linalg.norm(space.coords[i] - space.coords[j], axis=-1))
+
+
+def dist_to_set(space, x):
+    """dist(x, H) of the sample x."""
+    return float(space.nearest_h(np.array([x]))[0][0])
+
+
+def nearest(space, x):
+    """X index of the nearest H sample to the sample x."""
+    return int(space.h_idx[space.nearest_h(np.array([x]))[1][0]])
 
 
 clouds = hnp.arrays(
@@ -66,13 +79,13 @@ class TestDistToSet:
 class TestNearestWithSlack:
     def test_simple(self):
         sp = line_space([0.0, 0.7], h=[0])
-        u = nearest_with_slack(sp, 1)
+        u = nearest(sp, 1)
         assert u == 0
-        assert sp.pair_dist(1, u) <= 2 * dist_to_set(sp, 1)
+        assert pair_dist(sp, 1, u) <= 2 * dist_to_set(sp, 1)
 
     def test_tie_breaks_to_lowest_index(self):
         sp = line_space([-1.0, 0.0, 1.0], h=[0, 2])
-        assert nearest_with_slack(sp, 1) == 0
+        assert nearest(sp, 1) == 0
 
     @settings(max_examples=60, deadline=None)
     @given(clouds)
@@ -83,14 +96,14 @@ class TestNearestWithSlack:
             dh = dist_to_set(sp, x)
             if dh == 0.0:
                 continue  # duplicated sample landed on H
-            u = nearest_with_slack(sp, x)
-            assert sp.pair_dist(x, u) <= 2 * dh
+            u = nearest(sp, x)
+            assert pair_dist(sp, x, u) <= 2 * dh
             for a in sp.h_idx:
                 a = int(a)
-                # 1-ulp slack: dist_to_set and pair_dist reduce the same
+                # 1-ulp slack: the kernel and pair_dist may reduce the same
                 # coordinates in different orders
-                assert dh <= sp.pair_dist(x, a) + 1e-12
-                assert sp.pair_dist(a, u) <= 3 * sp.pair_dist(a, x) + 1e-12
+                assert dh <= pair_dist(sp, x, a) + 1e-12
+                assert pair_dist(sp, a, u) <= 3 * pair_dist(sp, a, x) + 1e-12
 
 
 def test_triangle_inequality_on_many_random_triples():
@@ -143,7 +156,7 @@ class TestBuildRefinement:
         )
         ref = build_refinement(sp, raw, np.full(30, 0.3))
         for c, r, p in zip(ref.centers, ref.radii, ref.parents):
-            d = sp.pair_dist(int(c), int(raw.centers[p]))
+            d = pair_dist(sp, int(c), int(raw.centers[p]))
             assert d + r <= raw.radii[p]
 
     def test_failure_names_the_point(self):
@@ -213,8 +226,8 @@ class TestFiniteMetricLoading:
         doc = {"points": ["a", "b", "c"], "dist": [0, 1, 0, 2, 1.5, 0], "H": [0]}
         sp = load_space_json(json.dumps(doc))
         assert sp.n_points == 3
-        assert sp.pair_dist(0, 2) == 2
-        assert sp.pair_dist(2, 1) == 1.5
+        assert sp.dists_from(0)[2] == 2
+        assert sp.dists_from(2)[1] == 1.5
         assert sp.labels == ("a", "b", "c")
 
     def test_triangle_violation_names_triple(self):

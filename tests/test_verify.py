@@ -11,7 +11,6 @@ from baireext.space import SampledSpace
 from baireext.verify import (
     ApproachPath,
     CertReport,
-    boundary_h_points,
     check_boundedness,
     check_continuity,
     check_nt,
@@ -41,7 +40,6 @@ def synthetic_field(g_values):
         f_h=np.zeros((1, 1)),
         norm_tag="linf",
         query_idx=query_idx,
-        qh=radii[:, None],
         dist_h=radii,
         u_x=np.zeros(steps, dtype=int),
         u_y=np.zeros(steps, dtype=int),
@@ -220,8 +218,3 @@ class TestCertReport:
             trace=[{"step": 0, "q": 0.1}], details={"anchor_x": 3},
         )
         assert json.loads(rep.to_json()) == rep.to_dict()
-
-
-def test_boundary_points_detected():
-    field, _ = synthetic_field([0.1] * 12)
-    assert 0 in boundary_h_points(field.space).tolist()
