@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .pipeline import FunSeqItem, m_bound
-from .space import _ROW_BLOCK, CoverageError, SampledSpace
+from .space import _PAIR_BLOCK, _ROW_BLOCK, CoverageError, SampledSpace
 from .target import norm
 
 __all__ = [
@@ -187,12 +187,88 @@ def build_extension(
     )
 
 
+def _search_ranges(field: ExtensionField, q_pos: np.ndarray, center_pos, center_dh):
+    """Candidate centers per query from the contributor lemma.
+
+    Returns ``order``, a permutation of the centers, and entries (q, lo, hi):
+    every center that can contribute to query q sits in ``order[lo:hi]`` for
+    one of q's entries.  Entries are sorted by query, and the ranges of one
+    query are disjoint.  ``q_pos`` holds the query coordinates (read on
+    coordinate spaces only).
+    """
+    # the contributor half-width dist(q,H)/2, widened for rounding and for
+    # the 1e-12 triangle tolerance of ``load_space_json`` metrics
+    reach = field.dist_h * (0.5 + 1e-9) + 1e-11
+    nq, nc = field.n_queries, len(center_dh)
+    col = np.zeros(nc, dtype=np.int64)
+    c_lo = c_hi = np.zeros(nq, dtype=np.int64)
+    if field.space.coords is None:
+        # dist(., H) is 1-Lipschitz: |dist(c,H) - dist(q,H)| <= d(q,c) < reach
+        y_c, y_q = center_dh, field.dist_h
+    else:
+        # the box of half-width reach: about sqrt(nc)/2 columns of coordinate
+        # 0 (for dim > 1), and the exact range of coordinate 1 (or 0) in each
+        ax = min(1, q_pos.shape[1] - 1)
+        y_c, y_q = center_pos[:, ax], q_pos[:, ax]
+        if ax and nc:
+            x0, ext = center_pos[:, 0].min(), np.ptp(center_pos[:, 0])
+            ncol = int(np.ceil(np.sqrt(nc) / 2.0))
+            scale = ncol / ext if ext > 0 else 0.0
+
+            def column(x):
+                return np.minimum(np.floor((x - x0) * scale), ncol - 1).astype(np.int64)
+
+            col = column(center_pos[:, 0])
+            c_lo = np.maximum(column(q_pos[:, 0] - reach), 0)
+            c_hi = column(q_pos[:, 0] + reach)
+    # sort by (column, rank of y); a y range is then a rank range per column
+    ys = np.sort(y_c)
+    key = col * nc + np.searchsorted(ys, y_c, "left")
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    y_lo = np.searchsorted(ys, y_q - reach, "left")
+    y_hi = np.searchsorted(ys, y_q + reach, "right")
+    span = np.maximum(c_hi - c_lo + 1, 0)
+    eq = np.repeat(np.arange(nq), span)
+    ecol = c_lo[eq] + np.arange(len(eq)) - np.repeat(np.cumsum(span) - span, span)
+    lo = np.searchsorted(key, ecol * nc + y_lo[eq], "left")
+    hi = np.searchsorted(key, ecol * nc + y_hi[eq], "left")
+    return order, eq, lo, hi
+
+
+def _pair_dists(space: SampledSpace, q_pos: np.ndarray, c_pos: np.ndarray) -> np.ndarray:
+    """d(q, c) per pair of rows of ``q_pos`` and ``c_pos`` (coordinate rows, or
+    sample indices on a metric matrix), bit-equal to ``np.linalg.norm`` over
+    the coordinate differences c - q."""
+    if space.coords is None:
+        return space.dmat[q_pos, c_pos]
+    diff = c_pos - q_pos
+    # the squares summed left to right, as add.reduce sums a short row, but
+    # one column at a time
+    sq = diff[:, 0] * diff[:, 0]
+    for k in range(1, diff.shape[1]):
+        sq += diff[:, k] * diff[:, k]
+    return np.sqrt(sq)
+
+
 def smooth_extension(field: ExtensionField, extra_midpoints: bool = True) -> ExtensionField:
     """Fill g_smooth: blend of g values over {B(x_a, dist(x_a,H)/3)}.
 
     Centers are the queries themselves (each query covers itself, so coverage
     holds by construction) plus, on coordinate spaces, the midpoints between
     each query and its nearest H sample, which refine the cover toward H.
+
+    Contributor lemma: a center c reaches a query q when d(q,c) < dist(c,H)/3,
+    and dist(c,H) <= d(q,c) + dist(q,H), so every contributor has
+    d(q,c) < dist(q,H)/2 and |dist(c,H) - dist(q,H)| < dist(q,H)/2 (the
+    triangle argument behind the factor-4 ratio).  The search looks only
+    there: on coordinate spaces inside the box of half-width dist(q,H)/2, read
+    from columns of coordinate 0 with each column sorted by coordinate 1; on a
+    metric matrix inside that band of the centers sorted by dist(c,H).
+    Distances and weights are evaluated for blocks of at most ``_PAIR_BLOCK``
+    candidate pairs (a single query may exceed it), and each query's
+    contributors stay in ascending center order, so its weights and blend are
+    the same floats as a scan over every center gives.
     """
     space = field.space
     items, f_h = field.items, field.f_h
@@ -212,36 +288,48 @@ def smooth_extension(field: ExtensionField, extra_midpoints: bool = True) -> Ext
         center_pos = np.concatenate(pos)
         center_g = np.concatenate(cg)
         center_dh = np.concatenate(cdh)
-        qpos = space.coords[field.query_idx]
-
-        def dists_to_centers(q: int) -> np.ndarray:
-            return np.linalg.norm(center_pos - qpos[q], axis=1)
     else:
         center_pos = field.query_idx.copy()
         center_g = field.g.copy()
         center_dh = field.dist_h.copy()
 
-        def dists_to_centers(q: int) -> np.ndarray:
-            return space.dists_from(int(field.query_idx[q]))[center_pos]
-
-    # one query's row of center distances at a time: the smoothing balls are
-    # local, so a dense (queries x centers) table would be almost all misses
     radii = center_dh / 3.0
+    nq, nc = field.n_queries, len(center_dh)
+    q_pos = field.query_idx if space.coords is None else space.coords[field.query_idx]
+    order, eq, lo, hi = _search_ranges(field, q_pos, center_pos, center_dh)
+    s_pos, s_radii = center_pos[order], radii[order]  # centers in search order
+    first = np.searchsorted(eq, np.arange(nq + 1))  # each query's first entry
+    before = np.concatenate([[0], np.cumsum(hi - lo)])[first]  # pairs ahead of q
     contributors, weights = [], []
     g_smooth = np.zeros_like(field.g)
-    for q in range(field.n_queries):
-        w = radii - dists_to_centers(q)
+    a = 0
+    while a < nq:
+        # queries a..b-1 bring at most _PAIR_BLOCK candidate pairs (or a alone)
+        b = max(a + 1, int(np.searchsorted(before, before[a] + _PAIR_BLOCK, "right")) - 1)
+        e = slice(first[a], first[b])
+        span = hi[e] - lo[e]
+        at = np.repeat(lo[e] - (np.cumsum(span) - span), span) + np.arange(span.sum())
+        qi = np.repeat(eq[e], span)
+        w = s_radii[at] - _pair_dists(space, q_pos[qi], s_pos[at])
         inside = w > 0
-        if not inside.any():
-            raise CoverageError(
-                f"query {int(field.query_idx[q])} is covered by no smoothing ball"
-            )
-        idx = np.flatnonzero(inside)
-        wv = w[idx]
-        lam = wv / wv.sum()
-        contributors.append(idx)
-        weights.append(lam)
-        g_smooth[q] = lam @ center_g[idx]
+        qi, c, w = qi[inside], order[at[inside]], w[inside]
+        srt = np.argsort(qi * nc + c)
+        qi, c, w = qi[srt], c[srt], w[srt]
+        bounds = np.searchsorted(qi, np.arange(a, b + 1)).tolist()
+        for q in range(a, b):
+            s, t = bounds[q - a], bounds[q - a + 1]
+            if s == t:
+                raise CoverageError(
+                    f"query {int(field.query_idx[q])} is covered by no smoothing ball"
+                )
+            # a fresh array per query: views into the block's survivors
+            # raised the peak RSS of S3 at grid 3201 by 0.75 MiB
+            idx, wv = c[s:t].copy(), w[s:t]
+            lam = wv / wv.sum()
+            contributors.append(idx)
+            weights.append(lam)
+            g_smooth[q] = lam @ center_g[idx]
+        a = b
     return replace(
         field,
         center_pos=center_pos,

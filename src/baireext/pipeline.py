@@ -249,10 +249,7 @@ def ucpc_transform(bundle: FunctionBundle, n_seq: Optional[int] = None):
             centers=np.arange(nY), radii=rho, covered=np.arange(nY)
         )
         refined = build_refinement(space, raw, rho)
-        member = np.zeros((nY, refined.n_balls), dtype=bool)
-        depth = np.zeros((nY, refined.n_balls))
-        for b, (c, r) in enumerate(zip(refined.centers, refined.radii)):
-            member[:, b], depth[:, b] = ball_depth(space, c, r)
+        member, depth = ball_depth(space, refined.centers, refined.radii)
         z = bundle.f_values[refined.centers]
         levels.append(LevelCover(k=k, cover=refined, z=z, member=member, depth=depth))
 

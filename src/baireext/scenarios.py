@@ -11,7 +11,9 @@ S3  boundary-blowup     1D grid, H = {0} u {1/k}; boundedness bookkeeping
 """
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -50,7 +52,16 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        """Refuse a config that no scenario can run, before anything is built."""
+        """Refuse a config that no scenario can run, before anything is built.
+        Values may come from a JSON file, so the types are checked first."""
+        for key in ("grid", "steps", "seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{key} must be an integer, not {value!r}")
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
+            raise ConfigError(f"tol must be a real number, not {self.tol!r}")
+        if not (self.mode is None or isinstance(self.mode, str)):
+            raise ConfigError(f"mode must be a string or null, not {self.mode!r}")
         if not self.steps >= 1:
             raise ConfigError(f"steps must be at least 1, not {self.steps!r}")
         if not self.tol > 0:
@@ -93,12 +104,21 @@ class Scenario:
 
 
 class _PointSet:
-    """Append-only point list with tolerance-based deduplication."""
+    """Append-only point list with tolerance-based deduplication.
+
+    A new point takes the index of the nearest stored point (the lowest index
+    on a tie) when that one lies within ``tol``, and is appended otherwise.
+    Stored points are hashed into cells of side 2 tol, so every point within
+    ``tol`` sits in one of the 3^dim cells around the new point's cell, with
+    room to spare for the rounding of the cell coordinates.
+    """
 
     def __init__(self, dim: int, tol: float = 1e-9):
         self._buf = np.zeros((16, dim))  # grows geometrically
         self._n = 0
         self.tol = tol
+        self._cells: dict[tuple, list[int]] = {}
+        self._around = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=dim)))
 
     @property
     def pts(self) -> np.ndarray:
@@ -106,17 +126,21 @@ class _PointSet:
 
     def add(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        cells = np.floor(pts / (2.0 * self.tol))
         out = []
-        for p in pts:
-            if self._n:
-                d = np.linalg.norm(self.pts - p, axis=1)
+        for p, cell in zip(pts, cells):
+            near = (cell + self._around).tolist()
+            cand = sorted(j for c in near for j in self._cells.get(tuple(c), ()))
+            if cand:
+                d = np.linalg.norm(self._buf[cand] - p, axis=1)
                 j = int(np.argmin(d))
                 if d[j] <= self.tol:
-                    out.append(j)
+                    out.append(cand[j])
                     continue
             if self._n == len(self._buf):
                 self._buf = np.concatenate([self._buf, np.zeros_like(self._buf)])
             self._buf[self._n] = p
+            self._cells.setdefault(tuple(cell.tolist()), []).append(self._n)
             self._n += 1
             out.append(self._n - 1)
         return np.array(out, dtype=int)

@@ -9,9 +9,12 @@ are supported:
 * ``sampled`` -- the samples discretize a continuum at resolution ``delta``;
   interiors are only trusted at scale delta.
 
-``ball_depth`` is the one place that applies this mode rule to a ball: it
-gives the depth dist(y, X \\ B) of every sample y, which is both the
-partition-of-unity weight and the interior margin of the selection transform.
+``ball_depth`` is the one place that applies this mode rule to balls.  It
+works on a whole cover: one call gives the (samples x balls) membership mask
+and depth dist(y, X \\ B), which is both the partition-of-unity weight and
+the interior margin of the selection transform.  Sampled mode reads one
+``cross_dists`` block; finite mode takes each ball's minimum over its sampled
+complement, one ball at a time.
 
 ``SampledSpace.nearest_h`` is the one place that computes dist(x, H) and a
 nearest H sample u(x).  It streams the distances to the H samples in blocks
@@ -44,6 +47,9 @@ __all__ = [
 # rows per block of a row-streamed kernel: bounds its (rows x samples)
 # temporaries
 _ROW_BLOCK = 256
+# candidate (query, center) pairs per block of the smoothing search: bounds
+# its pair-sized distance and weight temporaries
+_PAIR_BLOCK = 4096
 
 
 class SpaceConfigError(ValueError):
@@ -246,34 +252,39 @@ def build_refinement(
     )
 
 
-def ball_depth(space: SampledSpace, c: int, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """(inside, depth) for the open ball B(c, r): the membership mask and
-    dist(y, X \\ B) for every sample y.
+def ball_depth(
+    space: SampledSpace, centers: np.ndarray, radii: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(inside, depth), each (n_points, n_balls), for the open balls
+    B(centers[b], radii[b]) of a cover: the membership mask and
+    dist(y, X \\ B) for every sample y and ball b.
 
     Finite mode takes the distance to the sampled complement (inf when the
-    ball holds every sample); sampled mode uses the analytic distance
-    r - d(c, y) inside the ball and 0 outside.
+    ball holds every sample), one ball at a time so that only one (samples x
+    complement) block is alive; sampled mode uses the analytic distance
+    r - d(c, y) inside the ball and 0 outside, over one distance block.
     """
-    d = space.dists_from(int(c))
-    inside = d < r
-    if space.mode == "finite":
-        outside = ~inside
+    d = space.cross_dists(np.arange(space.n_points), centers)
+    inside = d < radii
+    if space.mode == "sampled":
+        depth = np.subtract(radii, d, out=d)  # d is a fresh block
+        depth[~inside] = 0.0
+        return inside, depth
+    dense = space.dense_matrix()
+    depth = np.full(d.shape, np.inf)
+    for b in range(len(radii)):
+        outside = ~inside[:, b]
         if outside.any():
-            depth = space.dense_matrix()[:, outside].min(axis=1)
-        else:
-            depth = np.full(space.n_points, np.inf)
-    else:
-        depth = np.where(inside, r - d, 0.0)
+            depth[:, b] = dense[:, outside].min(axis=1)
     return inside, depth
 
 
 def partition_of_unity(space: SampledSpace, cover: CoverSystem) -> CoverSystem:
     """Fill normalized weights w_U(y)/W(y) with w_U(y) = dist(y, complement of
     U) capped at the radius, and keep the totals W(y) as ``weight_sum``."""
-    w = np.zeros((space.n_points, cover.n_balls), dtype=float)
-    for b, (c, r) in enumerate(zip(cover.centers, cover.radii)):
-        inside, depth = ball_depth(space, c, r)
-        w[inside, b] = np.minimum(depth[inside], r)
+    inside, depth = ball_depth(space, cover.centers, cover.radii)
+    w = np.minimum(depth, cover.radii, out=depth)
+    w[~inside] = 0.0
     tot = w.sum(axis=1)
     bad = [int(p) for p in cover.covered if tot[p] <= 0]
     if bad:

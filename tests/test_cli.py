@@ -147,6 +147,14 @@ class TestConfigMerging:
             ("steps", 0, "steps must be at least 1, not 0"),
             ("tol", -1.0, "tol must be positive, not -1.0"),
             ("norm", "l1", "norm must be one of ('l2', 'linf'), not 'l1'"),
+            ("steps", "3", "steps must be an integer, not '3'"),
+            ("grid", "31", "grid must be an integer, not '31'"),
+            ("grid", 31.0, "grid must be an integer, not 31.0"),
+            ("seed", True, "seed must be an integer, not True"),
+            ("tol", "0.1", "tol must be a real number, not '0.1'"),
+            ("tol", False, "tol must be a real number, not False"),
+            ("norm", ["linf"], "norm must be one of ('l2', 'linf'), not ['linf']"),
+            ("mode", 3, "mode must be a string or null, not 3"),
         ],
     )
     def test_bad_config_value_exits_2_with_one_line(self, tmp_path, capsys, key, value, message):

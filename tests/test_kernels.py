@@ -1,7 +1,8 @@
-"""Row-sized distance kernels, the shared ball-depth, weight and field-row
-code and the array-only Lipschitz oracles: each one is compared bit for bit
-with the per-pair, dense all-pairs, per-caller or per-center formula it
-replaced, written out here."""
+"""Row-sized distance kernels, the smoothing contributor search, the
+cover-level ball depth, the shared weight and field-row code and the
+array-only Lipschitz oracles: each one is compared bit for bit with the
+per-pair, per-query, per-ball, dense all-pairs, per-caller or per-center
+formula it replaced, written out here."""
 import hashlib
 import json
 import re
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from conftest import run_scenario_objects
 
+from baireext import extension
 from baireext.extension import (
     branch_condition_violations,
     build_extension,
@@ -43,7 +45,9 @@ from baireext.scenarios import (
     get_scenario,
 )
 from baireext.space import (
+    _PAIR_BLOCK,
     _ROW_BLOCK,
+    CoverageError,
     CoverSystem,
     SampledSpace,
     SpaceConfigError,
@@ -283,13 +287,18 @@ class TestQueryToH:
 # ---------------------------------------------------------------------------
 
 def smooth_by_table(field, dqc):
-    """The smoothing loop over a precomputed (queries x centers) table."""
+    """The smoothing loop over the rows of a (queries x centers) table, or
+    over the rows ``center_rows`` computes one query at a time."""
     radii = field.center_dist_h / 3.0
     contributors, weights = [], []
     g_smooth = np.zeros_like(field.g)
-    for q in range(field.n_queries):
-        w = radii - dqc[q]
+    for q, row in enumerate(dqc):
+        w = radii - row
         idx = np.flatnonzero(w > 0)
+        if idx.size == 0:
+            raise CoverageError(
+                f"query {int(field.query_idx[q])} is covered by no smoothing ball"
+            )
         wv = w[idx]
         lam = wv / wv.sum()
         contributors.append(idx)
@@ -311,10 +320,22 @@ def coordinate_dqc(field, block=256):
     )
 
 
+def center_rows(field):
+    """The smoothing loop's distances before the contributor search: one
+    query's row of distances to every center at a time (``np.linalg.norm``
+    over the coordinate differences, or the metric row)."""
+    space = field.space
+    for x in field.query_idx.tolist():
+        if space.coords is not None:
+            yield np.linalg.norm(field.center_pos - space.coords[x], axis=1)
+        else:
+            yield space.dists_from(x)[field.center_pos]
+
+
 def assert_same_smoothing(field, dqc):
     contributors, weights, g_smooth = smooth_by_table(field, dqc)
     assert np.array_equal(field.g_smooth, g_smooth)
-    assert len(field.contributors) == len(contributors)
+    assert len(field.contributors) == len(contributors) == field.n_queries
     for a, b in zip(field.contributors, contributors):
         assert np.array_equal(a, b)
     for a, b in zip(field.contrib_w, weights):
@@ -377,7 +398,10 @@ class TestSmoothingKernel:
 
     def test_no_dense_query_center_temporary(self):
         """Peak traced memory of smoothing S3 at grid 1601 stays below the
-        nq x nc float64 table the dense formula needed."""
+        nq x nc float64 table the dense formula needed.  What it frees again
+        stays within a few pair blocks plus the per-query and per-center
+        search arrays: every candidate pair at once (about 640k here) would
+        take some 30 MB."""
         cfg = ScenarioConfig(grid=1601)
         data = get_scenario("S3").build(cfg)
         items = baire_approximate(data.bundle, data.n_seq)
@@ -387,12 +411,148 @@ class TestSmoothingKernel:
         tracemalloc.start()
         try:
             smoothed = smooth_extension(field)
-            _, peak = tracemalloc.get_traced_memory()
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        dense_bytes = field.n_queries * len(smoothed.center_pos) * 8
+        nq, nc = field.n_queries, len(smoothed.center_pos)
+        dense_bytes = nq * nc * 8
         assert dense_bytes > 20_000_000
         assert peak < dense_bytes
+        assert peak - held < 8 * (32 * _PAIR_BLOCK + 16 * (nq + nc))
+
+
+def run_field(name, grid):
+    data = get_scenario(name).build(ScenarioConfig(grid=grid))
+    items = baire_approximate(data.bundle, data.n_seq)
+    return build_extension(
+        data.space, items, data.bundle.f_values, data.query_idx, data.bundle.norm_tag
+    )
+
+
+def cloud_field(pts, h_mask, extra_midpoints=True):
+    """Smoothed field of a coordinate cloud, queries = every sample off H."""
+    sp = SampledSpace(coords=pts, dmat=None, h_idx=np.flatnonzero(h_mask), mode="sampled", delta=1.0)
+    q = np.flatnonzero(~h_mask)
+    items = constant_lip_items(_sequence_length(sp, q), len(sp.h_idx))
+    field = build_extension(sp, items, items[-1].values, q)
+    return smooth_extension(field, extra_midpoints=extra_midpoints)
+
+
+def lattice_cloud(dim, seed):
+    """Points of the lattice (Z/4)^dim in a box, H = the points with x0 = 0.
+    Every point's nearest H sample is its projection, so dist(x,H) is a
+    multiple of 1/4, and a center at x0 = 3/4 has radius 1/4: axis neighbours
+    sit exactly on its sphere, where the open-ball weight is 0."""
+    rng = np.random.default_rng(seed)
+    axes = [np.arange(0, 7)] + [np.arange(-3, 4)] * (dim - 1)
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    on_h = grid[:, 0] == 0
+    keep = on_h | np.isin(grid[:, 0], (3, 4)) | (rng.random(len(grid)) < 0.6)
+    pts = grid[keep] / 4.0
+    return pts, on_h[keep]
+
+
+def exact_sphere_pairs(field):
+    """(query, center) pairs with d(x_q, c) == dist(c,H)/3 exactly."""
+    radii = field.center_dist_h / 3.0
+    space = field.space
+    count = 0
+    for q in range(field.n_queries):
+        d = np.linalg.norm(field.center_pos - space.coords[field.query_idx[q]], axis=1)
+        count += int(np.count_nonzero(d == radii))
+    return count
+
+
+class TestSmoothingSearch:
+    """The contributor search against the per-query loop over every center."""
+
+    def test_scenario_fields(self):
+        """S1 at grid 201 is checked against the stacked table above."""
+        for name, grid in (("S1", 41), ("S3", 401)):
+            field = smooth_extension(run_field(name, grid))
+            assert_same_smoothing(field, center_rows(field))
+
+    def test_metric_matrix_field(self):
+        rng = np.random.default_rng(7)
+        xs = np.sort(rng.choice(np.arange(1, 400), size=60, replace=False)) / 64.0
+        xs = np.concatenate([[0.0], xs])
+        h = [0, 5, 17, 40]
+        sp = json_line_space(xs, h)
+        q = np.array([i for i in range(len(xs)) if i not in h])
+        items = constant_lip_items(_sequence_length(sp, q), len(h))
+        field = smooth_extension(build_extension(sp, items, items[-1].values, q))
+        assert field.space.coords is None
+        assert max(len(c) for c in field.contributors) > 3
+        assert_same_smoothing(field, center_rows(field))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_lattice_clouds_with_centers_on_the_sphere(self, dim):
+        pts, on_h = lattice_cloud(dim, seed=dim)
+        for mids in (True, False):
+            field = cloud_field(pts, on_h, extra_midpoints=mids)
+            assert exact_sphere_pairs(field) > 0
+            assert_same_smoothing(field, center_rows(field))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_random_clouds(self, dim):
+        rng = np.random.default_rng(10 + dim)
+        pts = rng.uniform(-1.0, 1.0, size=(700, dim))
+        on_h = rng.random(700) < 0.1
+        field = cloud_field(pts, on_h)
+        assert_same_smoothing(field, center_rows(field))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_no_queries(self, dim):
+        pts, on_h = lattice_cloud(dim, seed=0)
+        sp = SampledSpace(coords=pts, dmat=None, h_idx=np.flatnonzero(on_h), mode="sampled", delta=1.0)
+        items = constant_lip_items(3, len(sp.h_idx))
+        field = smooth_extension(build_extension(sp, items, items[-1].values, np.array([], dtype=int)))
+        assert field.contributors == field.contrib_w == []
+        assert field.g_smooth.shape == (0, 1)
+
+    @pytest.mark.parametrize("coords", [True, False])
+    def test_uncovered_query_message(self, coords):
+        """A query whose own ball is empty (dist(x,H) forced to 0) and that
+        no other ball reaches gives the same CoverageError as the loop."""
+        xs, h = DYADIC_XS, DYADIC_H
+        q = np.array([i for i in range(len(xs)) if i not in h])
+        items = constant_lip_items(12, len(h))
+        if coords:
+            sp = SampledSpace(
+                coords=np.asarray(xs)[:, None], dmat=None, h_idx=np.array(h), mode="finite"
+            )
+        else:
+            sp = json_line_space(xs, h)
+        field = build_extension(sp, items, items[-1].values, q)
+        dist_h = field.dist_h.copy()
+        dist_h[-1] = 0.0
+        broken = replace(field, dist_h=dist_h)
+        centers = replace(
+            broken, center_pos=sp.coords[q] if coords else q, center_g=field.g, center_dist_h=dist_h
+        )
+        with pytest.raises(CoverageError) as ref:
+            smooth_by_table(centers, center_rows(centers))
+        with pytest.raises(CoverageError) as got:
+            smooth_extension(broken, extra_midpoints=False)
+        assert str(got.value) == str(ref.value) == f"query {int(q[-1])} is covered by no smoothing ball"
+
+    def test_distance_count_on_s1_201(self, s1_run, monkeypatch):
+        """Every center of the field is 5.70M (query, center) distances; the
+        box of half-width dist(x,H)/2 holds 249k pairs."""
+        field = s1_run.field
+        assert s1_run.cfg.seed == 0
+        assert field.n_queries * len(field.center_pos) > 5_000_000
+        calls = []
+        pair_dists = extension._pair_dists
+
+        def counting(space, q_pos, c_pos):
+            calls.append(len(q_pos))
+            return pair_dists(space, q_pos, c_pos)
+
+        monkeypatch.setattr(extension, "_pair_dists", counting)
+        smoothed = smooth_extension(field)
+        assert sum(len(c) for c in smoothed.contributors) <= sum(calls) <= 500_000
+        assert max(calls) <= _PAIR_BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -543,34 +703,39 @@ def mollify_covers(run):
 
 
 class TestBallDepth:
-    def test_matches_mode_formulas(self, s1_run, s2_run):
-        for run in (s1_run, s2_run):
+    def test_matches_mode_formulas(self, s1_run, s2_run, s3_run):
+        """S1's covers are sampled, S2's and S3's finite."""
+        for run in (s1_run, s2_run, s3_run):
             space = run.bundle.hspace
             for cover in mollify_covers(run):
-                for c, r in zip(cover.centers, cover.radii):
-                    inside, depth = ball_depth(space, c, r)
+                inside, depth = ball_depth(space, cover.centers, cover.radii)
+                assert inside.shape == depth.shape == (space.n_points, cover.n_balls)
+                for b, (c, r) in enumerate(zip(cover.centers, cover.radii)):
                     ref_inside, ref_depth = depth_by_mode(space, c, r)
-                    assert np.array_equal(inside, ref_inside)
-                    assert np.array_equal(depth, ref_depth)
+                    assert np.array_equal(inside[:, b], ref_inside)
+                    assert np.array_equal(depth[:, b], ref_depth)
 
     def test_ball_holding_every_sample_is_infinitely_deep(self):
         sp = json_line_space([0.0, 0.25, 0.5, 1.0], h=[0, 2])
-        inside, depth = ball_depth(sp, 1, 5.0)
-        assert inside.all()
-        assert np.all(np.isinf(depth))
+        inside, depth = ball_depth(sp, np.array([1, 0]), np.array([5.0, 0.3]))
+        assert inside[:, 0].all()
+        assert np.all(np.isinf(depth[:, 0]))
+        assert np.array_equal(inside[:, 1], [True, True, False, False])
+        assert np.array_equal(depth[:, 1], [0.5, 0.25, 0.0, 0.0])
 
-    def test_selection_levels_match_membership_and_depth_loop(self, s2_run):
-        space = s2_run.bundle.hspace
-        state = s2_run.items[0].extras["selection_state"]
-        for lev in state.levels:
-            member = open_ball_members(space, lev.cover)
-            depth = np.full(member.shape, np.inf)
-            for b in range(lev.cover.n_balls):
-                outside = ~member[:, b]
-                if outside.any():
-                    depth[:, b] = space.dense_matrix()[:, outside].min(axis=1)
-            assert np.array_equal(lev.member, member)
-            assert np.array_equal(lev.depth, depth)
+    def test_selection_levels_match_membership_and_depth_loop(self, s2_run, s3_run):
+        for run in (s2_run, s3_run):
+            space = run.bundle.hspace
+            state = run.items[0].extras["selection_state"]
+            for lev in state.levels:
+                member = open_ball_members(space, lev.cover)
+                depth = np.full(member.shape, np.inf)
+                for b in range(lev.cover.n_balls):
+                    outside = ~member[:, b]
+                    if outside.any():
+                        depth[:, b] = space.dense_matrix()[:, outside].min(axis=1)
+                assert np.array_equal(lev.member, member)
+                assert np.array_equal(lev.depth, depth)
 
     def test_positive_weights_mark_the_open_balls(self, s1_run, s2_run, s3_run):
         """The mollify oracle counts ball multiplicity from ``weights > 0``."""
@@ -580,11 +745,11 @@ class TestBallDepth:
                 pou = it.extras["mollify_pou"]
                 assert np.array_equal(pou.weights > 0, open_ball_members(space, pou))
 
-    def test_partition_weights_match_ball_loop(self, s1_run, s2_run):
-        """S2 is a finite space, S1 a sampled one."""
-        assert s2_run.bundle.hspace.mode == "finite"
+    def test_partition_weights_match_ball_loop(self, s1_run, s2_run, s3_run):
+        """S2 and S3 are finite spaces, S1 a sampled one."""
+        assert s2_run.bundle.hspace.mode == s3_run.bundle.hspace.mode == "finite"
         assert s1_run.bundle.hspace.mode == "sampled"
-        for run in (s1_run, s2_run):
+        for run in (s1_run, s2_run, s3_run):
             space = run.bundle.hspace
             for cover in mollify_covers(run):
                 w = weights_by_loop(space, cover)
@@ -1097,6 +1262,26 @@ class TestScenarioHelpers:
         for chunk in chunks:
             assert np.array_equal(ps.add(chunk), ref.add(chunk))
             assert np.array_equal(ps.pts, ref.pts)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_point_set_edge_cases_match_the_linear_scan(self, dim):
+        """tol = 5/16 with dyadic points (all distances exact): points at
+        exactly tol, ties between two stored points (the lower index wins),
+        a repeat of a point appended earlier in the same batch, and points on
+        the borders of the hash cells (multiples of 2 tol = 10/16)."""
+        tol = 5.0 / 16.0
+        line = [[0, 10, 20, -10], [5, 15, 25, 30, 30, -15, -5], [10, 20.5, 35, 40]]
+        extra = [[], [[3, 4], [7, 4], [-3, -4], [0, 10], [0, 5], [10, -10]], [[0, 10], [3, 14]]]
+        ps, ref = _PointSet(dim, tol=tol), PointSetByStacking(dim, tol=tol)
+        for xs, more in zip(line, extra):
+            batch = np.zeros((len(xs), dim))
+            batch[:, 0] = xs
+            if dim == 2 and more:
+                batch = np.concatenate([batch, np.array(more, dtype=float)])
+            batch /= 16.0
+            assert np.array_equal(ps.add(batch), ref.add(batch))
+            assert np.array_equal(ps.pts, ref.pts)
+        assert len(ps.pts) < sum(map(len, line))
 
     @pytest.mark.parametrize("name", ["S1", "S2", "S3"])
     def test_continuity_check_matches_oscillation_calls(self, name):
