@@ -103,6 +103,10 @@ class Scenario:
     build: Callable[[ScenarioConfig], ScenarioData] = field(compare=False)
 
 
+# points of a scenario closer than this are one sample
+_DEDUP_TOL = 1e-9
+
+
 class _PointSet:
     """Append-only point list with tolerance-based deduplication.
 
@@ -113,7 +117,7 @@ class _PointSet:
     room to spare for the rounding of the cell coordinates.
     """
 
-    def __init__(self, dim: int, tol: float = 1e-9):
+    def __init__(self, dim: int, tol: float = _DEDUP_TOL):
         self._buf = np.zeros((16, dim))  # grows geometrically
         self._n = 0
         self.tol = tol
@@ -184,7 +188,18 @@ def _sequence_length(space: SampledSpace, query_idx: np.ndarray) -> int:
     return max(1, select_ceiling(d / 2.0))
 
 
-def _geometric_radii(t0: float, steps: int) -> np.ndarray:
+def _geometric_radii(t0: float, steps: int, clearance: float = 1.0) -> np.ndarray:
+    """Path radii t0 2^-k for k = 1..steps.  The last path point lies
+    ``clearance`` times the last radius from its nearest other sample; a
+    config that would merge the two under the ``_PointSet`` tolerance is
+    refused before anything is built."""
+    last = t0 * 0.5**steps
+    if clearance * last <= _DEDUP_TOL:
+        raise ConfigError(
+            f"steps {steps} puts a path point {clearance * last:.3g} from another "
+            f"sample (path radius {last:.3g}), within the sample dedup tolerance "
+            f"{_DEDUP_TOL:g}"
+        )
     return t0 * 0.5 ** np.arange(1, steps + 1)
 
 
@@ -198,12 +213,12 @@ def _build_s0(cfg: ScenarioConfig) -> ScenarioData:
     spacing = 2.0 / (g - 1)
     mode = cfg.mode or "finite"
     c = np.array([0.5, -0.25])
+    radii = _geometric_radii(0.25, cfg.steps)
 
     ps = _PointSet(1)
     h_idx_all = ps.add(axis[axis <= 1e-15][:, None])
     anchor_x = int(ps.add(np.array([[0.0]]))[0])
     nH = len(ps.pts)
-    radii = _geometric_radii(0.25, cfg.steps)
     path_idx = ps.add(radii[:, None])
     grid_q = ps.add(axis[axis > 1e-15][:, None])
     query_idx = np.unique(np.concatenate([path_idx, grid_q]))
@@ -267,9 +282,10 @@ def _build_s1(cfg: ScenarioConfig) -> ScenarioData:
     delta = 2.0 / (g - 1)
     steps = cfg.steps
     t0 = 0.02
-    radii = _geometric_radii(t0, steps)
     sin_t = 0.199
     cos_t = math.sqrt(1.0 - sin_t * sin_t)
+    # a tangential path point lies r sin_t above its foot on H
+    radii = _geometric_radii(t0, steps, clearance=sin_t)
 
     ps = _PointSet(2)
     ps.add(np.column_stack([axis, np.zeros(g)]))  # the H segment samples
@@ -419,6 +435,7 @@ def _build_s3(cfg: ScenarioConfig) -> ScenarioData:
         g += 1
     axis = np.linspace(-1.0, 1.0, g)
     delta = 2.0 / (g - 1)
+    radii = _geometric_radii(0.02, cfg.steps)
 
     ps = _PointSet(1)
     h_vals = np.array([1.0 / k for k in range(1, _S3_KMAX + 1)] + [0.0])
@@ -427,7 +444,6 @@ def _build_s3(cfg: ScenarioConfig) -> ScenarioData:
     a_half = 1  # index of 1/2
     a_zero = _S3_KMAX  # index of 0
 
-    radii = _geometric_radii(0.02, cfg.steps)
     p_rad = ps.add((0.5 + radii)[:, None])
     grid_q = ps.add(axis[:, None])
     query_idx = np.unique(np.concatenate([p_rad, grid_q]))

@@ -16,13 +16,20 @@ the interior margin of the selection transform.  Sampled mode reads one
 ``cross_dists`` block; finite mode takes each ball's minimum over its sampled
 complement, one ball at a time.
 
+``build_refinement`` computes the greedy refinement of a ball cover from the
+dense distance matrix: one (covered x covered) comparison block says which
+point's ball would contain which later point, a Python step is taken only
+for a point some earlier ball can reach, and one (centers x raw balls) block
+gives every center its parent.
+
 ``SampledSpace.nearest_h`` is the one place that computes dist(x, H) and a
 nearest H sample u(x).  It streams the distances to the H samples in blocks
 of ``_ROW_BLOCK`` rows, so no caller holds a (points x H) table.
 
 All objects are immutable after construction and all operations are pure.
 A coordinate-only space builds its dense distance matrix on the first
-``dense_matrix()`` call and keeps it, read-only, for the later calls.
+``dense_matrix()`` call and keeps it, read-only, for the later calls; every
+space likewise keeps its ``resolution()``.
 """
 from __future__ import annotations
 
@@ -79,6 +86,7 @@ class SampledSpace:
     delta: float = 0.0  # resolution; required > 0 in sampled mode
     labels: Optional[tuple] = None
     _dense: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _resolution: Optional[float] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.coords is None and self.dmat is None:
@@ -124,10 +132,12 @@ class SampledSpace:
         return np.sqrt(np.add.reduce(diff, axis=2))
 
     def cross_dists(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Distances (len(rows), len(cols)) between two lists of samples;
-        entry [i, j] is bit-equal to ``dists_from(rows[i])[cols[j]]``."""
+        """Distances (len(rows), len(cols)) between two lists of samples, in a
+        fresh array; entry [i, j] is bit-equal to
+        ``dists_from(rows[i])[cols[j]]``."""
         if self.dmat is not None:
-            return self.dmat[np.ix_(rows, cols)]
+            rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+            return self.dmat.take(rows, axis=0).take(cols, axis=1)
         return self.dists_coords(self.coords[rows], cols)
 
     def h_dists(self, x: np.ndarray) -> np.ndarray:
@@ -163,10 +173,13 @@ class SampledSpace:
         return self._dense
 
     def resolution(self) -> float:
-        """Smallest positive pairwise distance among the samples."""
-        m = self.dense_matrix()
-        pos = m[m > 0]
-        return float(pos.min()) if pos.size else np.inf
+        """Smallest positive pairwise distance among the samples, computed on
+        the first call and kept."""
+        if self._resolution is None:
+            m = self.dense_matrix()
+            pos = m[m > 0]
+            object.__setattr__(self, "_resolution", float(pos.min()) if pos.size else np.inf)
+        return self._resolution
 
     def restrict(self, indices: np.ndarray) -> "SampledSpace":
         """Subspace on ``indices`` with a dense distance matrix; every point of
@@ -218,38 +231,63 @@ def build_refinement(
 ) -> CoverSystem:
     """Greedy locally finite refinement of ``raw``.
 
-    Points are scanned in index order; an uncovered point p emits the ball
-    B(p, rule(p)/2) linked to a raw ball that contains it with slack >= rule(p).
+    The points of ``raw.covered`` are scanned in order; a point that no
+    earlier emitted ball contains emits the ball B(p, rule(p)/2), linked to
+    the first raw ball that contains it with slack >= rule(p)/2.
+
+    The scan is decided on one (covered x covered) block ``reach``: entry
+    [i, j], for scan positions i < j, says that the ball point i would emit
+    contains point j.  A point no earlier ball can reach is a center outright;
+    only the contested points need the scan, which jumps from one uncovered
+    contested point to the next.
     """
-    pts = np.asarray(raw.covered)
+    pts = np.asarray(raw.covered, dtype=int)
     if callable(radius_rule):
         rule = np.array([radius_rule(int(p)) for p in pts], dtype=float)
     else:
         rule = np.asarray(radius_rule, dtype=float)[pts]
+    half = rule / 2.0
 
-    centers, radii, parents = [], [], []
-    covered = np.zeros(space.n_points, dtype=bool)
-    for k, p in enumerate(pts):
-        if covered[p]:
-            continue
-        r_new = rule[k] / 2.0
-        d_p = space.dists_from(int(p))
-        fits = np.flatnonzero(d_p[raw.centers] + r_new <= raw.radii)
-        if fits.size == 0:
-            raise RefinementError(
-                f"point {int(p)} (rule radius {rule[k]}) fits in no raw ball"
-            )
-        centers.append(int(p))
-        radii.append(r_new)
-        parents.append(int(fits[0]))
-        covered |= d_p < r_new
+    dense = space.dense_matrix()
+    reach = np.triu(_rows_cols(dense, pts, pts) < half[:, None], 1)
+    is_center = ~reach.any(axis=0)
+    todo = ~is_center
+    todo &= ~reach[is_center].any(axis=0)
+    for k in np.flatnonzero(todo).tolist():
+        if todo[k]:  # reach[k] marks only later positions
+            is_center[k] = True
+            todo[reach[k]] = False
+
+    at = np.flatnonzero(is_center)
+    fits = _rows_cols(dense, pts[at], raw.centers) + half[at, None] <= raw.radii
+    has_fit = fits.any(axis=1)
+    if not has_fit.all():
+        k = at[int(has_fit.argmin())]
+        raise RefinementError(
+            f"point {int(pts[k])} (rule radius {rule[k]}) fits in no raw ball"
+        )
     return CoverSystem(
-        centers=np.array(centers, dtype=int),
-        radii=np.array(radii, dtype=float),
+        centers=pts[at],
+        radii=half[at],
         covered=pts,
-        parents=np.array(parents, dtype=int),
+        parents=fits.argmax(axis=1) if len(at) else np.zeros(0, dtype=int),
         parent=raw,
     )
+
+
+def _rows_cols(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``m[np.ix_(rows, cols)]``, read without a copy along an axis whose
+    index list is every position in order."""
+    rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+    if not _is_every(rows, m.shape[0]):
+        m = m.take(rows, axis=0)
+    if not _is_every(cols, m.shape[1]):
+        m = m.take(cols, axis=1)
+    return m
+
+
+def _is_every(idx: np.ndarray, n: int) -> bool:
+    return len(idx) == n and bool((idx == np.arange(n)).all())
 
 
 def ball_depth(
@@ -286,9 +324,10 @@ def partition_of_unity(space: SampledSpace, cover: CoverSystem) -> CoverSystem:
     w = np.minimum(depth, cover.radii, out=depth)
     w[~inside] = 0.0
     tot = w.sum(axis=1)
-    bad = [int(p) for p in cover.covered if tot[p] <= 0]
-    if bad:
-        raise CoverageError(f"point {bad[0]} is not covered by any ball")
+    covered = np.asarray(cover.covered, dtype=int)
+    bad = covered[tot[covered] <= 0]
+    if bad.size:
+        raise CoverageError(f"point {int(bad[0])} is not covered by any ball")
     norm = np.where(tot > 0, tot, 1.0)
     return replace(cover, weights=w / norm[:, None], weight_sum=tot)
 

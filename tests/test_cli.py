@@ -170,6 +170,34 @@ class TestConfigMerging:
             ScenarioConfig(**{key: value})
 
 
+class TestPathRadiusRefusal:
+    @pytest.mark.parametrize(
+        "scenario, steps, gap, radius",
+        [
+            ("S0", 28, "9.31e-10", "9.31e-10"),
+            ("S1", 22, "9.49e-10", "4.77e-09"),
+            ("S1", 25, "1.19e-10", "5.96e-10"),
+            ("S3", 30, "1.86e-11", "1.86e-11"),
+        ],
+    )
+    def test_merging_path_exits_2_with_one_line(self, tmp_path, capsys, scenario, steps, gap, radius):
+        out = tmp_path / "out"
+        args = ["run", "--scenario", scenario, "--steps", str(steps), "--out", str(out)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"steps {steps} puts a path point {gap} from another sample "
+            f"(path radius {radius}), within the sample dedup tolerance 1e-09\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario, steps", [("S0", 27), ("S1", 21), ("S3", 24)])
+    def test_last_resolvable_steps_build(self, scenario, steps):
+        data = get_scenario(scenario).build(ScenarioConfig(steps=steps))
+        assert len(data.plan[0].path.points) == steps
+
+
 class TestDeterminism:
     def test_two_runs_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -13,6 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import run_scenario_objects
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from baireext import extension
 from baireext.extension import (
@@ -49,6 +52,7 @@ from baireext.space import (
     _ROW_BLOCK,
     CoverageError,
     CoverSystem,
+    RefinementError,
     SampledSpace,
     SpaceConfigError,
     ball_depth,
@@ -88,9 +92,13 @@ def pair_dist(space, i, j):
 
 
 def refine_by_pairs(space, raw, rule):
-    """The greedy refinement with one scalar pair distance per raw ball."""
-    pts = np.asarray(raw.covered)
-    rule = np.asarray(rule, dtype=float)[pts]
+    """The greedy refinement as a scan over the points, with one scalar pair
+    distance per raw ball."""
+    pts = np.asarray(raw.covered, dtype=int)
+    if callable(rule):
+        rule = np.array([rule(int(p)) for p in pts], dtype=float)
+    else:
+        rule = np.asarray(rule, dtype=float)[pts]
     centers, radii, parents = [], [], []
     covered = np.zeros(space.n_points, dtype=bool)
     for k, p in enumerate(pts):
@@ -99,11 +107,72 @@ def refine_by_pairs(space, raw, rule):
         r_new = rule[k] / 2.0
         d_raw = np.array([pair_dist(space, int(p), int(c)) for c in raw.centers])
         fits = np.flatnonzero(d_raw + r_new <= raw.radii)
+        if fits.size == 0:
+            raise RefinementError(f"point {int(p)} fits in no raw ball")
         centers.append(int(p))
         radii.append(r_new)
         parents.append(int(fits[0]))
         covered |= space.dists_from(int(p)) < r_new
-    return np.array(centers), np.array(radii), np.array(parents)
+    return np.array(centers, dtype=int), np.array(radii), np.array(parents, dtype=int)
+
+
+def assert_cover_is(cover, expected):
+    centers, radii, parents = expected
+    for got, want in ((cover.centers, centers), (cover.radii, radii), (cover.parents, parents)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+_COORDS = st.one_of(
+    st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0]),  # duplicate points and distance ties
+    st.floats(-1.0, 1.0, allow_nan=False),
+)
+
+
+@st.composite
+def refinement_cases(draw):
+    """(space, raw, rule) for ``build_refinement``: a coordinate cloud or a
+    JSON metric, rule radii from zero and below the resolution to above the
+    diameter, every ordering of ``covered``, and raw covers that may miss a
+    point."""
+    n = draw(st.integers(1, 24))
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 3))
+        pts = draw(hnp.arrays(float, (n, dim), elements=_COORDS))
+        space = SampledSpace(coords=pts, dmat=None, h_idx=np.array([0]), mode="finite")
+    else:
+        space = json_line_space(draw(hnp.arrays(float, n, elements=_COORDS)), h=[0])
+    dense = space.dense_matrix()
+    diam = float(dense.max())
+    scale = draw(st.sampled_from([
+        space.resolution() / 4 if diam > 0 else 1.0,  # all singletons
+        diam / 3,
+        4 * diam + 1.0,  # one ball holds everything
+    ]))
+    rule = scale * draw(hnp.arrays(float, n, elements=st.floats(0.5, 1.5)))
+    rule[draw(hnp.arrays(bool, n))] = 0.0
+
+    order = draw(st.sampled_from(["all", "permuted", "repeats", "subset", "empty"]))
+    if order == "all":
+        covered = np.arange(n)
+    elif order == "permuted":
+        covered = np.array(draw(st.permutations(range(n))), dtype=int)
+    elif order == "repeats":
+        covered = np.array(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+    elif order == "subset":
+        covered = np.array(draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n - 1)), dtype=int)
+    else:
+        covered = np.array([], dtype=int)
+
+    if draw(st.booleans()):  # the pipeline's raw cover: every point, radius rule(p)
+        raw = CoverSystem(centers=np.arange(n), radii=rule, covered=covered)
+    else:  # any raw cover, which may leave a point without a fit
+        centers = np.array(draw(st.lists(st.integers(0, n - 1), max_size=n)), dtype=int)
+        radii = (diam + 1.0) * draw(hnp.arrays(float, len(centers), elements=st.floats(0.0, 1.5)))
+        raw = CoverSystem(centers=centers, radii=radii, covered=covered)
+    if draw(st.booleans()):
+        return space, raw, lambda p: float(rule[p])
+    return space, raw, rule
 
 
 class TestRefinementKernel:
@@ -131,14 +200,35 @@ class TestRefinementKernel:
         for run in (s1_run, s3_run):
             hspace = run.bundle.hspace
             nY = hspace.n_points
-            for it in run.items[:: max(1, len(run.items) // 6)]:
+            for it in run.items:
                 delta = it.extras["mollify_delta"]
                 raw = CoverSystem(centers=np.arange(nY), radii=delta, covered=np.arange(nY))
-                centers, rr, parents = refine_by_pairs(hspace, raw, delta)
-                cover = it.extras["mollify_cover"]
-                assert np.array_equal(cover.centers, centers)
-                assert np.array_equal(cover.radii, rr)
-                assert np.array_equal(cover.parents, parents)
+                assert_cover_is(it.extras["mollify_cover"], refine_by_pairs(hspace, raw, delta))
+
+    def test_matches_scalar_pair_loop_on_selection_covers(self, s2_run, s3_run):
+        for run in (s2_run, s3_run):
+            levels = run.items[0].extras["selection_state"].levels
+            assert len(levels) == len(run.items)
+            for lev in levels:
+                raw = lev.cover.parent
+                assert_cover_is(lev.cover, refine_by_pairs(run.bundle.hspace, raw, raw.radii))
+
+    @settings(max_examples=300, deadline=None)
+    @given(refinement_cases())
+    def test_matches_scalar_pair_loop_on_any_cover(self, case):
+        space, raw, rule = case
+        try:
+            expected = refine_by_pairs(space, raw, rule)
+        except RefinementError as exc:
+            with pytest.raises(RefinementError) as got:
+                build_refinement(space, raw, rule)
+            point = re.compile(r"point (\d+) ")
+            assert point.search(str(got.value))[1] == point.search(str(exc))[1]
+            return
+        cover = build_refinement(space, raw, rule)
+        assert_cover_is(cover, expected)
+        assert np.array_equal(cover.covered, raw.covered)
+        assert cover.parent is raw
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +336,25 @@ class TestQueryToH:
         sp = cloud_space(50, dim, seed=30 + dim)
         rows = np.array([49, 3, 17, 3])
         assert np.array_equal(sp.cross_dists(rows, sp.h_idx), stacked_h_rows(sp, rows))
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            ([4, 0, 5, 2], [3, 1, 0]),  # unsorted
+            ([2, 2, 5, 2], [1, 1, 4]),  # repeated
+            ([], [0, 3]),
+            ([1, 4], []),
+            ([], []),
+            (np.arange(6), np.arange(6)),
+        ],
+    )
+    def test_cross_dists_on_a_metric_matrix(self, rows, cols):
+        sp = json_line_space([0.0, 0.25, 0.5, 1.0, 1.75, 3.0], h=[0, 2])
+        got = sp.cross_dists(rows, cols)
+        assert np.array_equal(got, sp.dmat[np.ix_(rows, cols)])
+        assert got.shape == (len(rows), len(cols))
+        got[...] = -1.0  # a fresh block: callers may write into it
+        assert sp.dmat.min() == 0.0
 
     def test_build_extension_rows(self, s1_run, s3_run):
         for run in (s1_run, s3_run):
