@@ -147,6 +147,22 @@ def _describe(scenario: Scenario) -> str:
     return "\n".join(lines)
 
 
+def _load_config(path: str) -> dict:
+    """The ``--config`` file's JSON object; a file that cannot be read or
+    does not hold a JSON object is a ``ConfigError``."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
+    try:
+        loaded = json.loads(raw)
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8/16/32
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(loaded, dict):
+        raise ConfigError(f"config {path} holds a JSON {type(loaded).__name__}, not an object")
+    return loaded
+
+
 def _merge_config(args: argparse.Namespace, loaded: dict) -> ScenarioConfig:
     """Defaults, then the ``--config`` file's keys, then explicit flags."""
     base = dataclasses.asdict(ScenarioConfig())
@@ -200,14 +216,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0
 
     # run
-    loaded = json.loads(Path(args.config).read_text()) if args.config else {}
-    name = args.scenario or loaded.get("scenario")
-    if not name:
-        print("run needs --scenario (or a config with a scenario key)", file=sys.stderr)
-        return 2
-    out = args.out if args.out is not None else loaded.get("out")
-    fmt = args.format if args.format is not None else loaded.get("format")
     try:
+        loaded = _load_config(args.config) if args.config else {}
+        name = args.scenario or loaded.get("scenario")
+        if not name:
+            raise ConfigError("run needs --scenario (or a config with a scenario key)")
+        out = args.out if args.out is not None else loaded.get("out")
+        fmt = args.format if args.format is not None else loaded.get("format")
         cfg = _merge_config(args, loaded)
         manifest, code = run_scenario(name, cfg, Path(out or "out"), fmt or "csv")
     except (KeyError, ConfigError) as exc:

@@ -23,6 +23,7 @@ from .space import (
     _ROW_BLOCK,
     CoverSystem,
     SampledSpace,
+    _rows_cols,
     ball_depth,
     build_refinement,
     partition_of_unity,
@@ -142,31 +143,49 @@ def sampled_lip_oracle(space: SampledSpace, values: np.ndarray, tag: str) -> Lip
     In finite mode the samples are the whole space, so this is the true local
     Lipschitz constant; in sampled mode it is only a lower estimate of the
     continuum constant and callers must flag the result as non-certified.
+
+    A call builds one quotient table over the union of its balls, upper
+    triangle only (the metric is symmetric), reading the dense matrix itself
+    when the union is every sample.  A ball whose samples are a run of
+    consecutive union positions (every ball of a 1-D space sampled in order)
+    reads its maximum from one entry of the table's running maxima,
+    rightward along the rows and then upward along the columns; any other
+    ball takes the maximum of its own block.  Max is exact, so the answer is
+    the same float either way.
     """
     D = space.dense_matrix()
 
     def lip(cs: np.ndarray, rho) -> np.ndarray:
-        # one quotient table over the union of the balls; each center takes
-        # the max of its own sub-block (0 stands for a pair at distance 0,
-        # which no quotient is taken over, and for a ball of one sample)
-        rhos = np.broadcast_to(rho, cs.shape).tolist()
-        balls = [np.flatnonzero(D[c] <= r) for c, r in zip(cs.tolist(), rhos)]
-        union = np.zeros(len(D), dtype=bool)
-        for s in balls:
-            union[s] = True
+        # 0 stands for a pair at distance 0, which no quotient is taken over,
+        # and for a ball of fewer than two samples
+        out = np.zeros(len(cs))
+        balls = D[cs] <= np.broadcast_to(rho, cs.shape)[:, None]
+        union = balls.any(axis=0)
         u = np.flatnonzero(union)
+        size = balls.sum(axis=1)
+        big = np.flatnonzero(size >= 2)
+        if not big.size:
+            return out
+        dd = _rows_cols(D, u, u)
+        vals = values[u]
+        quot = np.zeros(dd.shape)
+        col = np.arange(len(u))
+        for a in range(0, len(u), _ROW_BLOCK):
+            b = slice(a, a + _ROW_BLOCK)
+            vd = norm(vals[b, None, :] - vals[None, :, :], tag)
+            keep = (dd[b] > 0) & (col > col[b, None])
+            np.divide(vd, dd[b], out=quot[b], where=keep)
         pos = np.cumsum(union) - 1
-        dd = D[np.ix_(u, u)]
-        vd = norm(values[u][:, None, :] - values[u][None, :, :], tag)
-        quot = np.divide(vd, dd, out=np.zeros_like(dd), where=dd > 0)
-        out = np.zeros(len(balls))
-        for i, s in enumerate(balls):
-            if len(s) >= 2:
-                p = pos[s]
-                lo, hi = p[0], p[-1] + 1
-                # a run of consecutive positions is a view, not a copy
-                block = quot[lo:hi, lo:hi] if hi - lo == len(p) else quot[p[:, None], p]
-                out[i] = block.max()
+        first = pos[balls[big].argmax(axis=1)]
+        last = pos[len(D) - 1 - balls[big, ::-1].argmax(axis=1)]
+        run = last - first + 1 == size[big]
+        for i in big[~run].tolist():
+            p = pos[balls[i]]
+            out[i] = quot[p[:, None], p].max()
+        # quot[a, h] becomes the max over a <= a' <= b' <= h of the old table
+        np.maximum.accumulate(quot, axis=1, out=quot)
+        np.maximum.accumulate(quot[::-1], axis=0, out=quot[::-1])
+        out[big[run]] = quot[first[run], last[run]]
         return out
 
     return lip

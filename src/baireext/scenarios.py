@@ -66,6 +66,8 @@ class ScenarioConfig:
             raise ConfigError(f"steps must be at least 1, not {self.steps!r}")
         if not self.tol > 0:
             raise ConfigError(f"tol must be positive, not {self.tol!r}")
+        if not math.isfinite(self.tol):  # an infinite tol passes every decay check
+            raise ConfigError(f"tol must be finite, not {self.tol!r}")
         if self.norm not in NORM_TAGS:
             raise ConfigError(f"norm must be one of {NORM_TAGS}, not {self.norm!r}")
 

@@ -13,8 +13,8 @@ are supported:
 works on a whole cover: one call gives the (samples x balls) membership mask
 and depth dist(y, X \\ B), which is both the partition-of-unity weight and
 the interior margin of the selection transform.  Sampled mode reads one
-``cross_dists`` block; finite mode takes each ball's minimum over its sampled
-complement, one ball at a time.
+``cross_dists`` block; finite mode reads one distance row per (inside
+sample, ball) pair, since a sample outside a ball has depth 0.
 
 ``build_refinement`` computes the greedy refinement of a ball cover from the
 dense distance matrix: one (covered x covered) comparison block says which
@@ -297,10 +297,13 @@ def ball_depth(
     B(centers[b], radii[b]) of a cover: the membership mask and
     dist(y, X \\ B) for every sample y and ball b.
 
-    Finite mode takes the distance to the sampled complement (inf when the
-    ball holds every sample), one ball at a time so that only one (samples x
-    complement) block is alive; sampled mode uses the analytic distance
-    r - d(c, y) inside the ball and 0 outside, over one distance block.
+    Finite mode takes the distance to the sampled complement: 0 outside the
+    ball, inf when the ball holds every sample, and otherwise the minimum of
+    y's distance row over the samples outside, evaluated for the (inside
+    sample, ball) pairs only, ``_ROW_BLOCK`` pairs at a time so that only
+    (pairs x samples) blocks of that size are alive.  Sampled mode uses the
+    analytic distance r - d(c, y) inside the ball and 0 outside, over one
+    distance block.
     """
     d = space.cross_dists(np.arange(space.n_points), centers)
     inside = d < radii
@@ -308,12 +311,16 @@ def ball_depth(
         depth = np.subtract(radii, d, out=d)  # d is a fresh block
         depth[~inside] = 0.0
         return inside, depth
+    # a sample outside a ball is its own nearest outside sample (depth 0)
     dense = space.dense_matrix()
-    depth = np.full(d.shape, np.inf)
-    for b in range(len(radii)):
-        outside = ~inside[:, b]
-        if outside.any():
-            depth[:, b] = dense[:, outside].min(axis=1)
+    depth = np.zeros(d.shape)
+    ys, bs = np.nonzero(inside)
+    for a in range(0, len(ys), _ROW_BLOCK):
+        k = slice(a, a + _ROW_BLOCK)
+        y, b = ys[k], bs[k]
+        rows = dense[y]  # a fresh copy
+        rows[inside[:, b].T] = np.inf
+        depth[y, b] = rows.min(axis=1)
     return inside, depth
 
 

@@ -155,6 +155,8 @@ class TestConfigMerging:
             ("tol", False, "tol must be a real number, not False"),
             ("norm", ["linf"], "norm must be one of ('l2', 'linf'), not ['linf']"),
             ("mode", 3, "mode must be a string or null, not 3"),
+            ("tol", -math.inf, "tol must be positive, not -inf"),
+            ("tol", math.inf, "tol must be finite, not inf"),
         ],
     )
     def test_bad_config_value_exits_2_with_one_line(self, tmp_path, capsys, key, value, message):
@@ -168,6 +170,42 @@ class TestConfigMerging:
         assert not out.exists()
         with pytest.raises(ConfigError, match=key):
             ScenarioConfig(**{key: value})
+
+
+    def test_infinite_tol_flag_exits_2_with_one_line(self, tmp_path, capsys):
+        """An infinite tolerance would pass every decay check."""
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", "S0", "--tol", "inf", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "tol must be finite, not inf\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot read config {path}: No such file or directory"),
+            ("dir", "cannot read config {path}: Is a directory"),
+            (
+                '{"scenario": "S0",',
+                "config {path} is not valid JSON: Expecting property name enclosed in "
+                "double quotes: line 1 column 19 (char 18)",
+            ),
+            ('["S0", 31]', "config {path} holds a JSON list, not an object"),
+        ],
+    )
+    def test_unusable_config_file_exits_2_with_one_line(self, tmp_path, capsys, content, message):
+        path = tmp_path / "cfg.json"
+        if content == "dir":
+            path.mkdir()
+        elif content is not None:
+            path.write_text(content)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message.format(path=path) + "\n"
+        assert not out.exists()
 
 
 class TestPathRadiusRefusal:

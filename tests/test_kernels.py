@@ -130,18 +130,31 @@ _COORDS = st.one_of(
 
 
 @st.composite
+def finite_spaces(draw):
+    """A finite space of 1 to 24 samples: a coordinate cloud of dim 1-3 or a
+    JSON metric on a line, with duplicate points and distance ties."""
+    n = draw(st.integers(1, 24))
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 3))
+        pts = draw(hnp.arrays(float, (n, dim), elements=_COORDS))
+        return SampledSpace(coords=pts, dmat=None, h_idx=np.array([0]), mode="finite")
+    return json_line_space(draw(hnp.arrays(float, n, elements=_COORDS)), h=[0])
+
+
+def radius_scales(space):
+    """Radii from 0 and the resolution to above the diameter."""
+    diam = float(space.dense_matrix().max())
+    return [0.0, space.resolution() if diam > 0 else 1.0, diam / 3, diam, 2 * diam + 1.0]
+
+
+@st.composite
 def refinement_cases(draw):
     """(space, raw, rule) for ``build_refinement``: a coordinate cloud or a
     JSON metric, rule radii from zero and below the resolution to above the
     diameter, every ordering of ``covered``, and raw covers that may miss a
     point."""
-    n = draw(st.integers(1, 24))
-    if draw(st.booleans()):
-        dim = draw(st.integers(1, 3))
-        pts = draw(hnp.arrays(float, (n, dim), elements=_COORDS))
-        space = SampledSpace(coords=pts, dmat=None, h_idx=np.array([0]), mode="finite")
-    else:
-        space = json_line_space(draw(hnp.arrays(float, n, elements=_COORDS)), h=[0])
+    space = draw(finite_spaces())
+    n = space.n_points
     dense = space.dense_matrix()
     diam = float(dense.max())
     scale = draw(st.sampled_from([
@@ -780,6 +793,37 @@ def depth_by_mode(space, c, r):
     return inside, depth
 
 
+def depth_by_ball(space, centers, radii):
+    """The finite branch of ``ball_depth`` one ball at a time: each ball's
+    minimum over its sampled complement, inf when it holds every sample."""
+    inside = space.cross_dists(np.arange(space.n_points), centers) < radii
+    depth = np.full(inside.shape, np.inf)
+    for b in range(len(radii)):
+        outside = ~inside[:, b]
+        if outside.any():
+            depth[:, b] = space.dense_matrix()[:, outside].min(axis=1)
+    return inside, depth
+
+
+@st.composite
+def depth_cases(draw):
+    """(space, centers, radii) for the finite branch of ``ball_depth``:
+    repeated centers, covers without balls, and radii from 0 (an empty open
+    ball) to above the diameter (a ball holding every sample)."""
+    space = draw(finite_spaces())
+    balls = draw(st.lists(
+        st.tuples(
+            st.integers(0, space.n_points - 1),
+            st.sampled_from(radius_scales(space)),
+            st.sampled_from([1.0, 0.5, 1.5]),
+        ),
+        max_size=2 * space.n_points,
+    ))
+    centers = np.array([c for c, _, _ in balls], dtype=int)
+    radii = np.array([r * f for _, r, f in balls], dtype=float)
+    return space, centers, radii
+
+
 def weights_by_loop(space, cover):
     """The unnormalised partition-of-unity weights, one ball at a time."""
     n = space.n_points
@@ -837,14 +881,41 @@ class TestBallDepth:
             space = run.bundle.hspace
             state = run.items[0].extras["selection_state"]
             for lev in state.levels:
-                member = open_ball_members(space, lev.cover)
-                depth = np.full(member.shape, np.inf)
-                for b in range(lev.cover.n_balls):
-                    outside = ~member[:, b]
-                    if outside.any():
-                        depth[:, b] = space.dense_matrix()[:, outside].min(axis=1)
+                member, depth = depth_by_ball(space, lev.cover.centers, lev.cover.radii)
+                assert np.array_equal(member, open_ball_members(space, lev.cover))
                 assert np.array_equal(lev.member, member)
                 assert np.array_equal(lev.depth, depth)
+
+    @settings(max_examples=300, deadline=None)
+    @given(depth_cases())
+    def test_finite_branch_matches_ball_loop(self, case):
+        space, centers, radii = case
+        inside, depth = ball_depth(space, centers, radii)
+        ref_inside, ref_depth = depth_by_ball(space, centers, radii)
+        assert inside.shape == depth.shape == (space.n_points, len(centers))
+        assert np.array_equal(inside, ref_inside)
+        assert depth.tobytes() == ref_depth.tobytes()  # bit-equal, signed zeros included
+
+    def test_finite_call_holds_row_blocks_not_tables(self, s2_run):
+        """Only blocks of ``_ROW_BLOCK`` (inside sample, ball) pairs read
+        distance rows; the next block's rows are copied before the last
+        block's are freed, so two blocks may be alive at once."""
+        space = s2_run.bundle.hspace
+        nY = space.n_points
+        assert nY == 201 and space.mode == "finite"
+        block = _ROW_BLOCK * nY * (8 + 1)  # a block's distance rows and its mask
+        for it in s2_run.items:
+            cover = it.extras["mollify_cover"]
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                inside, depth = ball_depth(space, cover.centers, cover.radii)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # inside, depth and the distance block d, plus the (y, b) pair indices
+            outputs = inside.nbytes + 2 * depth.nbytes + 2 * 8 * int(inside.sum())
+            assert peak - base <= 2 * block + outputs
 
     def test_positive_weights_mark_the_open_balls(self, s1_run, s2_run, s3_run):
         """The mollify oracle counts ball multiplicity from ``weights > 0``."""
@@ -962,9 +1033,36 @@ def mixed_rhos(rhos, n):
     return np.resize(np.asarray(rhos, dtype=float), n)
 
 
+@st.composite
+def oracle_cases(draw):
+    """(space, values, tag, cs, rho) for ``sampled_lip_oracle``: repeated and
+    missing centers, one radius or one per center, from below 0 (an empty
+    ball) to above the diameter."""
+    space = draw(finite_spaces())
+    n = space.n_points
+    m = draw(st.integers(1, 3))
+    values = draw(hnp.arrays(float, (n, m), elements=st.floats(-4.0, 4.0)))
+    cs = np.array(draw(st.lists(st.integers(0, n - 1), max_size=2 * n)), dtype=int)
+    radii = st.sampled_from([-1.0] + radius_scales(space))
+    if draw(st.booleans()):
+        rho = draw(radii)
+    else:
+        rho = np.array(draw(st.lists(radii, min_size=len(cs), max_size=len(cs))), dtype=float)
+    return space, values, draw(st.sampled_from(["linf", "l2"])), cs, rho
+
+
 class TestSampledLipOracleBatch:
     """``sampled_lip_oracle`` against the per-ball quotient loop that its
     scalar calls ran."""
+
+    def assert_matches_ball_loop(self, space, vals, tag, cs_list):
+        lip = sampled_lip_oracle(space, vals, tag)
+        rhos = oracle_rhos(space)
+        for cs in cs_list:
+            for rho in rhos + [mixed_rhos(rhos, len(cs))]:
+                got = lip(cs, rho)
+                assert got.shape == cs.shape
+                assert np.array_equal(got, quotients_by_center(space, vals, tag, cs, rho))
 
     @pytest.mark.parametrize("tag", ["linf", "l2"])
     def test_matches_scalar_calls_on_scenario_items(self, s2_run, s3_run, tag):
@@ -987,16 +1085,51 @@ class TestSampledLipOracleBatch:
         pts[30:] = pts[:10]  # repeated points give pairs at distance 0
         space = SampledSpace(coords=pts, dmat=None, h_idx=np.arange(40), mode="finite")
         vals = rng.normal(size=(40, m))
-        lip = sampled_lip_oracle(space, vals, tag)
-        rhos = oracle_rhos(space)
-        for cs in (np.arange(40), rng.permutation(40)[:13], np.array([5, 5, 35]), np.array([], dtype=int)):
-            for rho in rhos + [mixed_rhos(rhos, len(cs))]:
-                got = lip(cs, rho)
-                assert got.shape == cs.shape
-                assert np.array_equal(got, quotients_by_center(space, vals, tag, cs, rho))
+        cs_list = (np.arange(40), rng.permutation(40)[:13], np.array([5, 5, 35]), np.array([], dtype=int))
+        self.assert_matches_ball_loop(space, vals, tag, cs_list)
+
+    @pytest.mark.parametrize("tag", ["linf", "l2"])
+    def test_balls_that_are_not_runs(self, tag):
+        """Shuffled samples on a line, as coordinates and as a JSON metric:
+        a ball's samples are no longer consecutive in sample order."""
+        rng = np.random.default_rng(7)
+        xs = rng.permutation(np.linspace(-1.0, 1.0, 30))
+        xs[25:] = xs[:5]  # repeated points
+        vals = rng.normal(size=(30, 2))
+        cs_list = (np.arange(30), rng.permutation(30)[:11], np.array([3, 3, 27]))
+        for space in (
+            SampledSpace(coords=xs[:, None], dmat=None, h_idx=np.arange(30), mode="finite"),
+            json_line_space(xs, h=[0]),
+            json_line_space(np.sort(xs), h=[0]),
+        ):
+            self.assert_matches_ball_loop(space, vals, tag, cs_list)
+
+    def test_edge_calls(self):
+        space = json_line_space([0.0, 0.25, 0.5, 1.0, 1.75, 3.0], h=[0, 2])
+        vals = np.array([[0.0], [1.0], [1.0], [4.0], [4.0], [5.0]])
+        lip = sampled_lip_oracle(space, vals, "linf")
+        empty = lip(np.array([], dtype=int), 1.0)
+        assert empty.shape == (0,) and empty.dtype == float
+        assert np.array_equal(lip(np.array([], dtype=int), np.array([])), empty)
+        assert np.array_equal(lip(np.arange(6), -1.0), np.zeros(6))  # every ball empty
+        assert np.array_equal(lip(np.arange(6), 0.0), np.zeros(6))  # one sample each
+        assert np.array_equal(lip(np.array([1, 1, 1]), 0.3), [4.0, 4.0, 4.0])
+        assert np.array_equal(lip(np.array([0, 5]), 10.0), [6.0, 6.0])  # the whole space
+        assert np.array_equal(lip(np.array([0, 5, 3]), np.array([10.0, -1.0, 0.75])), [6.0, 0.0, 6.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(oracle_cases())
+    def test_matches_ball_loop_on_any_call(self, case):
+        space, vals, tag, cs, rho = case
+        with np.errstate(over="ignore"):  # a subnormal distance gives an inf quotient
+            got = sampled_lip_oracle(space, vals, tag)(cs, rho)
+            want = quotients_by_center(space, vals, tag, cs, rho)
+        assert got.shape == cs.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_batch_call_leaves_no_table_behind(self, s2_run):
-        """The union table of a batch (nY x nY at rho = 1) is freed on return."""
+        """The union table of a batch (nY x nY at rho = 1) is freed on return,
+        and at most six tables of its size are alive during the call."""
         space = s2_run.bundle.hspace
         nY = space.n_points
         assert nY == 201
@@ -1009,7 +1142,7 @@ class TestSampledLipOracleBatch:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - base >= table  # the table was built ...
+        assert 6 * table >= peak - base >= table  # the table was built ...
         assert held - base < table // 8  # ... and nothing of its size is kept
         assert out.shape == (nY,)
 
