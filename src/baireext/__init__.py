@@ -28,7 +28,7 @@ from .space import (
     load_space_json,
     partition_of_unity,
 )
-from .target import TargetBall, ball_intersection_point, norm, radial_project
+from .target import ball_intersection_point, norm, radial_project
 from .verify import (
     ApproachPath,
     CertReport,

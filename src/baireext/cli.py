@@ -30,6 +30,7 @@ from .verify import check_boundedness, check_continuity, check_nt, check_ucpc
 __all__ = ["main", "run_scenario"]
 
 _CONFIG_KEYS = ("grid", "norm", "mode", "tol", "steps", "seed")
+_FORMATS = ("csv", "json")
 
 
 def run_scenario(
@@ -39,6 +40,8 @@ def run_scenario(
     fmt: str = "csv",
 ) -> tuple[dict, int]:
     """Run one scenario; returns (manifest, exit_code) and writes artifacts."""
+    if fmt not in _FORMATS:
+        raise ConfigError(f"format must be one of {_FORMATS}, not {fmt!r}")
     scenario = get_scenario(name)
     if cfg.mode is not None and cfg.mode not in scenario.supported_modes:
         raise ConfigError(
@@ -195,7 +198,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_run.add_argument("--steps", type=int, help="path steps (default 12)")
     p_run.add_argument("--seed", type=int, help="run seed (default 0)")
     p_run.add_argument("--out", help="output directory (default ./out)")
-    p_run.add_argument("--format", choices=["csv", "json"], help="field table format")
+    p_run.add_argument("--format", choices=_FORMATS, help="field table format")
 
     sub.add_parser("list", help="list the built-in scenarios")
     p_desc = sub.add_parser("describe", help="show one scenario card")
@@ -221,10 +224,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         name = args.scenario or loaded.get("scenario")
         if not name:
             raise ConfigError("run needs --scenario (or a config with a scenario key)")
-        out = args.out if args.out is not None else loaded.get("out")
-        fmt = args.format if args.format is not None else loaded.get("format")
+        out = loaded.get("out")
+        if out is not None and not isinstance(out, str):
+            raise ConfigError(f"out must be a string, not {out!r}")
+        out = args.out if args.out is not None else out
+        fmt = args.format if args.format is not None else loaded.get("format", "csv")
         cfg = _merge_config(args, loaded)
-        manifest, code = run_scenario(name, cfg, Path(out or "out"), fmt or "csv")
+        manifest, code = run_scenario(name, cfg, Path(out or "out"), fmt)
     except (KeyError, ConfigError) as exc:
         print(exc.args[0], file=sys.stderr)
         return 2

@@ -28,7 +28,7 @@ from .space import (
     build_refinement,
     partition_of_unity,
 )
-from .target import TargetBall, ball_intersection_point, norm, radial_project, retraction_factor
+from .target import EMPTY, ball_intersection_point, norm, radial_project, retraction_factor
 
 __all__ = [
     "FunSeqItem",
@@ -209,26 +209,11 @@ class LevelCover:
 
 @dataclass
 class SelectionState:
-    """Per-level covers, constraint systems and the matched sets C_k."""
+    """Per-level covers, the matched sets C_k and the selected outputs."""
 
     levels: list[LevelCover]
     c_masks: list[np.ndarray]  # per level: y in C_k
     outputs: np.ndarray  # (n_seq, nY, m)
-
-    def constraint_balls(self, k: int, y: int, j: Optional[int] = None) -> list[TargetBall]:
-        """Closed target balls defining the constraint set at level k for y.
-
-        ``j=None`` gives the full constraint set (all containing balls); a
-        finite ``j`` keeps only balls holding y with interior margin >= 1/j.
-        """
-        out = []
-        for lev in self.levels[:k]:
-            if j is None:
-                idx = np.flatnonzero(lev.member[y])
-            else:
-                idx = np.flatnonzero(lev.depth[y] >= 1.0 / j)
-            out.extend(TargetBall(lev.z[b], 2.0 ** (-lev.k)) for b in idx)
-        return out
 
 
 def _preimage_radii(D: np.ndarray, fdiff: np.ndarray, k: int) -> np.ndarray:
@@ -240,14 +225,20 @@ def _preimage_radii(D: np.ndarray, fdiff: np.ndarray, k: int) -> np.ndarray:
     return np.minimum(rho, cap)
 
 
-def ucpc_transform(bundle: FunctionBundle, n_seq: Optional[int] = None):
-    """Selection transform on a finite space: returns (outputs, state).
+def ucpc_transform(bundle: FunctionBundle, n_seq: Optional[int] = None) -> SelectionState:
+    """Selection transform on a finite space.
 
     Level k builds a refined ball cover whose balls G satisfy
     f(G) c B_Z(z_G, 2^-k); the constraint set at y intersects the closed balls
     of all levels i <= k containing y.  The output keeps h_k(y) where it
     already satisfies the full constraint set (y in C_k) and otherwise picks a
     point within 2^-k of the margin-1/k constraint set.
+
+    The target balls of every level built so far are held as stacked arrays
+    in level-then-ball order: centers ``z_all``, radii ``r_all`` and the
+    (nY x balls) membership and depth columns.  So C_k is one comparison over
+    all of them, and each sample off C_k passes its margin-1/k rows to one
+    ``ball_intersection_point`` call.
     """
     space = bundle.hspace
     if space.mode != "finite":
@@ -261,6 +252,10 @@ def ucpc_transform(bundle: FunctionBundle, n_seq: Optional[int] = None):
     levels: list[LevelCover] = []
     c_masks: list[np.ndarray] = []
     outputs = np.zeros((n_seq, nY, m))
+    z_all = np.zeros((0, m))
+    r_all = np.zeros(0)
+    member_all = np.zeros((nY, 0), dtype=bool)
+    depth_all = np.zeros((nY, 0))
 
     for k in range(1, n_seq + 1):
         rho = _preimage_radii(D, fdiff, k)
@@ -271,30 +266,28 @@ def ucpc_transform(bundle: FunctionBundle, n_seq: Optional[int] = None):
         member, depth = ball_depth(space, refined.centers, refined.radii)
         z = bundle.f_values[refined.centers]
         levels.append(LevelCover(k=k, cover=refined, z=z, member=member, depth=depth))
+        z_all = np.concatenate([z_all, z])
+        r_all = np.concatenate([r_all, np.full(len(z), 2.0 ** (-k))])
+        member_all = np.hstack([member_all, member])
+        depth_all = np.hstack([depth_all, depth])
 
         # C_k: h_k(y) lies in every constraint ball of the full system
-        in_c = np.ones(nY, dtype=bool)
         hk = bundle.h_values[k - 1]
-        for lev in levels:
-            vd = norm(hk[:, None, :] - lev.z[None, :, :], tag)
-            viol = lev.member & (vd > 2.0 ** (-lev.k))
-            in_c &= ~viol.any(axis=1)
+        viol = member_all & (norm(hk[:, None, :] - z_all[None, :, :], tag) > r_all)
+        in_c = ~viol.any(axis=1)
         c_masks.append(in_c)
 
-        slack = 2.0 ** (-k)
-        state_view = SelectionState(levels=levels, c_masks=c_masks, outputs=outputs)
-        for y in range(nY):
-            if in_c[y]:
-                outputs[k - 1, y] = hk[y]
-            else:
-                balls = state_view.constraint_balls(k, y, j=k)
-                pt = ball_intersection_point(balls, slack=slack, tag=tag, m=m)
-                if pt is None:
-                    # f(y) is in every constraint ball, so this cannot happen
-                    raise RuntimeError(f"empty constraint set at level {k}, sample {y}")
-                outputs[k - 1, y] = pt
+        outputs[k - 1] = hk
+        margin = depth_all >= 1.0 / k
+        for y in np.flatnonzero(~in_c).tolist():
+            sel = margin[y]
+            pt = ball_intersection_point(z_all[sel], r_all[sel], 2.0 ** (-k), tag)
+            if pt is EMPTY:
+                # f(y) is in every constraint ball, so this cannot happen
+                raise RuntimeError(f"empty constraint set at level {k}, sample {y}")
+            outputs[k - 1, y] = pt
 
-    return outputs, SelectionState(levels=levels, c_masks=c_masks, outputs=outputs)
+    return SelectionState(levels=levels, c_masks=c_masks, outputs=outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -570,10 +563,10 @@ def baire_approximate(
             diag({"stage": stage, "n": n, "max_violation": violation, "certified": certified})
 
     if bundle.hspace.mode == "finite":
-        outputs, state = ucpc_transform(bundle, n_seq)
+        state = ucpc_transform(bundle, n_seq)
         items = []
         for k in range(1, n_seq + 1):
-            vals = outputs[k - 1]
+            vals = state.outputs[k - 1]
             lip = sampled_lip_oracle(bundle.hspace, vals, tag)
             sup = float(norm(vals, tag).max())
             items.append(

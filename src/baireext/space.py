@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -227,13 +227,14 @@ class CoverSystem:
 def build_refinement(
     space: SampledSpace,
     raw: CoverSystem,
-    radius_rule: np.ndarray | Callable[[int], float],
+    radius_rule: np.ndarray,
 ) -> CoverSystem:
     """Greedy locally finite refinement of ``raw``.
 
     The points of ``raw.covered`` are scanned in order; a point that no
-    earlier emitted ball contains emits the ball B(p, rule(p)/2), linked to
-    the first raw ball that contains it with slack >= rule(p)/2.
+    earlier emitted ball contains emits the ball B(p, rule[p]/2), linked to
+    the first raw ball that contains it with slack >= rule[p]/2, where
+    ``radius_rule`` holds one radius per point of the space.
 
     The scan is decided on one (covered x covered) block ``reach``: entry
     [i, j], for scan positions i < j, says that the ball point i would emit
@@ -242,10 +243,7 @@ def build_refinement(
     contested point to the next.
     """
     pts = np.asarray(raw.covered, dtype=int)
-    if callable(radius_rule):
-        rule = np.array([radius_rule(int(p)) for p in pts], dtype=float)
-    else:
-        rule = np.asarray(radius_rule, dtype=float)[pts]
+    rule = np.asarray(radius_rule, dtype=float)[pts]
     half = rule / 2.0
 
     dense = space.dense_matrix()

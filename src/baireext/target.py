@@ -1,13 +1,13 @@
 """The target normed space Z = R^m: norms, radial projections and
 slack intersections of closed balls.
 
-The default norm is l-infinity, under which every ball intersection is a box
-and the selection surrogate is exact.  l2 is supported through a cyclic
-projection solver that exploits the slack the selection step grants.
+A family of closed balls is two stacked arrays: the centers, one row per
+ball, and the radii.  The default norm is l-infinity, under which every ball
+intersection is a box and the selection surrogate is exact.  l2 is supported
+through a cyclic projection solver that exploits the slack the selection
+step grants.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,6 @@ __all__ = [
     "radial_project",
     "retraction_factor",
     "ball_intersection_point",
-    "TargetBall",
     "EMPTY",
     "UndecidedIntersection",
 ]
@@ -29,18 +28,6 @@ EMPTY = None
 
 class UndecidedIntersection(RuntimeError):
     """The l2 feasibility solver exhausted its sweeps without a certificate."""
-
-
-@dataclass(frozen=True)
-class TargetBall:
-    """Closed ball in Z (radius 0 allowed)."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("ball radius must be nonnegative")
 
 
 def _check_tag(tag: str) -> None:
@@ -98,29 +85,32 @@ def _box_intersection(centers: np.ndarray, radii: np.ndarray):
 
 
 def ball_intersection_point(
-    balls: list[TargetBall],
+    centers: np.ndarray,
+    radii: np.ndarray,
     slack: float = 0.0,
     tag: str = "linf",
-    m: int | None = None,
     max_sweeps: int = 10_000,
 ):
-    """A point within ``slack`` of the intersection of closed balls, or EMPTY.
+    """A point within ``slack`` of the intersection of the closed balls
+    B_Z(centers[i], radii[i]), or EMPTY.
 
-    The empty list means the whole space (origin is returned).  The l-infinity
-    path is an exact coordinate-wise box intersection.  The l2 path runs cyclic
-    projections from the first center; it certifies emptiness only when two
-    centers are farther apart than the slack-inflated radius sum, and raises
-    UndecidedIntersection otherwise when the sweep budget runs out.
+    ``centers`` is (n_balls, m) and ``radii`` (n_balls,); radius 0 is
+    allowed.  No balls means the whole space (the origin of R^m is
+    returned).  The l-infinity path is an exact coordinate-wise box
+    intersection.  The l2 path runs cyclic projections from the first
+    center; it certifies emptiness only when two centers are farther apart
+    than the slack-inflated radius sum, and raises UndecidedIntersection
+    otherwise when the sweep budget runs out.
     """
     _check_tag(tag)
     if slack < 0:
         raise ValueError("slack must be nonnegative")
-    if not balls:
-        if m is None:
-            raise ValueError("need the dimension m for the empty intersection")
-        return np.zeros(m)
-    centers = np.array([b.center for b in balls], dtype=float)
-    radii = np.array([b.radius for b in balls], dtype=float)
+    centers = np.asarray(centers, dtype=float)
+    radii = np.asarray(radii, dtype=float)
+    if np.any(radii < 0):
+        raise ValueError("ball radius must be nonnegative")
+    if not len(centers):
+        return np.zeros(centers.shape[1])
 
     if tag == "linf":
         return _box_intersection(centers, radii + slack)

@@ -15,7 +15,7 @@ from baireext.extension import (
     select_ceiling,
 )
 from baireext.scenarios import ScenarioConfig
-from baireext.target import EMPTY, TargetBall, ball_intersection_point, norm
+from baireext.target import EMPTY, ball_intersection_point, norm
 from baireext.verify import (
     DEFAULT_EPS_GRID,
     DEFAULT_RHO_GRID,
@@ -287,8 +287,7 @@ def test_criterion_6_oracle_equivalence(s1_run, s3_run):
             count = int(rng.integers(1, 7))
             centers = rng.uniform(-3, 3, size=(count, m))
             radii = rng.uniform(0.1, 3.0, size=count)
-            balls = [TargetBall(c, float(r)) for c, r in zip(centers, radii)]
-            z = ball_intersection_point(balls, tag="linf")
+            z = ball_intersection_point(centers, radii, tag="linf")
             lo = (centers - radii[:, None]).max(axis=0)
             hi = (centers + radii[:, None]).min(axis=0)
             if np.all(lo <= hi):

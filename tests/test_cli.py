@@ -157,6 +157,9 @@ class TestConfigMerging:
             ("mode", 3, "mode must be a string or null, not 3"),
             ("tol", -math.inf, "tol must be positive, not -inf"),
             ("tol", math.inf, "tol must be finite, not inf"),
+            ("format", "xml", "format must be one of ('csv', 'json'), not 'xml'"),
+            ("format", "", "format must be one of ('csv', 'json'), not ''"),
+            ("out", 5, "out must be a string, not 5"),
         ],
     )
     def test_bad_config_value_exits_2_with_one_line(self, tmp_path, capsys, key, value, message):
@@ -168,8 +171,14 @@ class TestConfigMerging:
         assert captured.out == ""
         assert captured.err == message + "\n"
         assert not out.exists()
+        if key == "out":
+            return  # only the command line reads an output directory
         with pytest.raises(ConfigError, match=key):
-            ScenarioConfig(**{key: value})
+            if key == "format":
+                run_scenario("S0", ScenarioConfig(), out_dir=out, fmt=value)
+            else:
+                ScenarioConfig(**{key: value})
+        assert not out.exists()
 
 
     def test_infinite_tol_flag_exits_2_with_one_line(self, tmp_path, capsys):

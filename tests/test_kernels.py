@@ -1,8 +1,9 @@
 """Row-sized distance kernels, the smoothing contributor search, the
-cover-level ball depth, the shared weight and field-row code and the
-array-only Lipschitz oracles: each one is compared bit for bit with the
-per-pair, per-query, per-ball, dense all-pairs, per-caller or per-center
-formula it replaced, written out here."""
+cover-level ball depth, the shared weight and field-row code, the selection
+transform on stacked ball arrays and the array-only Lipschitz oracles: each
+one is compared bit for bit with the per-pair, per-query, per-ball, dense
+all-pairs, per-caller, per-sample or per-center formula it replaced,
+written out here."""
 import hashlib
 import json
 import re
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from baireext import extension
+from baireext import extension, pipeline
 from baireext.extension import (
     branch_condition_violations,
     build_extension,
@@ -39,6 +40,7 @@ from baireext.pipeline import (
     local_bound_radius,
     monotone_lip_envelope,
     sampled_lip_oracle,
+    ucpc_transform,
 )
 from baireext.scenarios import (
     ScenarioConfig,
@@ -60,7 +62,7 @@ from baireext.space import (
     load_space_json,
     partition_of_unity,
 )
-from baireext.target import norm, radial_project
+from baireext.target import ball_intersection_point, norm, radial_project
 from baireext.verify import oscillation
 
 
@@ -95,10 +97,7 @@ def refine_by_pairs(space, raw, rule):
     """The greedy refinement as a scan over the points, with one scalar pair
     distance per raw ball."""
     pts = np.asarray(raw.covered, dtype=int)
-    if callable(rule):
-        rule = np.array([rule(int(p)) for p in pts], dtype=float)
-    else:
-        rule = np.asarray(rule, dtype=float)[pts]
+    rule = np.asarray(rule, dtype=float)[pts]
     centers, radii, parents = [], [], []
     covered = np.zeros(space.n_points, dtype=bool)
     for k, p in enumerate(pts):
@@ -183,8 +182,6 @@ def refinement_cases(draw):
         centers = np.array(draw(st.lists(st.integers(0, n - 1), max_size=n)), dtype=int)
         radii = (diam + 1.0) * draw(hnp.arrays(float, len(centers), elements=st.floats(0.0, 1.5)))
         raw = CoverSystem(centers=centers, radii=radii, covered=covered)
-    if draw(st.booleans()):
-        return space, raw, lambda p: float(rule[p])
     return space, raw, rule
 
 
@@ -937,6 +934,102 @@ class TestBallDepth:
                 tot = w.sum(axis=1)
                 assert np.array_equal(pou.weight_sum, tot)
                 assert np.array_equal(pou.weights, w / np.where(tot > 0, tot, 1.0)[:, None])
+
+
+# ---------------------------------------------------------------------------
+# the selection transform on stacked ball arrays
+# ---------------------------------------------------------------------------
+
+def constraint_balls(levels, k, y):
+    """The margin-1/k constraint balls of sample y at level k, walked level
+    by level: one (center, radius) per ball of levels 1..k whose depth at y
+    is at least 1/k."""
+    balls = []
+    for lev in levels[:k]:
+        for b in np.flatnonzero(lev.depth[y] >= 1.0 / k):
+            balls.append((lev.z[b], 2.0 ** (-lev.k)))
+    return balls
+
+
+def point_by_projection(balls, slack, tag, m, max_sweeps=10_000):
+    """A point within ``slack`` of the closed balls' intersection: the whole
+    space's origin for no balls, the box midpoint in linf, cyclic
+    projections from the first center in l2; None when certified empty."""
+    if not balls:
+        return np.zeros(m)
+    centers = np.array([c for c, _ in balls], dtype=float)
+    radii = np.array([r for _, r in balls], dtype=float)
+    if tag == "linf":
+        lo = (centers - (radii + slack)[:, None]).max(axis=0)
+        hi = (centers + (radii + slack)[:, None]).min(axis=0)
+        return (lo + hi) / 2.0 if np.all(lo <= hi) else None
+    for i in range(len(balls)):
+        for j in range(len(balls)):
+            if np.linalg.norm(centers[i] - centers[j]) > radii[i] + radii[j] + slack:
+                return None
+    z = centers[0].copy()
+    for _ in range(max_sweeps):
+        for c, r in zip(centers, radii):
+            d = np.linalg.norm(z - c)
+            if d > r:
+                z = c + (z - c) * (r / d)
+        if all(np.linalg.norm(z - c) <= r + slack for c, r in zip(centers, radii)):
+            return z
+    raise AssertionError("cyclic projections found no point")
+
+
+def selection_by_sample(bundle, levels):
+    """(outputs, c_masks) of the selection transform over the given level
+    covers, one level and one sample at a time: C_k from a loop over the
+    levels up to k, and for each sample off C_k a walk for its margin-1/k
+    balls and a box or cyclic projection of its own."""
+    tag = bundle.norm_tag
+    nY, m = bundle.f_values.shape
+    outputs = np.zeros((len(levels), nY, m))
+    c_masks = []
+    for k in range(1, len(levels) + 1):
+        hk = bundle.h_values[k - 1]
+        in_c = np.ones(nY, dtype=bool)
+        for lev in levels[:k]:
+            vd = norm(hk[:, None, :] - lev.z[None, :, :], tag)
+            in_c &= ~(lev.member & (vd > 2.0 ** (-lev.k))).any(axis=1)
+        c_masks.append(in_c)
+        for y in range(nY):
+            if in_c[y]:
+                outputs[k - 1, y] = hk[y]
+            else:
+                pt = point_by_projection(constraint_balls(levels, k, y), 2.0 ** (-k), tag, m)
+                assert pt is not None
+                outputs[k - 1, y] = pt
+    return outputs, c_masks
+
+
+class TestSelectionArrays:
+    @pytest.mark.parametrize("tag", ["linf", "l2"])
+    @pytest.mark.parametrize(
+        "name, grid, steps",
+        [("S2", 41, 12), ("S2", 201, 12), ("S3", 201, 12), ("S3", 3201, 12), ("S0", 201, 20)],
+    )
+    def test_matches_per_sample_walk(self, monkeypatch, name, grid, steps, tag):
+        data = get_scenario(name).build(ScenarioConfig(grid=grid, norm=tag, steps=steps))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return ball_intersection_point(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "ball_intersection_point", counted)
+        state = ucpc_transform(data.bundle, data.n_seq)
+        outputs, c_masks = selection_by_sample(data.bundle, state.levels)
+        assert len(state.levels) == len(state.c_masks) == data.n_seq
+        assert np.array_equal(state.outputs, outputs)
+        for got, want in zip(state.c_masks, c_masks):
+            assert np.array_equal(got, want)
+        # one intersection call per sample off C_k, with its margin balls
+        assert len(calls) == sum(int((~mask).sum()) for mask in c_masks)
+        off = [(k, y) for k, mask in enumerate(c_masks, start=1) for y in np.flatnonzero(~mask)]
+        assert calls == [len(constraint_balls(state.levels, k, y)) for k, y in off]
+        assert calls or name == "S0"  # S0's raw sequence lies in every C_k
 
 
 # ---------------------------------------------------------------------------

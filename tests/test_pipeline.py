@@ -117,9 +117,9 @@ class TestUcpcTransform:
     def test_exact_sequence_is_kept(self):
         space = finite_line(np.linspace(0, 1, 7))
         bundle = constant_bundle(space, [0.25, -0.5], n_seq=4)
-        outputs, state = ucpc_transform(bundle)
+        state = ucpc_transform(bundle)
         assert all(mask.all() for mask in state.c_masks)
-        assert np.array_equal(outputs, bundle.h_values)
+        assert np.array_equal(state.outputs, bundle.h_values)
 
     def test_rejects_sampled_mode(self, s1_run):
         with pytest.raises(ValueError, match="finite mode"):

@@ -8,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 
 from baireext.target import (
     EMPTY,
-    TargetBall,
     UndecidedIntersection,
     ball_intersection_point,
     norm,
@@ -88,33 +87,33 @@ class TestRadialProject:
 
 
 def balls_of(pts_radii):
-    return [TargetBall(center=np.asarray(c, dtype=float), radius=r) for c, r in pts_radii]
+    """(centers, radii) arrays of a family given as (center, radius) pairs."""
+    centers = np.array([c for c, _ in pts_radii], dtype=float)
+    radii = np.array([r for _, r in pts_radii], dtype=float)
+    return centers, radii
 
 
 class TestBallIntersection:
     def test_empty_family_gives_origin(self):
-        assert np.array_equal(ball_intersection_point([], m=2), np.zeros(2))
-
-    def test_empty_family_needs_dimension(self):
-        with pytest.raises(ValueError, match="dimension"):
-            ball_intersection_point([])
+        z = ball_intersection_point(np.zeros((0, 2)), np.zeros(0))
+        assert np.array_equal(z, np.zeros(2))
 
     def test_two_unit_intervals(self):
-        balls = balls_of([([0.0], 1.0), ([1.0], 1.0)])
-        z = ball_intersection_point(balls, tag="linf")
+        centers, radii = balls_of([([0.0], 1.0), ([1.0], 1.0)])
+        z = ball_intersection_point(centers, radii, tag="linf")
         assert z == pytest.approx(0.5)
 
     def test_l2_certified_empty(self):
-        balls = balls_of([([0.0, 0.0], 1.0), ([3.0, 0.0], 1.0)])
-        assert ball_intersection_point(balls, slack=0.0, tag="l2") is EMPTY
+        centers, radii = balls_of([([0.0, 0.0], 1.0), ([3.0, 0.0], 1.0)])
+        assert ball_intersection_point(centers, radii, slack=0.0, tag="l2") is EMPTY
 
     def test_linf_certified_empty(self):
-        balls = balls_of([([0.0, 0.0], 1.0), ([3.0, 0.0], 1.0)])
-        assert ball_intersection_point(balls, tag="linf") is EMPTY
+        centers, radii = balls_of([([0.0, 0.0], 1.0), ([3.0, 0.0], 1.0)])
+        assert ball_intersection_point(centers, radii, tag="linf") is EMPTY
 
     def test_negative_slack_rejected(self):
         with pytest.raises(ValueError, match="slack"):
-            ball_intersection_point([], slack=-0.1, m=1)
+            ball_intersection_point(np.zeros((0, 1)), np.zeros(0), slack=-0.1)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -130,15 +129,14 @@ class TestBallIntersection:
         st.sampled_from(["l2", "linf"]),
     )
     def test_returned_point_respects_slack(self, fam, slack, tag):
-        balls = balls_of(fam)
+        centers, radii = balls_of(fam)
         try:
-            z = ball_intersection_point(balls, slack=slack, tag=tag)
+            z = ball_intersection_point(centers, radii, slack=slack, tag=tag)
         except UndecidedIntersection:
             return
         if z is EMPTY:
             return
-        for b in balls:
-            assert norm(z - b.center, tag) <= b.radius + slack + 1e-9
+        assert np.all(norm(z - centers, tag) <= radii + slack + 1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -152,10 +150,10 @@ class TestBallIntersection:
         )
     )
     def test_linf_agrees_with_box_oracle(self, fam):
-        balls = balls_of(fam)
+        centers, radii = balls_of(fam)
         lo = np.max([np.asarray(c) - r for c, r in fam], axis=0)
         hi = np.min([np.asarray(c) + r for c, r in fam], axis=0)
-        z = ball_intersection_point(balls, tag="linf")
+        z = ball_intersection_point(centers, radii, tag="linf")
         if np.all(lo <= hi):
             assert z is not EMPTY
             assert np.all(lo - 1e-12 <= z) and np.all(z <= hi + 1e-12)
@@ -171,14 +169,13 @@ class TestBallIntersection:
             [side, 0.0],
             [side / 2, side * np.sqrt(3) / 2],
         ]
-        balls = balls_of([(c, 1.0) for c in centers])
+        centers, radii = balls_of([(c, 1.0) for c in centers])
         with pytest.raises(UndecidedIntersection):
-            ball_intersection_point(balls, slack=0.0, tag="l2", max_sweeps=50)
+            ball_intersection_point(centers, radii, slack=0.0, tag="l2", max_sweeps=50)
         # a generous slack makes the same family feasible
-        z = ball_intersection_point(balls, slack=0.5, tag="l2", max_sweeps=5000)
-        for b in balls:
-            assert np.linalg.norm(z - b.center) <= b.radius + 0.5 + 1e-9
+        z = ball_intersection_point(centers, radii, slack=0.5, tag="l2", max_sweeps=5000)
+        assert np.all(np.linalg.norm(z - centers, axis=1) <= radii + 0.5 + 1e-9)
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            TargetBall(center=np.zeros(1), radius=-1.0)
+            ball_intersection_point(np.zeros((2, 1)), np.array([1.0, -1.0]))
