@@ -25,7 +25,9 @@ from .space import (
     SampledSpace,
     _rows_cols,
     ball_depth,
+    ball_multiplicity,
     build_refinement,
+    dense_weights,
     partition_of_unity,
 )
 from .target import EMPTY, ball_intersection_point, norm, radial_project, retraction_factor
@@ -480,10 +482,11 @@ def lipschitz_mollify(space: SampledSpace, item: FunSeqItem, n: int) -> FunSeqIt
     refined = build_refinement(space, raw, delta)
     pou = partition_of_unity(space, refined)
     anchors = item.values[refined.centers]
-    values = pou.weights @ anchors
+    # the dense product, as one table for this item alone: a sum over the
+    # nonzeros only, or over row blocks, can round differently
+    values = dense_weights(pou) @ anchors
     err = norm(values - item.values, tag)
 
-    member = pou.weights > 0  # a ball's weight is positive on its open ball
     old = item.lip_bound
     centers, radii = refined.centers, refined.radii
 
@@ -496,7 +499,7 @@ def lipschitz_mollify(space: SampledSpace, item: FunSeqItem, n: int) -> FunSeqIt
         rad_max = np.where(active, radii, 0.0).max(axis=1, initial=0.0)
         near = Dc <= (rho + rad_max)[:, None]
         # multiplicity: the most active balls holding one sample near the ball
-        counts = np.matmul(active, member.T, dtype=float)
+        counts = ball_multiplicity(pou.weights, active)
         mult = np.where(near, counts, 0.0).max(axis=1, initial=0.0)
         n_pair = 2.0 * np.maximum(mult, 1.0)
         w_min = np.where(s, pou.weight_sum, np.inf).min(axis=1, initial=np.inf)
@@ -525,7 +528,6 @@ def lipschitz_mollify(space: SampledSpace, item: FunSeqItem, n: int) -> FunSeqIt
 
     extras = dict(item.extras)
     extras.update(
-        mollify_cover=refined,
         mollify_pou=pou,
         mollify_err=err,
         mollify_delta=delta,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .extension import select_ceiling
 from .pipeline import FunctionBundle
-from .space import SampledSpace
+from .space import _ROW_BLOCK, SampledSpace
 from .target import NORM_TAGS, norm
 from .verify import ApproachPath
 
@@ -156,26 +156,39 @@ def _validate_continuity_declarations(
     hspace: SampledSpace, f_values: np.ndarray, idx: np.ndarray, scale: float, tag: str
 ) -> None:
     """Declared continuity points must show oscillation shrinking to zero as
-    the probe radius drops through grid scale."""
+    the probe radius drops through grid scale.
+
+    ``verify.oscillation`` at each radius comes from one value-difference
+    table per point: with the largest ball's samples sorted by distance, each
+    smaller ball is a prefix, and its oscillation a running maximum.  Points
+    go ``_ROW_BLOCK`` at a time, each ball padded to the block's largest; a
+    padded sample lies past every prefix that is read, and max is exact, so
+    each profile is the one a point's own table gives."""
     # the probe balls are open and a grid neighbour can sit at exactly k*scale,
     # where linspace rounding puts it a few ulps inside or outside; shrinking
     # the radius by a relative 1e-9 keeps such a point out of the ball
     shrink = 1.0 - 1e-9
-    radii = [k * scale * shrink for k in (8, 4, 2, 1)]
-    for y in idx:
-        # ``verify.oscillation`` at each radius from one value-difference
-        # table: with the largest ball's samples sorted by distance, each
-        # smaller ball is a prefix, and its oscillation a running maximum
-        row = hspace.dists_from(int(y))
-        s = np.flatnonzero(row < radii[0])
-        s = s[np.argsort(row[s], kind="stable")]
-        diffs = norm(f_values[s][:, None, :] - f_values[s][None, :, :], tag)
-        prefix_max = np.maximum.accumulate(np.tril(diffs).max(axis=1, initial=0.0))
-        sizes = np.searchsorted(row[s], radii)  # samples strictly inside
-        oscs = [float(prefix_max[k - 1]) if k >= 2 else 0.0 for k in sizes.tolist()]
-        if any(b > a + 1e-12 for a, b in zip(oscs, oscs[1:])) or oscs[-1] > 1e-9:
+    radii = np.array([k * scale * shrink for k in (8, 4, 2, 1)])
+    idx = np.asarray(idx, dtype=int)
+    everyone = np.arange(hspace.n_points)
+    for a in range(0, len(idx), _ROW_BLOCK):
+        ys = idx[a:a + _ROW_BLOCK]
+        rows = hspace.cross_dists(ys, everyone)
+        sizes = (rows[:, :, None] < radii).sum(axis=1)  # samples strictly inside
+        # each ball's samples by distance, ties by index, padded past its size
+        width = max(int(sizes[:, 0].max()), 1)
+        near = np.where(rows < radii[0], rows, np.inf).argsort(axis=1, kind="stable")[:, :width]
+        vals = f_values[near]
+        diffs = norm(vals[:, :, None, :] - vals[:, None, :, :], tag)
+        prefix_max = np.maximum.accumulate(np.tril(diffs).max(axis=2, initial=0.0), axis=1)
+        at = np.take_along_axis(prefix_max, np.maximum(sizes - 1, 0), axis=1)
+        oscs = np.where(sizes >= 2, at, 0.0)
+        bad = (oscs[:, 1:] > oscs[:, :-1] + 1e-12).any(axis=1) | (oscs[:, -1] > 1e-9)
+        if bad.any():
+            p = int(bad.argmax())
             raise ValueError(
-                f"declared continuity point {int(y)} has oscillation profile {oscs}"
+                f"declared continuity point {int(ys[p])} has oscillation profile "
+                f"{oscs[p].tolist()}"
             )
 
 

@@ -16,6 +16,13 @@ the interior margin of the selection transform.  Sampled mode reads one
 ``cross_dists`` block; finite mode reads one distance row per (inside
 sample, ball) pair, since a sample outside a ball has depth 0.
 
+``partition_of_unity`` keeps a cover's weights in CSR form, a ``Csr`` triple
+(indptr, indices, data) in plain numpy: row y lists the balls holding sample
+y in ascending order, with their normalised weights.  A locally finite cover
+puts each sample in a few balls, so the triple grows with the nonzeros, not
+with samples x balls.  ``dense_weights`` gives the dense table and
+``ball_multiplicity`` counts, per sample, the balls of a mask that hold it.
+
 ``build_refinement`` computes the greedy refinement of a ball cover from the
 dense distance matrix: one (covered x covered) comparison block says which
 point's ball would contain which later point, a Python step is taken only
@@ -35,18 +42,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "SampledSpace",
     "CoverSystem",
+    "Csr",
     "SpaceConfigError",
     "RefinementError",
     "CoverageError",
     "ball_depth",
+    "ball_multiplicity",
     "build_refinement",
+    "dense_weights",
     "partition_of_unity",
     "load_space_json",
 ]
@@ -197,14 +207,25 @@ class SampledSpace:
         return self.restrict(self.h_idx)
 
 
+class Csr(NamedTuple):
+    """A sparse (rows x columns) matrix in compressed sparse row form: the
+    nonzeros of row i are ``data[indptr[i]:indptr[i + 1]]``, in the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, which ascend."""
+
+    indptr: np.ndarray  # (rows + 1,)
+    indices: np.ndarray  # (nnz,)
+    data: np.ndarray  # (nnz,)
+
+
 @dataclass(frozen=True)
 class CoverSystem:
     """A finite family of metric balls with optional refinement links and
     partition-of-unity weights.
 
-    ``weights`` (when filled) has shape (n_points, n_balls); row sums are 1 on
-    covered points and a ball's weight vanishes outside the ball.
-    ``weight_sum`` holds the row totals W(y) before normalization.
+    ``weights`` (when filled) is an (n_points x n_balls) ``Csr`` whose
+    nonzeros are the (sample, ball) pairs with the sample in the open ball;
+    row sums are 1 on covered points.  ``weight_sum`` holds the row totals
+    W(y) before normalization.
     """
 
     centers: np.ndarray  # (nb,) sample indices
@@ -212,7 +233,7 @@ class CoverSystem:
     covered: np.ndarray  # indices of points the cover must contain
     parents: Optional[np.ndarray] = None  # (nb,) index into parent cover
     parent: Optional["CoverSystem"] = None
-    weights: Optional[np.ndarray] = None
+    weights: Optional[Csr] = None
     weight_sum: Optional[np.ndarray] = None
 
     @property
@@ -324,7 +345,10 @@ def ball_depth(
 
 def partition_of_unity(space: SampledSpace, cover: CoverSystem) -> CoverSystem:
     """Fill normalized weights w_U(y)/W(y) with w_U(y) = dist(y, complement of
-    U) capped at the radius, and keep the totals W(y) as ``weight_sum``."""
+    U) capped at the radius, as a ``Csr`` over the open-ball pairs, and keep
+    the totals W(y) as ``weight_sum``.  W(y) is summed over the dense
+    (samples x balls) block, whose summation order a sum over the nonzeros
+    would not keep."""
     inside, depth = ball_depth(space, cover.centers, cover.radii)
     w = np.minimum(depth, cover.radii, out=depth)
     w[~inside] = 0.0
@@ -334,7 +358,32 @@ def partition_of_unity(space: SampledSpace, cover: CoverSystem) -> CoverSystem:
     if bad.size:
         raise CoverageError(f"point {int(bad[0])} is not covered by any ball")
     norm = np.where(tot > 0, tot, 1.0)
-    return replace(cover, weights=w / norm[:, None], weight_sum=tot)
+    rows, cols = np.nonzero(inside)  # row-major: rows, then balls, ascend
+    indptr = np.zeros(len(inside) + 1, dtype=np.intp)
+    np.cumsum(inside.sum(axis=1), out=indptr[1:])
+    return replace(
+        cover, weights=Csr(indptr, cols, w[rows, cols] / norm[rows]), weight_sum=tot
+    )
+
+
+def dense_weights(cover: CoverSystem) -> np.ndarray:
+    """The (n_points, n_balls) table of ``cover.weights``: w_U(y)/W(y) on the
+    open-ball pairs and 0 elsewhere."""
+    indptr, indices, data = cover.weights
+    out = np.zeros((len(indptr) - 1, cover.n_balls))
+    out[np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), indices] = data
+    return out
+
+
+def ball_multiplicity(weights: Csr, active: np.ndarray) -> np.ndarray:
+    """(len(active), n_points) counts: entry [i, y] is the number of balls b
+    with ``active[i, b]`` whose open ball holds sample y, which is
+    ``active @ (dense weights > 0).T``.  A row without balls counts 0; each
+    count is the difference of a running sum over the row's segment."""
+    indptr, indices, _ = weights
+    run = np.zeros((len(active), len(indices) + 1), dtype=np.intp)
+    np.cumsum(active[:, indices], axis=1, out=run[:, 1:])
+    return run[:, indptr[1:]] - run[:, indptr[:-1]]
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,7 @@ def _reblend_at(run, it, y):
     """Independent re-evaluation of the blend at sample y from the stored
     cover, reimplementing the weight rule from its definition."""
     space = run.bundle.hspace
-    cover = it.extras["mollify_cover"]
+    cover = it.extras["mollify_pou"]
     pre = it.extras["pre_blend_values"]
     D = space.dense_matrix()
     num = np.zeros(pre.shape[1])

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from baireext import extension, pipeline
+from baireext import extension, pipeline, scenarios
 from baireext.extension import (
     branch_condition_violations,
     build_extension,
@@ -58,7 +58,9 @@ from baireext.space import (
     SampledSpace,
     SpaceConfigError,
     ball_depth,
+    ball_multiplicity,
     build_refinement,
+    dense_weights,
     load_space_json,
     partition_of_unity,
 )
@@ -213,7 +215,7 @@ class TestRefinementKernel:
             for it in run.items:
                 delta = it.extras["mollify_delta"]
                 raw = CoverSystem(centers=np.arange(nY), radii=delta, covered=np.arange(nY))
-                assert_cover_is(it.extras["mollify_cover"], refine_by_pairs(hspace, raw, delta))
+                assert_cover_is(it.extras["mollify_pou"], refine_by_pairs(hspace, raw, delta))
 
     def test_matches_scalar_pair_loop_on_selection_covers(self, s2_run, s3_run):
         for run in (s2_run, s3_run):
@@ -849,7 +851,7 @@ def open_ball_members(space, cover):
 
 
 def mollify_covers(run):
-    return [it.extras["mollify_cover"] for it in run.items[:: max(1, len(run.items) // 6)]]
+    return [it.extras["mollify_pou"] for it in run.items[:: max(1, len(run.items) // 6)]]
 
 
 class TestBallDepth:
@@ -902,7 +904,7 @@ class TestBallDepth:
         assert nY == 201 and space.mode == "finite"
         block = _ROW_BLOCK * nY * (8 + 1)  # a block's distance rows and its mask
         for it in s2_run.items:
-            cover = it.extras["mollify_cover"]
+            cover = it.extras["mollify_pou"]
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -915,12 +917,13 @@ class TestBallDepth:
             assert peak - base <= 2 * block + outputs
 
     def test_positive_weights_mark_the_open_balls(self, s1_run, s2_run, s3_run):
-        """The mollify oracle counts ball multiplicity from ``weights > 0``."""
+        """The mollify oracle counts ball multiplicity over the stored
+        nonzeros, which must be the open-ball pairs."""
         for run in (s1_run, s2_run, s3_run):
             space = run.bundle.hspace
             for it in run.items:
                 pou = it.extras["mollify_pou"]
-                assert np.array_equal(pou.weights > 0, open_ball_members(space, pou))
+                assert np.array_equal(dense_weights(pou) > 0, open_ball_members(space, pou))
 
     def test_partition_weights_match_ball_loop(self, s1_run, s2_run, s3_run):
         """S2 and S3 are finite spaces, S1 a sampled one."""
@@ -933,7 +936,63 @@ class TestBallDepth:
                 pou = partition_of_unity(space, cover)
                 tot = w.sum(axis=1)
                 assert np.array_equal(pou.weight_sum, tot)
-                assert np.array_equal(pou.weights, w / np.where(tot > 0, tot, 1.0)[:, None])
+                assert np.array_equal(
+                    dense_weights(pou), w / np.where(tot > 0, tot, 1.0)[:, None]
+                )
+
+
+@st.composite
+def multiplicity_cases(draw):
+    """(space, centers, radii, active) for ``ball_multiplicity``: the covers
+    of ``depth_cases``, often cut to one ball, whose radius-0 balls leave
+    samples in no ball, and a few rows of active-ball masks."""
+    space, centers, radii = draw(depth_cases())
+    if draw(st.booleans()):
+        centers, radii = centers[:1], radii[:1]
+    active = draw(hnp.arrays(bool, (draw(st.integers(0, 4)), len(centers))))
+    return space, centers, radii, active
+
+
+class TestSparseWeights:
+    """The partition-of-unity weights are kept as a CSR triple; the mollify
+    oracle reads its ball multiplicity from the triple's structure."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(multiplicity_cases())
+    def test_csr_multiplicity_matches_dense_product(self, case):
+        """Equal to ``active @ member.T`` over the dense open-ball table,
+        covers without balls included."""
+        space, centers, radii, active = case
+        cover = CoverSystem(centers=centers, radii=radii, covered=np.zeros(0, dtype=int))
+        weights = partition_of_unity(space, cover).weights
+        assert len(weights.indptr) == space.n_points + 1
+        member = open_ball_members(space, cover)
+        got = ball_multiplicity(weights, active)
+        assert got.shape == (len(active), space.n_points)
+        assert np.array_equal(got, np.matmul(active, member.T, dtype=float))
+
+    def test_multiplicity_of_a_sample_in_no_ball_is_zero(self):
+        sp = json_line_space([0.0, 0.25, 0.5, 1.0], h=[0])
+        cover = CoverSystem(centers=np.array([1]), radii=np.array([0.3]), covered=np.arange(3))
+        pou = partition_of_unity(sp, cover)
+        assert np.array_equal(pou.weights.indptr, [0, 1, 2, 3, 3])
+        got = ball_multiplicity(pou.weights, np.array([[True], [False]]))
+        assert np.array_equal(got, [[1, 1, 1, 0], [0, 0, 0, 0]])
+        assert np.array_equal(dense_weights(pou), [[1.0], [1.0], [1.0], [0.0]])
+
+    def test_items_retain_the_nonzeros_not_the_table(self):
+        """S1@201's 126 items keep 32,735 nonzero weights out of 34.6 MB of
+        dense tables; with the tables the items held 41.9 MB."""
+        data = get_scenario("S1").build(ScenarioConfig(grid=201, seed=0))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            items = baire_approximate(data.bundle, data.n_seq)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(items) == 126
+        assert held <= 10e6
 
 
 # ---------------------------------------------------------------------------
@@ -1587,6 +1646,34 @@ class PointSetByStacking:
         return np.array(out, dtype=int)
 
 
+def validate_by_point(hspace, f_values, idx, scale, tag):
+    """The continuity validator one declared point at a time: a distance
+    row, a sort and an (s x s) value-difference table per point."""
+    shrink = 1.0 - 1e-9
+    radii = [k * scale * shrink for k in (8, 4, 2, 1)]
+    for y in idx:
+        row = hspace.dists_from(int(y))
+        s = np.flatnonzero(row < radii[0])
+        s = s[np.argsort(row[s], kind="stable")]
+        diffs = norm(f_values[s][:, None, :] - f_values[s][None, :, :], tag)
+        prefix_max = np.maximum.accumulate(np.tril(diffs).max(axis=1, initial=0.0))
+        sizes = np.searchsorted(row[s], radii)
+        oscs = [float(prefix_max[k - 1]) if k >= 2 else 0.0 for k in sizes.tolist()]
+        if any(b > a + 1e-12 for a, b in zip(oscs, oscs[1:])) or oscs[-1] > 1e-9:
+            raise ValueError(
+                f"declared continuity point {int(y)} has oscillation profile {oscs}"
+            )
+
+
+def validation_error(validate, *args):
+    """The message a validator raises, or None when it passes."""
+    try:
+        validate(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 class TestScenarioHelpers:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_point_set_matches_stacking(self, dim):
@@ -1617,6 +1704,43 @@ class TestScenarioHelpers:
             assert np.array_equal(ps.add(batch), ref.add(batch))
             assert np.array_equal(ps.pts, ref.pts)
         assert len(ps.pts) < sum(map(len, line))
+
+    @pytest.mark.parametrize("name", ["S0", "S1", "S2", "S3"])
+    def test_continuity_check_matches_point_loop(self, name, monkeypatch):
+        """The call each build makes, then the same space and points with
+        value fields that fail: a jump at the median coordinate, a jump at
+        every sample, noise above and below the 1e-9 tolerance, at the
+        build's scale and at 1.5 resolutions, where the smallest probe ball
+        of the closest pair holds a neighbour.  The points go in declared
+        order, reversed, and three times over, so the first failure in
+        ``idx`` order falls in a later block."""
+        calls = []
+        real = scenarios._validate_continuity_declarations
+        monkeypatch.setattr(
+            scenarios, "_validate_continuity_declarations",
+            lambda *args: (calls.append(args), real(*args)),
+        )
+        get_scenario(name).build(ScenarioConfig())
+        ((hspace, f_values, idx, scale, tag),) = calls
+        assert len(idx) and hspace.coords is not None
+        x = hspace.coords[:, :1]
+        noise = np.random.default_rng(0).normal(size=f_values.shape)
+        fields = [
+            f_values,
+            f_values + np.where(x > np.median(x), 1.0, 0.0),
+            f_values + np.arange(len(x))[:, None] % 2,
+            f_values + 1e-8 * noise,
+            f_values + 1e-12 * noise,
+        ]
+        verdicts = set()
+        for vals in fields:
+            for sc in (scale, 1.5 * hspace.resolution()):
+                for order in (idx, idx[::-1], np.tile(idx, 3)):
+                    args = (hspace, vals, order, sc, tag)
+                    want = validation_error(validate_by_point, *args)
+                    assert validation_error(real, *args) == want
+                    verdicts.add(want is None)
+        assert verdicts == {True, False}
 
     @pytest.mark.parametrize("name", ["S1", "S2", "S3"])
     def test_continuity_check_matches_oscillation_calls(self, name):

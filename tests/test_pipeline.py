@@ -16,7 +16,7 @@ from baireext.pipeline import (
     sampled_lip_oracle,
     ucpc_transform,
 )
-from baireext.space import SampledSpace
+from baireext.space import SampledSpace, dense_weights
 from baireext.target import norm
 
 
@@ -193,10 +193,9 @@ class TestMollify:
 
     def test_blend_reevaluates_from_stored_cover(self, s1_run):
         for it in (s1_run.items[0], s1_run.items[-1]):
-            cover = it.extras["mollify_cover"]
             pou = it.extras["mollify_pou"]
             pre = it.extras["pre_blend_values"]
-            redo = pou.weights @ pre[cover.centers]
+            redo = dense_weights(pou) @ pre[pou.centers]
             assert np.allclose(redo, it.values, atol=1e-12)
 
     def test_requires_oracle(self):

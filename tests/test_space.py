@@ -15,6 +15,7 @@ from baireext.space import (
     SampledSpace,
     SpaceConfigError,
     build_refinement,
+    dense_weights,
     load_space_json,
     partition_of_unity,
     validate_metric,
@@ -175,16 +176,16 @@ class TestPartitionOfUnity:
             centers=np.array([0]), radii=np.array([1.0]), covered=np.arange(3)
         )
         pou = partition_of_unity(sp, cover)
-        assert np.allclose(pou.weights, 1.0)
+        assert np.allclose(dense_weights(pou), 1.0)
 
     def test_symmetric_midpoint(self):
         sp = line_space([0.0, 0.25, 0.5], h=[0], mode="sampled", delta=0.1)
         cover = CoverSystem(
             centers=np.array([0, 2]), radii=np.array([0.6, 0.6]), covered=np.arange(3)
         )
-        pou = partition_of_unity(sp, cover)
-        assert pou.weights[1, 0] == pytest.approx(0.5)
-        assert pou.weights[1, 1] == pytest.approx(0.5)
+        w = dense_weights(partition_of_unity(sp, cover))
+        assert w[1, 0] == pytest.approx(0.5)
+        assert w[1, 1] == pytest.approx(0.5)
 
     def test_rule_value_overlapping_balls(self):
         sp = line_space([0.0, 0.25, 0.5], h=[0], mode="sampled", delta=0.1)
@@ -193,7 +194,7 @@ class TestPartitionOfUnity:
         )
         pou = partition_of_unity(sp, cover)
         # raw weights at y=0.25 are radius - d(center, y) = (0.75, 0.75)
-        assert pou.weights[1, 0] == pytest.approx(0.75 / 1.5)
+        assert dense_weights(pou)[1, 0] == pytest.approx(0.75 / 1.5)
 
     @settings(max_examples=40, deadline=None)
     @given(clouds, st.sampled_from(["finite", "sampled"]))
@@ -205,12 +206,12 @@ class TestPartitionOfUnity:
         cover = CoverSystem(
             centers=np.arange(n), radii=np.full(n, 50.0), covered=np.arange(n)
         )
-        pou = partition_of_unity(sp, cover)
-        assert np.all(np.abs(pou.weights.sum(axis=1) - 1.0) <= 1e-12)
+        w = dense_weights(partition_of_unity(sp, cover))
+        assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)
         member = np.stack(
             [sp.dists_from(int(c)) < r for c, r in zip(cover.centers, cover.radii)], axis=1
         )
-        assert np.all(pou.weights[~member] == 0.0)
+        assert np.all(w[~member] == 0.0)
 
     def test_uncovered_point_is_named(self):
         sp = line_space([0.0, 10.0], h=[0], mode="sampled", delta=0.1)
