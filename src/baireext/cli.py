@@ -22,7 +22,13 @@ from typing import Optional
 
 import numpy as np
 
-from .extension import ExtensionField, build_extension, field_rows, field_to_csv, smooth_extension
+from .extension import (
+    ExtensionField,
+    build_extension,
+    field_to_csv,
+    field_to_json,
+    smooth_extension,
+)
 from .pipeline import baire_approximate
 from .scenarios import ConfigError, Scenario, ScenarioConfig, get_scenario, list_scenarios
 from .verify import check_boundedness, check_continuity, check_nt, check_ucpc
@@ -56,7 +62,8 @@ def run_scenario(
     field = None
     if data.run_extension:
         field = build_extension(
-            data.space, items, bundle.f_values, data.query_idx, bundle.norm_tag
+            data.space, items, bundle.f_values, data.query_idx, bundle.norm_tag,
+            near=data.query_near,
         )
         field = smooth_extension(field)
 
@@ -114,9 +121,8 @@ def run_scenario(
                     field_to_csv(field, data.primary_anchor_y)
                 )
             else:
-                rows = field_rows(field, data.primary_anchor_y)
                 (out_dir / f"{name}_field.json").write_text(
-                    json.dumps(rows, sort_keys=True)
+                    field_to_json(field, data.primary_anchor_y)
                 )
         (out_dir / f"{name}_manifest.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n"
@@ -180,6 +186,22 @@ def _merge_config(args: argparse.Namespace, loaded: dict) -> ScenarioConfig:
     return ScenarioConfig(**base)
 
 
+def _attach_number_values(argv: list[str]) -> list[str]:
+    """``--tol -inf`` as ``--tol=-inf``.  argparse reads a word that starts
+    with '-' as an option unless it looks like -1 or -0.5, so a negative or
+    infinite tol such as -inf or -1e-3, given as its own word, would get the
+    usage text instead of the config check's one-line refusal."""
+    out = list(argv)
+    for i in range(len(out) - 2, -1, -1):
+        if out[i] == "--tol" and out[i + 1].startswith("-"):
+            try:
+                float(out[i + 1])
+            except ValueError:
+                continue
+            out[i : i + 2] = [f"--tol={out[i + 1]}"]
+    return out
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="baireext",
@@ -204,7 +226,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_desc = sub.add_parser("describe", help="show one scenario card")
     p_desc.add_argument("name")
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_number_values(sys.argv[1:] if argv is None else argv))
 
     if args.command == "list":
         for sc in list_scenarios():

@@ -8,10 +8,19 @@ g(x) = f_{n(x)}(u(x)) with f_0 = 0.  The smoothing step blends g values over
 the cover {B(x_a, dist(x_a,H)/3)} with partition-of-unity weights.
 
 dist(x,H) and u(x) come from ``SampledSpace.nearest_h``, for the queries and
-for the midpoint centers alike.  The field keeps no (queries x H) table: the
-NT quotient and the boundedness check read one anchor column
+for the midpoint centers alike (a scenario may hand over the queries' pair it
+already computed).  The field keeps no (queries x H) table: the NT quotient
+and the boundedness check read one anchor column
 (``ExtensionField.anchor_dists``), and the inequality diagnostics stream their
 distance rows in ``_ROW_BLOCK`` blocks.
+
+The smoothing search evaluates d(q, c) only for candidate centers: the box
+of half-width dist(q,H)/2 that the contributor lemma allows (a band of
+dist(c,H) on a metric matrix), cut on coordinate spaces to the run of centers
+whose ball extent y_c +- dist(c,H)/3 can hold y_q (``_search_ranges``).  Along
+a line dist(., H) is 1-Lipschitz, so both ball ends are nondecreasing and the
+run holds little more than the contributors.  The field table is written
+column by column, byte for byte the text of the ``field_rows`` dicts.
 """
 from __future__ import annotations
 
@@ -39,6 +48,7 @@ __all__ = [
     "factor4_ratio_range",
     "field_rows",
     "field_to_csv",
+    "field_to_json",
 ]
 
 
@@ -164,10 +174,13 @@ def build_extension(
     f_h: np.ndarray,
     query_idx: np.ndarray,
     norm_tag: str = "linf",
+    near: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> ExtensionField:
-    """Run the extension at every query sample (all must lie off H)."""
+    """Run the extension at every query sample (all must lie off H).
+    ``near`` is the queries' (dist_h, u_y) from ``SampledSpace.nearest_h``
+    when the caller has it already."""
     query_idx = np.asarray(query_idx, dtype=int)
-    dist_h, u_y = space.nearest_h(query_idx)
+    dist_h, u_y = space.nearest_h(query_idx) if near is None else near
     if not np.all(dist_h > 0):
         bad = int(query_idx[int(np.argmin(dist_h))])
         raise ValueError(f"query {bad} lies on a sampled H point")
@@ -188,13 +201,23 @@ def build_extension(
 
 
 def _search_ranges(field: ExtensionField, q_pos: np.ndarray, center_pos, center_dh):
-    """Candidate centers per query from the contributor lemma.
+    """Candidate centers per query from the contributor lemma and, on
+    coordinate spaces, from the ball extents.
 
     Returns ``order``, a permutation of the centers, and entries (q, lo, hi):
     every center that can contribute to query q sits in ``order[lo:hi]`` for
     one of q's entries.  Entries are sorted by query, and the ranges of one
     query are disjoint.  ``q_pos`` holds the query coordinates (read on
     coordinate spaces only).
+
+    On coordinate spaces each entry is one column of centers in search order
+    (ascending search coordinate y).  A contributor c of q has
+    y_c - r_c < y_q < y_c + r_c with r_c = dist(c,H)/3, since |y_q - y_c| is
+    at most d(q,c).  Along the column the running maximum of y_c + r_c and the
+    running minimum from the end of y_c - r_c are nondecreasing, so two
+    searches bound the run of centers whose extent can hold y_q.  That run is
+    a superset of the contributors whatever the extents look like; the
+    extents are widened by the relative slack of ``reach`` for rounding.
     """
     # the contributor half-width dist(q,H)/2, widened for rounding and for
     # the 1e-12 triangle tolerance of ``load_space_json`` metrics
@@ -233,6 +256,23 @@ def _search_ranges(field: ExtensionField, q_pos: np.ndarray, center_pos, center_
     ecol = c_lo[eq] + np.arange(len(eq)) - np.repeat(np.cumsum(span) - span, span)
     lo = np.searchsorted(key, ecol * nc + y_lo[eq], "left")
     hi = np.searchsorted(key, ecol * nc + y_hi[eq], "left")
+    if field.space.coords is not None:
+        # the envelopes as keys (column, rank of the value), so one search
+        # over every column stays exact; a key of a later column is larger
+        # than every key of an earlier one, so each running extreme restarts
+        # at its column's border
+        width = nc + 1
+        col_s, y_s = col[order], y_c[order]
+        ext = center_dh[order] / 3.0 * (1.0 + 2e-9) + 1e-11
+        top, bottom = np.sort(y_s + ext), np.sort(y_s - ext)
+        rise = np.maximum.accumulate(col_s * width + np.searchsorted(top, y_s + ext, "left"))
+        fall = col_s * width + np.searchsorted(bottom, y_s - ext, "right")
+        fall = np.minimum.accumulate(fall[::-1])[::-1]
+        # first center with max(y + r) > y_q, first with min(y - r) >= y_q
+        yq, base = y_q[eq], ecol * width
+        lo = np.maximum(lo, np.searchsorted(rise, base + np.searchsorted(top, yq, "right"), "left"))
+        hi = np.minimum(hi, np.searchsorted(fall, base + np.searchsorted(bottom, yq, "left"), "right"))
+        hi = np.maximum(hi, lo)
     return order, eq, lo, hi
 
 
@@ -264,11 +304,16 @@ def smooth_extension(field: ExtensionField, extra_midpoints: bool = True) -> Ext
     triangle argument behind the factor-4 ratio).  The search looks only
     there: on coordinate spaces inside the box of half-width dist(q,H)/2, read
     from columns of coordinate 0 with each column sorted by coordinate 1; on a
-    metric matrix inside that band of the centers sorted by dist(c,H).
+    metric matrix inside that band of the centers sorted by dist(c,H).  On
+    coordinate spaces each column is cut to the run of centers whose ball
+    extent y_c +- r_c along the search coordinate can hold the query (the
+    envelope search of ``_search_ranges``).
     Distances and weights are evaluated for blocks of at most ``_PAIR_BLOCK``
     candidate pairs (a single query may exceed it), and each query's
-    contributors stay in ascending center order, so its weights and blend are
-    the same floats as a scan over every center gives.
+    contributors stay in ascending center order.  Each query keeps its own
+    weight sum and its own product with its rows of a block's gathered g
+    values, so its weights and blend are the same floats as a scan over every
+    center gives.
     """
     space = field.space
     items, f_h = field.items, field.f_h
@@ -315,6 +360,7 @@ def smooth_extension(field: ExtensionField, extra_midpoints: bool = True) -> Ext
         qi, c, w = qi[inside], order[at[inside]], w[inside]
         srt = np.argsort(qi * nc + c)
         qi, c, w = qi[srt], c[srt], w[srt]
+        gc = center_g[c]  # a query's rows are one C-contiguous slice
         bounds = np.searchsorted(qi, np.arange(a, b + 1)).tolist()
         for q in range(a, b):
             s, t = bounds[q - a], bounds[q - a + 1]
@@ -328,7 +374,7 @@ def smooth_extension(field: ExtensionField, extra_midpoints: bool = True) -> Ext
             lam = wv / wv.sum()
             contributors.append(idx)
             weights.append(lam)
-            g_smooth[q] = lam @ center_g[idx]
+            g_smooth[q] = lam @ gc[s:t]
         a = b
     return replace(
         field,
@@ -423,48 +469,78 @@ def factor4_ratio_range(field: ExtensionField) -> tuple[float, float]:
 # serialization
 # ---------------------------------------------------------------------------
 
-def field_rows(field: ExtensionField, anchor_y: int) -> list[dict]:
-    """One dict per query: x (coords, or [X index] without coordinates),
-    dist_h, n_of_x, u_index, g, g_smooth (NaN before smoothing), q_nt,
-    alp5_rhs, alp5_slack (NT columns vs the given anchor), in column order."""
+def _field_columns(field: ExtensionField, anchor_y: int) -> list[tuple]:
+    """The field table by column, in column order: (key, values, CSV heads),
+    where ``values`` is (nq,) for one number per row and (nq, k) for a list of
+    k.  The NT columns are read against the given anchor."""
     coords = field.space.coords
     q_nt = nt_quotient(field, anchor_y)
     rhs = alp5_rhs(field, anchor_y)
     gs = field.g_smooth if field.g_smooth is not None else np.full_like(field.g, np.nan)
-    rows = []
-    for q in range(field.n_queries):
-        x = int(field.query_idx[q])
-        rows.append(
-            {
-                "x": [float(c) for c in coords[x]] if coords is not None else [x],
-                "dist_h": float(field.dist_h[q]),
-                "n_of_x": int(field.n_of_x[q]),
-                "u_index": int(field.u_x[q]),
-                "g": [float(v) for v in field.g[q]],
-                "g_smooth": [float(v) for v in gs[q]],
-                "q_nt": float(q_nt[q]),
-                "alp5_rhs": float(rhs[q]),
-                "alp5_slack": float(rhs[q] - q_nt[q]),
-            }
-        )
-    return rows
+    if coords is not None:
+        x, x_heads = coords[field.query_idx], [f"x{i}" for i in range(coords.shape[1])]
+    else:
+        x, x_heads = field.query_idx[:, None], ["x_index"]
+    m = field.g.shape[1]
+    return [
+        ("x", x, x_heads),
+        ("dist_h", field.dist_h, ["dist_h"]),
+        ("n_of_x", field.n_of_x, ["n_of_x"]),
+        ("u_index", field.u_x, ["u_index"]),
+        ("g", field.g, [f"g{i}" for i in range(m)]),
+        ("g_smooth", gs, [f"g_smooth{i}" for i in range(m)]),
+        ("q_nt", q_nt, ["q_nt"]),
+        ("alp5_rhs", rhs, ["alp5_rhs"]),
+        ("alp5_slack", rhs - q_nt, ["alp5_slack"]),
+    ]
+
+
+def _cell_text(values: np.ndarray, special: Optional[dict] = None) -> list[list[str]]:
+    """``repr`` of every value, one list per component (one for a (nq,)
+    column): the shortest round-trip float form.  ``special`` respells the
+    non-finite floats."""
+    out = []
+    for comp in (values,) if values.ndim == 1 else values.T:
+        text = list(map(repr, comp.tolist()))
+        if special and not np.isfinite(comp).all():
+            text = [special.get(t, t) for t in text]
+        out.append(text)
+    return out
+
+
+# json's spellings of the non-finite floats
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def field_rows(field: ExtensionField, anchor_y: int) -> list[dict]:
+    """One dict per query: x (coords, or [X index] without coordinates),
+    dist_h, n_of_x, u_index, g, g_smooth (NaN before smoothing), q_nt,
+    alp5_rhs, alp5_slack (NT columns vs the given anchor), in column order."""
+    cols = _field_columns(field, anchor_y)
+    keys = [key for key, _, _ in cols]
+    return [dict(zip(keys, row)) for row in zip(*(v.tolist() for _, v, _ in cols))]
 
 
 def field_to_csv(field: ExtensionField, anchor_y: int) -> str:
     """The ``field_rows`` table as CSV: x0.. (or x_index), dist_h, n_of_x,
     u_index, g.., g_smooth.., q_nt, alp5_rhs, alp5_slack.  Cells are ``repr``
     text: the shortest round-trip float form, bit-stable across runs."""
-    m = field.f_h.shape[1]
-    coords = field.space.coords
-    cols = (
-        ([f"x{i}" for i in range(coords.shape[1])] if coords is not None else ["x_index"])
-        + ["dist_h", "n_of_x", "u_index"]
-        + [f"g{i}" for i in range(m)]
-        + [f"g_smooth{i}" for i in range(m)]
-        + ["q_nt", "alp5_rhs", "alp5_slack"]
-    )
-    lines = [",".join(cols)]
-    for row in field_rows(field, anchor_y):
-        cells = [v for val in row.values() for v in (val if isinstance(val, list) else [val])]
-        lines.append(",".join(map(repr, cells)))
-    return "\n".join(lines) + "\n"
+    heads, text = [], []
+    for _, values, col_heads in _field_columns(field, anchor_y):
+        heads += col_heads
+        text += _cell_text(values)
+    return "\n".join([",".join(heads), *map(",".join, zip(*text))]) + "\n"
+
+
+def field_to_json(field: ExtensionField, anchor_y: int) -> str:
+    """``json.dumps(field_rows(field, anchor_y), sort_keys=True)``, written
+    column by column: keys in sorted order, floats in ``repr`` form and
+    NaN, Infinity and -Infinity spelled as json spells them."""
+    parts, text = [], []
+    for key, values, _ in sorted(_field_columns(field, anchor_y), key=lambda c: c[0]):
+        cells = _cell_text(values, _JSON_FLOATS)
+        slots = ", ".join(["%s"] * len(cells))
+        parts.append(f'"{key}": ' + (slots if values.ndim == 1 else f"[{slots}]"))
+        text += cells
+    row = "{" + ", ".join(parts) + "}"
+    return "[" + ", ".join(row % cells for cells in zip(*text)) + "]"

@@ -92,6 +92,8 @@ class ScenarioData:
     primary_anchor_y: int
     grid: int  # the grid the scenario ran at, after its clamps
     run_extension: bool = True
+    # (dist_h, u_y) of the queries from ``SampledSpace.nearest_h``
+    query_near: Optional[tuple[np.ndarray, np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,16 @@ class Scenario:
 _DEDUP_TOL = 1e-9
 
 
+def _row_ids(rows: np.ndarray) -> np.ndarray:
+    """Ids 0..k-1 of the distinct rows of a 2-D array, one sort per column;
+    the ids stay below the row count, so their combination cannot wrap."""
+    ids = np.zeros(len(rows), dtype=np.int64)
+    for col in rows.T:
+        vals, rank = np.unique(col, return_inverse=True)
+        ids = np.unique(ids * len(vals) + rank, return_inverse=True)[1]
+    return ids
+
+
 class _PointSet:
     """Append-only point list with tolerance-based deduplication.
 
@@ -117,6 +129,12 @@ class _PointSet:
     Stored points are hashed into cells of side 2 tol, so every point within
     ``tol`` sits in one of the 3^dim cells around the new point's cell, with
     room to spare for the rounding of the cell coordinates.
+
+    A batch is read in numpy first: a new point with no stored point and no
+    other new point in its 3^dim cells is appended, and the relation is
+    symmetric, so no other point can merge into it.  Runs of such points are
+    appended in bulk, in batch order; the other points take the scalar rule
+    one at a time.
     """
 
     def __init__(self, dim: int, tol: float = _DEDUP_TOL):
@@ -133,23 +151,54 @@ class _PointSet:
     def add(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         cells = np.floor(pts / (2.0 * self.tol))
-        out = []
-        for p, cell in zip(pts, cells):
-            near = (cell + self._around).tolist()
-            cand = sorted(j for c in near for j in self._cells.get(tuple(c), ()))
-            if cand:
-                d = np.linalg.norm(self._buf[cand] - p, axis=1)
-                j = int(np.argmin(d))
-                if d[j] <= self.tol:
-                    out.append(cand[j])
-                    continue
-            if self._n == len(self._buf):
-                self._buf = np.concatenate([self._buf, np.zeros_like(self._buf)])
-            self._buf[self._n] = p
-            self._cells.setdefault(tuple(cell.tolist()), []).append(self._n)
-            self._n += 1
-            out.append(self._n - 1)
-        return np.array(out, dtype=int)
+        free = self._uncontested(cells)
+        out = np.empty(len(pts), dtype=int)
+        cuts = [0, *(np.flatnonzero(np.diff(free)) + 1).tolist(), len(pts)]
+        for s, t in zip(cuts, cuts[1:]):
+            if free[s]:
+                out[s:t] = self._append(pts[s:t], cells[s:t])
+            else:
+                out[s:t] = [self._add_one(pts[i], cells[i]) for i in range(s, t)]
+        return out
+
+    def _uncontested(self, cells: np.ndarray) -> np.ndarray:
+        """Per new point: no stored point and no other new point lies in its
+        3^dim neighbour cells."""
+        k = len(self._around)
+        stored = np.floor(self.pts / (2.0 * self.tol))
+        near = (cells[:, None, :] + self._around).reshape(-1, cells.shape[1])
+        ids = _row_ids(np.concatenate([stored, near]))
+        taken = np.zeros(len(ids), dtype=bool)
+        taken[ids[: len(stored)]] = True
+        near_ids = ids[len(stored):].reshape(-1, k)
+        count = np.bincount(near_ids[:, k // 2], minlength=len(ids))  # new points per cell
+        return ~taken[near_ids].any(axis=1) & (count[near_ids].sum(axis=1) == 1)
+
+    def _add_one(self, p: np.ndarray, cell: np.ndarray) -> int:
+        """The scalar rule for one point."""
+        near = (cell + self._around).tolist()
+        cand = sorted(j for c in near for j in self._cells.get(tuple(c), ()))
+        if cand:
+            d = np.linalg.norm(self._buf[cand] - p, axis=1)
+            j = int(np.argmin(d))
+            if d[j] <= self.tol:
+                return cand[j]
+        return int(self._append(p[None], cell[None])[0])
+
+    def _append(self, pts: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        n, k = self._n, len(pts)
+        cap = len(self._buf)
+        while cap < n + k:
+            cap *= 2
+        if cap > len(self._buf):
+            buf = np.zeros((cap, self._buf.shape[1]))
+            buf[:n] = self._buf[:n]
+            self._buf = buf
+        self._buf[n : n + k] = pts
+        for j, cell in enumerate(cells.tolist(), start=n):
+            self._cells.setdefault(tuple(cell), []).append(j)
+        self._n += k
+        return np.arange(n, n + k)
 
 
 def _validate_continuity_declarations(
@@ -192,15 +241,15 @@ def _validate_continuity_declarations(
             )
 
 
-def _sequence_length(space: SampledSpace, query_idx: np.ndarray) -> int:
+def _sequence_length(dist_h: np.ndarray) -> int:
     """Items needed so the selection scan can start at its analytic ceiling
-    for every query and for the midpoint smoothing centers, whose distance to
-    H is at least half the query's."""
-    if len(query_idx) == 0:
+    for every query (``dist_h`` holds their distances to H) and for the
+    midpoint smoothing centers, whose distance to H is at least half the
+    query's."""
+    if len(dist_h) == 0:
         return 1
     # the ceiling is nonincreasing in the distance: the nearest query decides
-    d = float(space.nearest_h(query_idx)[0].min())
-    return max(1, select_ceiling(d / 2.0))
+    return max(1, select_ceiling(float(dist_h.min()) / 2.0))
 
 
 def _geometric_radii(t0: float, steps: int, clearance: float = 1.0) -> np.ndarray:
@@ -249,7 +298,8 @@ def _build_s0(cfg: ScenarioConfig) -> ScenarioData:
         delta=spacing if mode == "sampled" else 0.0,
     )
     hspace = space.h_space()
-    n_seq = _sequence_length(space, query_idx)
+    query_near = space.nearest_h(query_idx)
+    n_seq = _sequence_length(query_near[0])
     f_values = np.tile(c, (nH, 1))
     h_values = np.tile(c, (n_seq, nH, 1))
     bundle = FunctionBundle(
@@ -279,6 +329,7 @@ def _build_s0(cfg: ScenarioConfig) -> ScenarioData:
         bundle=bundle,
         n_seq=n_seq,
         query_idx=query_idx,
+        query_near=query_near,
         plan=plan,
         primary_anchor_y=anchor_x,
         grid=g,
@@ -332,7 +383,8 @@ def _build_s1(cfg: ScenarioConfig) -> ScenarioData:
     hspace = space.h_space()
     t = hspace.coords[:, 0]
     f_values = np.column_stack([np.where(t >= -1e-15, 1.0, -1.0), np.zeros(nH)])
-    n_seq = _sequence_length(space, query_idx)
+    query_near = space.nearest_h(query_idx)
+    n_seq = _sequence_length(query_near[0])
     h_values = np.zeros((n_seq, nH, 2))
     for n in range(1, n_seq + 1):
         h_values[n - 1, :, 0] = np.clip(n * t + 1.0, -1.0, 1.0)
@@ -372,6 +424,7 @@ def _build_s1(cfg: ScenarioConfig) -> ScenarioData:
         bundle=bundle,
         n_seq=n_seq,
         query_idx=query_idx,
+        query_near=query_near,
         plan=plan,
         primary_anchor_y=a0,
         grid=g,
@@ -472,7 +525,8 @@ def _build_s3(cfg: ScenarioConfig) -> ScenarioData:
         coords=ps.pts[:nH].copy(), dmat=None, h_idx=np.arange(nH), mode="finite", delta=0.0
     )
     f_values = np.array([[float(k)] for k in range(1, _S3_KMAX + 1)] + [[0.0]])
-    n_seq = _sequence_length(space, query_idx)
+    query_near = space.nearest_h(query_idx)
+    n_seq = _sequence_length(query_near[0])
     h_values = np.zeros((n_seq, nH, 1))
     for n in range(1, n_seq + 1):
         for k in range(1, _S3_KMAX + 1):
@@ -507,6 +561,7 @@ def _build_s3(cfg: ScenarioConfig) -> ScenarioData:
         bundle=bundle,
         n_seq=n_seq,
         query_idx=query_idx,
+        query_near=query_near,
         plan=plan,
         primary_anchor_y=a_half,
         grid=g,

@@ -191,6 +191,25 @@ class TestConfigMerging:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "words, message",
+        [
+            (["--tol", "-inf"], "tol must be positive, not -inf"),
+            (["--tol", "-1e-3"], "tol must be positive, not -0.001"),
+            (["--tol=-inf"], "tol must be positive, not -inf"),
+            (["--tol", "-1"], "tol must be positive, not -1.0"),
+        ],
+    )
+    def test_negative_tol_word_exits_2_with_one_line(self, tmp_path, capsys, words, message):
+        """A tol that argparse would read as an option when given as its own
+        word still reaches the config check."""
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", "S0", *words, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "content, message",
         [
             (None, "cannot read config {path}: No such file or directory"),

@@ -25,6 +25,7 @@ from baireext.extension import (
     factor4_ratio_range,
     field_rows,
     field_to_csv,
+    field_to_json,
     general_inequality_slacks,
     m_bound,
     select_ceiling,
@@ -400,7 +401,7 @@ class TestQueryToH:
             for x in q:
                 d = float(space.dists_from(int(x))[space.h_idx].min())
                 worst = max(worst, select_ceiling(d / 2.0))
-            assert _sequence_length(space, q) == worst == run.data.n_seq
+            assert _sequence_length(space.nearest_h(q)[0]) == worst == run.data.n_seq
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +555,7 @@ def cloud_field(pts, h_mask, extra_midpoints=True):
     """Smoothed field of a coordinate cloud, queries = every sample off H."""
     sp = SampledSpace(coords=pts, dmat=None, h_idx=np.flatnonzero(h_mask), mode="sampled", delta=1.0)
     q = np.flatnonzero(~h_mask)
-    items = constant_lip_items(_sequence_length(sp, q), len(sp.h_idx))
+    items = constant_lip_items(_sequence_length(sp.nearest_h(q)[0]), len(sp.h_idx))
     field = build_extension(sp, items, items[-1].values, q)
     return smooth_extension(field, extra_midpoints=extra_midpoints)
 
@@ -600,7 +601,7 @@ class TestSmoothingSearch:
         h = [0, 5, 17, 40]
         sp = json_line_space(xs, h)
         q = np.array([i for i in range(len(xs)) if i not in h])
-        items = constant_lip_items(_sequence_length(sp, q), len(h))
+        items = constant_lip_items(_sequence_length(sp.nearest_h(q)[0]), len(h))
         field = smooth_extension(build_extension(sp, items, items[-1].values, q))
         assert field.space.coords is None
         assert max(len(c) for c in field.contributors) > 3
@@ -657,12 +658,10 @@ class TestSmoothingSearch:
             smooth_extension(broken, extra_midpoints=False)
         assert str(got.value) == str(ref.value) == f"query {int(q[-1])} is covered by no smoothing ball"
 
-    def test_distance_count_on_s1_201(self, s1_run, monkeypatch):
-        """Every center of the field is 5.70M (query, center) distances; the
-        box of half-width dist(x,H)/2 holds 249k pairs."""
-        field = s1_run.field
-        assert s1_run.cfg.seed == 0
-        assert field.n_queries * len(field.center_pos) > 5_000_000
+    @staticmethod
+    def counted_pairs(field, monkeypatch):
+        """(candidate pairs whose distance was evaluated, contributors, the
+        largest pair block) of smoothing ``field``."""
         calls = []
         pair_dists = extension._pair_dists
 
@@ -672,8 +671,52 @@ class TestSmoothingSearch:
 
         monkeypatch.setattr(extension, "_pair_dists", counting)
         smoothed = smooth_extension(field)
-        assert sum(len(c) for c in smoothed.contributors) <= sum(calls) <= 500_000
-        assert max(calls) <= _PAIR_BLOCK
+        return sum(calls), sum(len(c) for c in smoothed.contributors), max(calls)
+
+    def test_distance_count_on_s1_201(self, s1_run, monkeypatch):
+        """Every center of the field is 5.70M (query, center) distances; the
+        box of half-width dist(x,H)/2 cut to the runs the ball extents allow
+        holds 179k pairs, for 86k contributors."""
+        field = s1_run.field
+        assert s1_run.cfg.seed == 0
+        assert field.n_queries * len(field.center_pos) > 5_000_000
+        pairs, contributors, block = self.counted_pairs(field, monkeypatch)
+        assert contributors <= pairs <= 200_000
+        assert block <= _PAIR_BLOCK
+
+    def test_distance_count_on_s3_201(self, s3_run, monkeypatch):
+        """On a line the ball extents leave few candidates that are not
+        contributors: 5,508 pairs for 5,355 contributors (the box alone
+        gave 9,072)."""
+        pairs, contributors, _ = self.counted_pairs(s3_run.field, monkeypatch)
+        assert contributors <= pairs <= 1.05 * contributors
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_layouts_match_the_table(self, data):
+        """Coordinate clouds on a line or in the plane whose coordinates
+        repeat or nearly repeat (a few ulps or 1e-12 apart), so centers tie
+        or nearly tie in the search coordinate and in their ball extents;
+        with few samples some columns hold one center."""
+        dim = data.draw(st.integers(1, 2), label="dim")
+        base = data.draw(
+            st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=6), label="base"
+        )
+        nudge = st.sampled_from([0.0, 1e-12, -1e-12, 4e-16, -4e-16])
+        value = st.builds(lambda b, e: b + e, st.sampled_from(base), nudge)
+        coord = st.one_of(value, st.floats(-1.0, 1.0, allow_nan=False))
+        n_h = data.draw(st.integers(1, 3), label="n_h")
+        n_q = data.draw(st.integers(1, 30), label="n_q")
+        h_pts = data.draw(hnp.arrays(float, (n_h, dim), elements=coord), label="h")
+        q_pts = data.draw(hnp.arrays(float, (n_q, dim), elements=coord), label="q")
+        # queries at least 1e-3 from H keep the selection ceiling small
+        d = np.linalg.norm(q_pts[:, None, :] - h_pts[None, :, :], axis=2).min(axis=1)
+        q_pts = q_pts[d >= 1e-3]
+        pts = np.concatenate([h_pts, q_pts])
+        on_h = np.arange(len(pts)) < n_h
+        for mids in (True, False):
+            field = cloud_field(pts, on_h, extra_midpoints=mids)
+            assert_same_smoothing(field, center_rows(field))
 
 
 # ---------------------------------------------------------------------------
@@ -1116,7 +1159,7 @@ class TestFieldRows:
             if key.endswith("csv"):
                 text = field_to_csv(run.field, run.data.primary_anchor_y)
             else:
-                text = json.dumps(field_rows(run.field, run.data.primary_anchor_y), sort_keys=True)
+                text = field_to_json(run.field, run.data.primary_anchor_y)
             assert hashlib.sha256(text.encode()).hexdigest() == want, key
 
     def dmat_field(self, smooth=True):
@@ -1154,6 +1197,94 @@ class TestFieldRows:
         rows = field_rows(field, 1)
         assert all(np.isnan(r["g_smooth"][0]) for r in rows)
         assert all(line.split(",")[5] == "nan" for line in field_to_csv(field, 1).splitlines()[1:])
+
+    def far_query_field(self):
+        """A line with H = {0, 1/4}: the queries past 0.4 are too far from H
+        for any selection index, so n(x) = 0 and alp5_rhs = inf there."""
+        xs = np.concatenate([[0.0, 0.25], np.linspace(0.01, 0.9, 40)])
+        on_h = np.arange(len(xs)) < 2
+        return cloud_field(xs[:, None], on_h)
+
+    def test_writers_match_the_row_loop(self, s1_run):
+        """Three fields: without coordinates and unsmoothed (g_smooth NaN),
+        with n(x) = 0 queries (alp5_rhs Infinity), and S1 at grid 41 (m = 2).
+        The JSON text is ``json.dumps`` of the rows, the CSV the rows' repr
+        cells, and the rows those of the per-query loop."""
+        s1_41 = run_scenario_objects("S1", ScenarioConfig(grid=41)).field
+        far = self.far_query_field()
+        spelled = far.g_smooth.copy()
+        spelled[::3], spelled[1::3] = -np.inf, np.nan
+        fields = [
+            (self.dmat_field(smooth=False), 1),
+            (far, 1),
+            (s1_41, 0),
+            (replace(far, g_smooth=spelled), 1),  # every non-finite spelling
+        ]
+        for field, anchor in fields:
+            want = rows_by_query(field, anchor)
+            rows = field_rows(field, anchor)
+            assert json.dumps(rows) == json.dumps(want)
+            text = field_to_json(field, anchor)
+            assert text == json.dumps(rows, sort_keys=True) == json.dumps(want, sort_keys=True)
+            assert field_to_csv(field, anchor) == csv_by_rows(field, want)
+        assert "NaN" in field_to_json(*fields[0])
+        assert "Infinity" in field_to_json(*fields[1])
+        assert "-Infinity" in field_to_json(*fields[3])
+        assert 0 in fields[1][0].n_of_x and fields[1][0].n_of_x.max() > 0
+        assert s1_41.g.shape[1] == 2
+
+    def test_empty_field_writers(self):
+        pts, on_h = lattice_cloud(1, seed=0)
+        sp = SampledSpace(coords=pts, dmat=None, h_idx=np.flatnonzero(on_h), mode="sampled", delta=1.0)
+        items = constant_lip_items(3, len(sp.h_idx))
+        field = build_extension(sp, items, items[-1].values, np.array([], dtype=int))
+        assert field_rows(field, 0) == []
+        assert field_to_json(field, 0) == json.dumps([]) == "[]"
+        assert field_to_csv(field, 0) == csv_by_rows(field, [])
+
+
+def rows_by_query(field, anchor_y):
+    """The field rows one query at a time, as one dict per row."""
+    coords = field.space.coords
+    q_nt = extension.nt_quotient(field, anchor_y)
+    rhs = extension.alp5_rhs(field, anchor_y)
+    gs = field.g_smooth if field.g_smooth is not None else np.full_like(field.g, np.nan)
+    rows = []
+    for q in range(field.n_queries):
+        x = int(field.query_idx[q])
+        rows.append(
+            {
+                "x": [float(c) for c in coords[x]] if coords is not None else [x],
+                "dist_h": float(field.dist_h[q]),
+                "n_of_x": int(field.n_of_x[q]),
+                "u_index": int(field.u_x[q]),
+                "g": [float(v) for v in field.g[q]],
+                "g_smooth": [float(v) for v in gs[q]],
+                "q_nt": float(q_nt[q]),
+                "alp5_rhs": float(rhs[q]),
+                "alp5_slack": float(rhs[q] - q_nt[q]),
+            }
+        )
+    return rows
+
+
+def csv_by_rows(field, rows):
+    """The CSV text of a list of field rows: a header, then each row's
+    values flattened and written with repr."""
+    m = field.f_h.shape[1]
+    coords = field.space.coords
+    cols = (
+        ([f"x{i}" for i in range(coords.shape[1])] if coords is not None else ["x_index"])
+        + ["dist_h", "n_of_x", "u_index"]
+        + [f"g{i}" for i in range(m)]
+        + [f"g_smooth{i}" for i in range(m)]
+        + ["q_nt", "alp5_rhs", "alp5_slack"]
+    )
+    lines = [",".join(cols)]
+    for row in rows:
+        cells = [v for val in row.values() for v in (val if isinstance(val, list) else [val])]
+        lines.append(",".join(map(repr, cells)))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1676,14 +1807,33 @@ def validation_error(validate, *args):
 
 class TestScenarioHelpers:
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_point_set_matches_stacking(self, dim):
+    def test_point_set_matches_stacking(self, dim, monkeypatch):
+        """Batches of repeats, then batches that mix runs of fresh points
+        (appended in bulk) with repeats inside the batch, points within tol
+        of a stored point and points on cell borders (multiples of 2 tol)."""
         rng = np.random.default_rng(dim)
         grid = np.round(rng.uniform(-1.0, 1.0, size=(300, dim)), 1)  # many repeats
-        chunks = [grid[:1], grid[1:40], grid[40:41], grid[41:], grid[:50] + 1e-10]
+        fresh = rng.uniform(-1.0, 1.0, size=(200, dim))
+        border = np.round(rng.uniform(-1.0, 1.0, size=(20, dim)) / 2e-9) * 2e-9
+        mixed = np.concatenate([
+            fresh[:30], fresh[5:6], fresh[30:60], grid[7:9] + 0.4e-9, fresh[60:61] + 1e-9,
+            fresh[61:90], border, border[:3] - 0.3e-9, fresh[90:100], fresh[95:96] + 2e-9,
+        ])
+        chunks = [
+            grid[:1], grid[1:40], grid[40:41], grid[41:], grid[:50] + 1e-10,
+            mixed, fresh[100:], fresh[:10] - 0.9e-9, fresh[150:160] + 1.1e-9,
+        ]
+        scalar = []
+        add_one = _PointSet._add_one
+        monkeypatch.setattr(
+            _PointSet, "_add_one", lambda self, p, cell: scalar.append(1) or add_one(self, p, cell)
+        )
         ps, ref = _PointSet(dim), PointSetByStacking(dim)
         for chunk in chunks:
             assert np.array_equal(ps.add(chunk), ref.add(chunk))
             assert np.array_equal(ps.pts, ref.pts)
+        # the fresh points went in bulk, the repeats by the scalar rule
+        assert 0 < len(scalar) < sum(map(len, chunks)) - 150
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_point_set_edge_cases_match_the_linear_scan(self, dim):
@@ -1692,8 +1842,18 @@ class TestScenarioHelpers:
         a repeat of a point appended earlier in the same batch, and points on
         the borders of the hash cells (multiples of 2 tol = 10/16)."""
         tol = 5.0 / 16.0
-        line = [[0, 10, 20, -10], [5, 15, 25, 30, 30, -15, -5], [10, 20.5, 35, 40]]
-        extra = [[], [[3, 4], [7, 4], [-3, -4], [0, 10], [0, 5], [10, -10]], [[0, 10], [3, 14]]]
+        line = [
+            [0, 10, 20, -10],
+            [5, 15, 25, 30, 30, -15, -5],
+            [10, 20.5, 35, 40],
+            # runs of lone points around a repeat, a point at exactly tol from
+            # a stored one, a cell-border pair and a point near a lone one
+            [100, 120, 140, 100, 160, 45, 180, 200, 220, 230, 250, 255.5],
+        ]
+        extra = [
+            [], [[3, 4], [7, 4], [-3, -4], [0, 10], [0, 5], [10, -10]], [[0, 10], [3, 14]],
+            [[100, 100], [120, 100], [100, 100.5], [140, 140]],
+        ]
         ps, ref = _PointSet(dim, tol=tol), PointSetByStacking(dim, tol=tol)
         for xs, more in zip(line, extra):
             batch = np.zeros((len(xs), dim))
