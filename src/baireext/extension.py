@@ -325,11 +325,11 @@ def smooth_extension(field: ExtensionField, extra_midpoints: bool = True) -> Ext
         if extra_midpoints:
             mids = (space.coords[field.query_idx] + space.coords[field.u_x]) / 2.0
             mdh, mu = space.nearest_h(mids)
+            # no midpoint lies on H: dist(mid, H) >= dist(x, H)/2 > 0 (triangle inequality)
             _, mg, _ = _extend_rows(items, f_h, mdh, mu)
-            keep = mdh > 0
-            pos.append(mids[keep])
-            cg.append(mg[keep])
-            cdh.append(mdh[keep])
+            pos.append(mids)
+            cg.append(mg)
+            cdh.append(mdh)
         center_pos = np.concatenate(pos)
         center_g = np.concatenate(cg)
         center_dh = np.concatenate(cdh)

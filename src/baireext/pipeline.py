@@ -227,6 +227,17 @@ def _preimage_radii(D: np.ndarray, fdiff: np.ndarray, k: int) -> np.ndarray:
     return np.minimum(rho, cap)
 
 
+def _append(buf: np.ndarray, used: int, new: np.ndarray) -> np.ndarray:
+    """``buf`` with ``new`` written after its first ``used`` rows, in a copy
+    of twice the size when it does not fit."""
+    if used + len(new) > len(buf):
+        grown = np.empty((max(2 * len(buf), used + len(new)),) + buf.shape[1:], buf.dtype)
+        grown[:used] = buf[:used]
+        buf = grown
+    buf[used:used + len(new)] = new
+    return buf
+
+
 def ucpc_transform(bundle: FunctionBundle, n_seq: Optional[int] = None) -> SelectionState:
     """Selection transform on a finite space.
 
@@ -236,10 +247,13 @@ def ucpc_transform(bundle: FunctionBundle, n_seq: Optional[int] = None) -> Selec
     already satisfies the full constraint set (y in C_k) and otherwise picks a
     point within 2^-k of the margin-1/k constraint set.
 
-    The target balls of every level built so far are held as stacked arrays
-    in level-then-ball order: centers ``z_all``, radii ``r_all`` and the
-    (nY x balls) membership and depth columns.  So C_k is one comparison over
-    all of them, and each sample off C_k passes its margin-1/k rows to one
+    The constraint balls of every level built so far are held as stacked
+    arrays of their (sample, ball) membership pairs, in level-then-sample
+    order: the sample, the ball's target center and radius, and the depth
+    of the sample in the ball.  Each array doubles when it is full.  Only a
+    ball holding y constrains y, and a ball has depth 0 at a sample outside
+    it, so C_k is one comparison over the pairs, and each sample off C_k
+    passes its margin-1/k balls, in level-then-ball order, to one
     ``ball_intersection_point`` call.
     """
     space = bundle.hspace
@@ -254,10 +268,9 @@ def ucpc_transform(bundle: FunctionBundle, n_seq: Optional[int] = None) -> Selec
     levels: list[LevelCover] = []
     c_masks: list[np.ndarray] = []
     outputs = np.zeros((n_seq, nY, m))
-    z_all = np.zeros((0, m))
-    r_all = np.zeros(0)
-    member_all = np.zeros((nY, 0), dtype=bool)
-    depth_all = np.zeros((nY, 0))
+    pair_y, pair_z = np.zeros(0, dtype=np.intp), np.zeros((0, m))
+    pair_r, pair_depth = np.zeros(0), np.zeros(0)
+    n_pairs = 0
 
     for k in range(1, n_seq + 1):
         rho = _preimage_radii(D, fdiff, k)
@@ -268,22 +281,31 @@ def ucpc_transform(bundle: FunctionBundle, n_seq: Optional[int] = None) -> Selec
         member, depth = ball_depth(space, refined.centers, refined.radii)
         z = bundle.f_values[refined.centers]
         levels.append(LevelCover(k=k, cover=refined, z=z, member=member, depth=depth))
-        z_all = np.concatenate([z_all, z])
-        r_all = np.concatenate([r_all, np.full(len(z), 2.0 ** (-k))])
-        member_all = np.hstack([member_all, member])
-        depth_all = np.hstack([depth_all, depth])
+        ys, bs = np.nonzero(member)  # row-major: a sample's balls ascend
+        pair_y = _append(pair_y, n_pairs, ys)
+        pair_z = _append(pair_z, n_pairs, z[bs])
+        pair_r = _append(pair_r, n_pairs, np.full(len(ys), 2.0 ** (-k)))
+        pair_depth = _append(pair_depth, n_pairs, depth[ys, bs])
+        n_pairs += len(ys)
+        py = pair_y[:n_pairs]
 
         # C_k: h_k(y) lies in every constraint ball of the full system
         hk = bundle.h_values[k - 1]
-        viol = member_all & (norm(hk[:, None, :] - z_all[None, :, :], tag) > r_all)
-        in_c = ~viol.any(axis=1)
+        viol = norm(hk[py] - pair_z[:n_pairs], tag) > pair_r[:n_pairs]
+        in_c = np.ones(nY, dtype=bool)
+        in_c[py[viol]] = False
         c_masks.append(in_c)
 
         outputs[k - 1] = hk
-        margin = depth_all >= 1.0 / k
+        if in_c.all():
+            continue
+        # the margin balls of the samples off C_k, grouped by sample
+        sel = np.flatnonzero((pair_depth[:n_pairs] >= 1.0 / k) & ~in_c[py])
+        sel = sel[np.argsort(py[sel], kind="stable")]
+        bounds = np.searchsorted(py[sel], np.arange(nY + 1))
         for y in np.flatnonzero(~in_c).tolist():
-            sel = margin[y]
-            pt = ball_intersection_point(z_all[sel], r_all[sel], 2.0 ** (-k), tag)
+            b = sel[bounds[y]:bounds[y + 1]]
+            pt = ball_intersection_point(pair_z[b], pair_r[b], 2.0 ** (-k), tag)
             if pt is EMPTY:
                 # f(y) is in every constraint ball, so this cannot happen
                 raise RuntimeError(f"empty constraint set at level {k}, sample {y}")

@@ -9,25 +9,43 @@ are supported:
 * ``sampled`` -- the samples discretize a continuum at resolution ``delta``;
   interiors are only trusted at scale delta.
 
-``ball_depth`` is the one place that applies this mode rule to balls.  It
-works on a whole cover: one call gives the (samples x balls) membership mask
-and depth dist(y, X \\ B), which is both the partition-of-unity weight and
-the interior margin of the selection transform.  Sampled mode reads one
-``cross_dists`` block; finite mode reads one distance row per (inside
-sample, ball) pair, since a sample outside a ball has depth 0.
+The cover kernels follow a cover's nonzeros.  ``SampledSpace.neighbour_order``
+lists, per sample, every sample by distance (a stable argsort of the dense
+row), built on first use and kept.  ``_near_pairs`` finds the samples within
+a threshold of some rows: a row's hits are a prefix of its order, so a row
+with fewer hits than one window of its order reads only that window, and any
+other row is compared in full, as a dense compare would.  Every hit is the
+same comparison on the same dense-matrix entry.
+
+``_depth_pairs`` is the one place that applies the mode rule to balls: for
+the (sample, ball) pairs of a cover's open balls, taken from the centers'
+rows, it gives the depth dist(y, X \\ B), which is both the
+partition-of-unity weight and the interior margin of the selection
+transform.  Sampled mode takes r - d(y, c); finite mode reads the start of
+y's neighbour order, whose first sample outside the ball is the nearest, or
+for a ball holding more than half the samples one (inside x outside) block.
+``ball_depth`` gives the dense (samples x balls) form.
 
 ``partition_of_unity`` keeps a cover's weights in CSR form, a ``Csr`` triple
-(indptr, indices, data) in plain numpy: row y lists the balls holding sample
-y in ascending order, with their normalised weights.  A locally finite cover
-puts each sample in a few balls, so the triple grows with the nonzeros, not
-with samples x balls.  ``dense_weights`` gives the dense table and
-``ball_multiplicity`` counts, per sample, the balls of a mask that hold it.
+(indptr, indices, data) in plain numpy, built from those pairs: row y lists
+the balls holding sample y in ascending order, with their normalised
+weights.  A locally finite cover puts each sample in a few balls, so the
+triple grows with the nonzeros, not with samples x balls; only the weight
+totals W(y) are summed over a dense block, to keep their summation order.
+``dense_weights`` gives the dense table and ``ball_multiplicity`` counts,
+per sample, the balls of a mask that hold it.  On S1 at grid 201 (213 H
+samples) a mollify cover has about one pair per sample, where the dense
+tables held 213 x 208 entries; over its 126 covers a traced benchmark pass
+spends 0.020-0.032 s in ``partition_of_unity`` (0.042-0.065 s with the
+dense tables).
 
 ``build_refinement`` computes the greedy refinement of a ball cover from the
 dense distance matrix: one (covered x covered) comparison block says which
 point's ball would contain which later point, a Python step is taken only
 for a point some earlier ball can reach, and one (centers x raw balls) block
-gives every center its parent.
+gives every center its parent.  It keeps the dense blocks: read through
+``_near_pairs`` its scan took 6-9 ms less over S1's 126 covers at grid 201
+(about 2% of a pass) and 1-3 ms more over S2's denser covers.
 
 ``SampledSpace.nearest_h`` is the one place that computes dist(x, H) and a
 nearest H sample u(x).  It streams the distances to the H samples in blocks
@@ -36,7 +54,7 @@ of ``_ROW_BLOCK`` rows, so no caller holds a (points x H) table.
 All objects are immutable after construction and all operations are pure.
 A coordinate-only space builds its dense distance matrix on the first
 ``dense_matrix()`` call and keeps it, read-only, for the later calls; every
-space likewise keeps its ``resolution()``.
+space likewise keeps its ``resolution()`` and its ``neighbour_order()``.
 """
 from __future__ import annotations
 
@@ -64,6 +82,15 @@ __all__ = [
 # rows per block of a row-streamed kernel: bounds its (rows x samples)
 # temporaries
 _ROW_BLOCK = 256
+# first window of a sorted-neighbour scan: a row with fewer hits reads only
+# its first _WINDOW sorted samples
+_WINDOW = 8
+# spaces of at most this many samples compare every row in full.  On random
+# 2-D clouds, with n balls at the nearest-neighbour distance, the window
+# read beats the full compare from about 96 samples on (128: 55 against
+# 84 us; 256: 76 against 320 us); with balls holding most samples it costs
+# about a fifth more (256: 836 against 700 us)
+_PROBE_MIN = 128
 # candidate (query, center) pairs per block of the smoothing search: bounds
 # its pair-sized distance and weight temporaries
 _PAIR_BLOCK = 4096
@@ -97,6 +124,7 @@ class SampledSpace:
     labels: Optional[tuple] = None
     _dense: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     _resolution: Optional[float] = field(default=None, init=False, repr=False, compare=False)
+    _order: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.coords is None and self.dmat is None:
@@ -182,6 +210,17 @@ class SampledSpace:
             object.__setattr__(self, "_dense", m)
         return self._dense
 
+    def neighbour_order(self) -> np.ndarray:
+        """(N, N) sample indices: row i lists every sample by its distance
+        from sample i, nearest first and ties in index order (a stable
+        argsort of the dense row), built on the first call and kept,
+        read-only."""
+        if self._order is None:
+            order = np.argsort(self.dense_matrix(), axis=1, kind="stable")
+            order.flags.writeable = False
+            object.__setattr__(self, "_order", order)
+        return self._order
+
     def resolution(self) -> float:
         """Smallest positive pairwise distance among the samples, computed on
         the first call and kept."""
@@ -244,6 +283,33 @@ class CoverSystem:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
+
+def _near_pairs(
+    space: SampledSpace, rows: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(r, s) for every sample s with d(rows[r], s) < t[r], in no fixed
+    order.  Each hit is decided by the same comparison on the same
+    dense-matrix entry as a compare of the full rows.
+
+    A row's hits are a prefix of its ``neighbour_order``, since the sorted
+    distances do not decrease.  So a row whose ``_WINDOW``-th sorted sample
+    is no hit reads only its first ``_WINDOW`` sorted samples; any other
+    row, and every row of a space of at most ``_PROBE_MIN`` samples, is
+    compared in full, in place.
+    """
+    dense = space.dense_matrix()
+    rows = np.asarray(rows, dtype=np.intp)
+    t = np.asarray(t, dtype=float)
+    if len(dense) <= _PROBE_MIN:
+        return np.nonzero(dense[rows] < t[:, None])
+    order = space.neighbour_order()
+    wide = dense[rows, order[rows, _WINDOW - 1]] < t
+    few, many = np.flatnonzero(~wide), np.flatnonzero(wide)
+    near = order[rows[few], :_WINDOW]
+    r, c = np.nonzero(dense[rows[few, None], near] < t[few, None])
+    fr, fs = np.nonzero(dense[rows[many]] < t[many, None])
+    return np.concatenate([few[r], many[fr]]), np.concatenate([near[r, c], fs])
+
 
 def build_refinement(
     space: SampledSpace,
@@ -309,61 +375,84 @@ def _is_every(idx: np.ndarray, n: int) -> bool:
     return len(idx) == n and bool((idx == np.arange(n)).all())
 
 
+def _depth_pairs(
+    space: SampledSpace, centers: np.ndarray, radii: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(y, b, depth) for every sample y in the open ball B(centers[b],
+    radii[b]), in no fixed order: the ``_near_pairs`` of the centers' rows,
+    with depth dist(y, X \\ B).
+
+    Sampled mode uses the analytic distance r - d(y, c).  Finite mode takes
+    the distance to the sampled complement, inf when the ball holds every
+    sample.  For a ball of at most half the samples, each sample y inside
+    reads the start of y's ``neighbour_order``: its first sample outside the
+    ball is the nearest.  A larger ball reads one (inside x outside) block.
+    """
+    dense = space.dense_matrix()
+    centers = np.asarray(centers, dtype=int)
+    radii = np.asarray(radii, dtype=float)
+    b, y = _near_pairs(space, centers, radii)
+    if space.mode == "sampled":
+        return y, b, radii[b] - dense[y, centers[b]]
+    depth = np.full(len(y), np.inf)
+    size = np.bincount(b, minlength=len(centers))
+    # a ball of at most half the samples: among the neighbours of a sample
+    # inside, the first one outside is the nearest, and it is at most size + 1
+    # places in, so one window as wide as the largest such ball plus one
+    # settles every pair
+    k = np.flatnonzero(2 * size[b] <= len(dense))
+    if k.size:
+        near = space.neighbour_order()[y[k], :size[b[k]].max() + 1]
+        outside = ~(dense[centers[b[k, None]], near] < radii[b[k, None]])
+        depth[k] = dense[y[k], near[np.arange(len(k)), outside.argmax(axis=1)]]
+    # a larger ball: one (inside x outside) block
+    big = 2 * size > len(dense)
+    k = np.flatnonzero(big[b])
+    k = k[np.argsort(b[k], kind="stable")]
+    ends = np.cumsum(size[big]).tolist()
+    for c, r, a, e in zip(centers[big], radii[big], [0] + ends, ends):
+        ins = y[k[a:e]]
+        depth[k[a:e]] = dense[ins][:, ~(dense[c] < r)].min(axis=1, initial=np.inf)
+    return y, b, depth
+
+
 def ball_depth(
     space: SampledSpace, centers: np.ndarray, radii: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(inside, depth), each (n_points, n_balls), for the open balls
     B(centers[b], radii[b]) of a cover: the membership mask and
-    dist(y, X \\ B) for every sample y and ball b.
-
-    Finite mode takes the distance to the sampled complement: 0 outside the
-    ball, inf when the ball holds every sample, and otherwise the minimum of
-    y's distance row over the samples outside, evaluated for the (inside
-    sample, ball) pairs only, ``_ROW_BLOCK`` pairs at a time so that only
-    (pairs x samples) blocks of that size are alive.  Sampled mode uses the
-    analytic distance r - d(c, y) inside the ball and 0 outside, over one
-    distance block.
-    """
-    d = space.cross_dists(np.arange(space.n_points), centers)
-    inside = d < radii
-    if space.mode == "sampled":
-        depth = np.subtract(radii, d, out=d)  # d is a fresh block
-        depth[~inside] = 0.0
-        return inside, depth
-    # a sample outside a ball is its own nearest outside sample (depth 0)
-    dense = space.dense_matrix()
-    depth = np.zeros(d.shape)
-    ys, bs = np.nonzero(inside)
-    for a in range(0, len(ys), _ROW_BLOCK):
-        k = slice(a, a + _ROW_BLOCK)
-        y, b = ys[k], bs[k]
-        rows = dense[y]  # a fresh copy
-        rows[inside[:, b].T] = np.inf
-        depth[y, b] = rows.min(axis=1)
+    dist(y, X \\ B) for every sample y and ball b, 0 outside the ball.  The
+    dense form of ``_depth_pairs``, which applies the mode rule."""
+    y, b, d = _depth_pairs(space, centers, radii)
+    inside = np.zeros((space.n_points, len(centers)), dtype=bool)
+    inside[y, b] = True
+    depth = np.zeros(inside.shape)
+    depth[y, b] = d
     return inside, depth
 
 
 def partition_of_unity(space: SampledSpace, cover: CoverSystem) -> CoverSystem:
     """Fill normalized weights w_U(y)/W(y) with w_U(y) = dist(y, complement of
-    U) capped at the radius, as a ``Csr`` over the open-ball pairs, and keep
-    the totals W(y) as ``weight_sum``.  W(y) is summed over the dense
-    (samples x balls) block, whose summation order a sum over the nonzeros
-    would not keep."""
-    inside, depth = ball_depth(space, cover.centers, cover.radii)
-    w = np.minimum(depth, cover.radii, out=depth)
-    w[~inside] = 0.0
-    tot = w.sum(axis=1)
+    U) capped at the radius, as a ``Csr`` over the open-ball pairs of
+    ``_depth_pairs``, and keep the totals W(y) as ``weight_sum``.  W(y) is
+    summed over the dense (samples x balls) block, whose summation order a
+    sum over the nonzeros would not keep."""
+    radii = np.asarray(cover.radii, dtype=float)
+    y, b, depth = _depth_pairs(space, cover.centers, radii)
+    rowwise = np.argsort(y * cover.n_balls + b)  # rows, then balls, ascend
+    y, b = y[rowwise], b[rowwise]
+    w = np.minimum(depth[rowwise], radii[b])
+    block = np.zeros((space.n_points, cover.n_balls))
+    block[y, b] = w
+    tot = block.sum(axis=1)
     covered = np.asarray(cover.covered, dtype=int)
     bad = covered[tot[covered] <= 0]
     if bad.size:
         raise CoverageError(f"point {int(bad[0])} is not covered by any ball")
     norm = np.where(tot > 0, tot, 1.0)
-    rows, cols = np.nonzero(inside)  # row-major: rows, then balls, ascend
-    indptr = np.zeros(len(inside) + 1, dtype=np.intp)
-    np.cumsum(inside.sum(axis=1), out=indptr[1:])
-    return replace(
-        cover, weights=Csr(indptr, cols, w[rows, cols] / norm[rows]), weight_sum=tot
-    )
+    indptr = np.zeros(space.n_points + 1, dtype=np.intp)
+    np.cumsum(np.bincount(y, minlength=space.n_points), out=indptr[1:])
+    return replace(cover, weights=Csr(indptr, b, w / norm[y]), weight_sum=tot)
 
 
 def dense_weights(cover: CoverSystem) -> np.ndarray:

@@ -41,7 +41,14 @@ def norm(z: np.ndarray, tag: str = "linf") -> float | np.ndarray:
     z = np.asarray(z, dtype=float)
     if tag == "l2":
         return np.linalg.norm(z, axis=-1)
-    return np.abs(z).max(axis=-1)
+    # the max over the last axis one column at a time: the floats of
+    # np.abs(z).max(axis=-1), NaN where it gives NaN, without a reduction
+    # per row
+    a = np.abs(z)
+    out = a[..., 0]
+    for c in range(1, a.shape[-1]):
+        out = np.maximum(out, a[..., c])
+    return out[()]  # a scalar for one vector, as max gives
 
 
 def radial_project(

@@ -1,15 +1,17 @@
-"""Row-sized distance kernels, the smoothing contributor search, the
-cover-level ball depth, the shared weight and field-row code, the selection
-transform on stacked ball arrays and the array-only Lipschitz oracles: each
-one is compared bit for bit with the per-pair, per-query, per-ball, dense
-all-pairs, per-caller, per-sample or per-center formula it replaced,
-written out here."""
+"""Row-sized distance kernels, the sorted-neighbour cover kernels, the
+smoothing contributor search, the cover-level ball depth, the shared weight
+and field-row code, the selection transform on stacked ball arrays and the
+array-only Lipschitz oracles: each one is compared bit for bit with the
+per-pair, per-query, per-ball, dense all-pairs, per-caller, per-sample or
+per-center formula it replaced, written out here."""
 import hashlib
 import json
 import re
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from baireext import extension, pipeline, scenarios
+from baireext import space as space_mod
 from baireext.extension import (
     branch_condition_violations,
     build_extension,
@@ -53,6 +56,7 @@ from baireext.scenarios import (
 from baireext.space import (
     _PAIR_BLOCK,
     _ROW_BLOCK,
+    _near_pairs,
     CoverageError,
     CoverSystem,
     RefinementError,
@@ -81,6 +85,24 @@ def json_line_space(xs, h):
     tri = [float(m[i, j]) for i in range(len(xs)) for j in range(i + 1)]
     doc = {"points": [str(x) for x in xs], "dist": tri, "H": list(h)}
     return load_space_json(json.dumps(doc))
+
+
+# ---------------------------------------------------------------------------
+# the sorted-neighbour kernel
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def scan_windows(window, probe_min):
+    """The cover kernels with another window and another largest space
+    compared in full, so that spaces of a few samples read windows of their
+    order too."""
+    with patch.multiple(space_mod, _WINDOW=window, _PROBE_MIN=probe_min):
+        yield
+
+
+# (window, largest space compared in full): windows from one sample wide,
+# each on every space wider than the window, and the module's own setting
+WINDOWS = st.sampled_from([(1, 0), (2, 1), (4, 3), (space_mod._WINDOW, space_mod._PROBE_MIN)])
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +171,27 @@ def radius_scales(space):
     return [0.0, space.resolution() if diam > 0 else 1.0, diam / 3, diam, 2 * diam + 1.0]
 
 
+def row_lists(draw, n):
+    """Scan orders of n samples: every sample in order, a permutation, with
+    repeats, a subset, or none."""
+    kind = draw(st.sampled_from(["all", "permuted", "repeats", "subset", "empty"]))
+    if kind == "all":
+        return np.arange(n)
+    if kind == "permuted":
+        return np.array(draw(st.permutations(range(n))), dtype=int)
+    if kind == "repeats":
+        return np.array(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+    if kind == "subset":
+        return np.array(draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n - 1)), dtype=int)
+    return np.array([], dtype=int)
+
+
 @st.composite
 def refinement_cases(draw):
     """(space, raw, rule) for ``build_refinement``: a coordinate cloud or a
     JSON metric, rule radii from zero and below the resolution to above the
-    diameter, every ordering of ``covered``, and raw covers that may miss a
-    point."""
+    diameter or with rule/2 exactly a distance, every ordering of
+    ``covered``, and raw covers that may miss a point."""
     space = draw(finite_spaces())
     n = space.n_points
     dense = space.dense_matrix()
@@ -165,19 +202,11 @@ def refinement_cases(draw):
         4 * diam + 1.0,  # one ball holds everything
     ]))
     rule = scale * draw(hnp.arrays(float, n, elements=st.floats(0.5, 1.5)))
+    if draw(st.booleans()):  # rule/2 exactly a distance: a point on the sphere
+        rule = 2.0 * dense[np.arange(n), draw(hnp.arrays(int, n, elements=st.integers(0, n - 1)))]
     rule[draw(hnp.arrays(bool, n))] = 0.0
 
-    order = draw(st.sampled_from(["all", "permuted", "repeats", "subset", "empty"]))
-    if order == "all":
-        covered = np.arange(n)
-    elif order == "permuted":
-        covered = np.array(draw(st.permutations(range(n))), dtype=int)
-    elif order == "repeats":
-        covered = np.array(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
-    elif order == "subset":
-        covered = np.array(draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n - 1)), dtype=int)
-    else:
-        covered = np.array([], dtype=int)
+    covered = row_lists(draw, n)
 
     if draw(st.booleans()):  # the pipeline's raw cover: every point, radius rule(p)
         raw = CoverSystem(centers=np.arange(n), radii=rule, covered=covered)
@@ -244,6 +273,52 @@ class TestRefinementKernel:
         assert cover.parent is raw
 
 
+@st.composite
+def threshold_cases(draw):
+    """(space, rows, t) for ``_near_pairs``: any list of rows, and per row a
+    threshold of 0, about the resolution, above the diameter, or exactly
+    the distance to some sample."""
+    space = draw(finite_spaces())
+    n = space.n_points
+    rows = row_lists(draw, n)
+    scales = radius_scales(space)
+    t = [
+        space.dense_matrix()[r, draw(st.integers(0, n - 1))] if draw(st.booleans())
+        else draw(st.sampled_from(scales)) * draw(st.sampled_from([0.5, 1.0, 1.5]))
+        for r in rows.tolist()
+    ]
+    return space, rows, np.array(t, dtype=float)
+
+
+class TestNearPairs:
+    """``_near_pairs`` against the dense compare of the full rows."""
+
+    @staticmethod
+    def assert_pairs_are(space, rows, t, r, s):
+        """(r, s) holds each hit of the dense compare d(rows[r], s) < t[r]
+        once."""
+        want = np.flatnonzero(space.dense_matrix()[rows] < t[:, None])
+        assert np.array_equal(np.sort(r * space.n_points + s), want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(threshold_cases(), WINDOWS)
+    def test_hits_match_the_dense_compare(self, case, windows):
+        space, rows, t = case
+        with scan_windows(*windows):
+            r, s = _near_pairs(space, rows, t)
+        self.assert_pairs_are(space, rows, t, r, s)
+
+    def test_module_setting_on_400_samples(self):
+        """Thresholds that the window settles, that send every row to the
+        full compare, and a mix of both."""
+        sp = cloud_space(400, 2, seed=4)
+        rows = np.arange(400)
+        assert sp.n_points > space_mod._PROBE_MIN
+        for t in (np.full(400, sp.resolution()), np.full(400, 10.0),
+                  np.where(rows % 2 == 0, 0.05, 0.5)):
+            self.assert_pairs_are(sp, rows, t, *_near_pairs(sp, rows, t))
+
+
 # ---------------------------------------------------------------------------
 # restrict and the dense-matrix memo
 # ---------------------------------------------------------------------------
@@ -265,6 +340,30 @@ class TestRestrictKernel:
         assert sub.coords is None
         assert np.array_equal(sub.dmat, sp.dense_matrix()[np.ix_(idx, idx)])
         assert np.array_equal(sp.h_space().dmat, sp.dmat[np.ix_([0, 2], [0, 2])])
+
+    def test_neighbour_order_is_built_once_and_reused(self, monkeypatch):
+        """One stable argsort per space, read-only, reused by the depth and
+        weight kernels; a restriction builds its own."""
+        sp = cloud_space(30, 2, seed=5)
+        builds = []
+        argsort = np.argsort
+
+        def counted(a, *args, **kwargs):
+            if a is sp.dense_matrix():
+                builds.append(1)
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(space_mod.np, "argsort", counted)
+        first = sp.neighbour_order()
+        cover = CoverSystem(centers=np.arange(30), radii=np.full(30, 0.3), covered=np.arange(30))
+        refined = build_refinement(sp, cover, cover.radii)
+        partition_of_unity(sp, refined)
+        ball_depth(sp, refined.centers, refined.radii)
+        assert sp.neighbour_order() is first and len(builds) == 1
+        assert not first.flags.writeable
+        assert np.array_equal(first, argsort(sp.dense_matrix(), axis=1, kind="stable"))
+        sub = sp.restrict(np.arange(10))
+        assert sub.neighbour_order() is not first and sub.neighbour_order().shape == (10, 10)
 
     def test_dense_matrix_is_built_once_and_read_only(self):
         sp = cloud_space(30, 2, seed=5)
@@ -851,19 +950,30 @@ def depth_by_ball(space, centers, radii):
 def depth_cases(draw):
     """(space, centers, radii) for the finite branch of ``ball_depth``:
     repeated centers, covers without balls, and radii from 0 (an empty open
-    ball) to above the diameter (a ball holding every sample)."""
+    ball) to above the diameter (a ball holding every sample), or exactly
+    the distance from the center to some sample."""
     space = draw(finite_spaces())
+    n = space.n_points
     balls = draw(st.lists(
         st.tuples(
-            st.integers(0, space.n_points - 1),
+            st.integers(0, n - 1),
             st.sampled_from(radius_scales(space)),
             st.sampled_from([1.0, 0.5, 1.5]),
+            st.one_of(st.none(), st.integers(0, n - 1)),
         ),
-        max_size=2 * space.n_points,
+        max_size=2 * n,
     ))
-    centers = np.array([c for c, _, _ in balls], dtype=int)
-    radii = np.array([r * f for _, r, f in balls], dtype=float)
+    dense = space.dense_matrix()
+    centers = np.array([c for c, _, _, _ in balls], dtype=int)
+    radii = np.array(
+        [r * f if s is None else dense[c, s] for c, r, f, s in balls], dtype=float
+    )
     return space, centers, radii
+
+
+def in_mode(space, mode):
+    """The same samples and metric in ``mode``."""
+    return replace(space, mode=mode, delta=1.0 if mode == "sampled" else 0.0)
 
 
 def weights_by_loop(space, cover):
@@ -929,19 +1039,60 @@ class TestBallDepth:
                 assert np.array_equal(lev.depth, depth)
 
     @settings(max_examples=300, deadline=None)
-    @given(depth_cases())
-    def test_finite_branch_matches_ball_loop(self, case):
+    @given(depth_cases(), WINDOWS)
+    def test_finite_branch_matches_ball_loop(self, case, windows):
         space, centers, radii = case
-        inside, depth = ball_depth(space, centers, radii)
+        with scan_windows(*windows):
+            inside, depth = ball_depth(space, centers, radii)
         ref_inside, ref_depth = depth_by_ball(space, centers, radii)
         assert inside.shape == depth.shape == (space.n_points, len(centers))
         assert np.array_equal(inside, ref_inside)
         assert depth.tobytes() == ref_depth.tobytes()  # bit-equal, signed zeros included
 
+    @settings(max_examples=300, deadline=None)
+    @given(depth_cases(), st.sampled_from(["finite", "sampled"]), WINDOWS)
+    def test_both_modes_match_the_per_ball_formulas(self, case, mode, windows):
+        space, centers, radii = case
+        space = in_mode(space, mode)
+        with scan_windows(*windows):
+            inside, depth = ball_depth(space, centers, radii)
+        assert inside.shape == depth.shape == (space.n_points, len(centers))
+        for b, (c, r) in enumerate(zip(centers, radii)):
+            ref_inside, ref_depth = depth_by_mode(space, c, r)
+            assert np.array_equal(inside[:, b], ref_inside)
+            assert depth[:, b].tobytes() == np.where(ref_inside, ref_depth, 0.0).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(depth_cases(), st.sampled_from(["finite", "sampled"]), WINDOWS)
+    def test_partition_weights_match_ball_loop_on_any_cover(self, case, mode, windows):
+        """The CSR triple holds the open-ball pairs row by row, balls
+        ascending; the totals and the refusal of an uncovered point are
+        those of the dense table."""
+        space, centers, radii = case
+        space = in_mode(space, mode)
+        cover = CoverSystem(centers=centers, radii=radii, covered=np.arange(space.n_points))
+        w = weights_by_loop(space, cover)
+        tot = w.sum(axis=1)
+        if (tot <= 0).any():
+            with pytest.raises(CoverageError, match=f"point {int(np.argmax(tot <= 0))} "):
+                with scan_windows(*windows):
+                    partition_of_unity(space, cover)
+            cover = replace(cover, covered=np.flatnonzero(tot > 0))
+        with scan_windows(*windows):
+            pou = partition_of_unity(space, cover)
+        assert np.array_equal(pou.weight_sum, tot)
+        assert np.array_equal(dense_weights(pou), w / np.where(tot > 0, tot, 1.0)[:, None])
+        indptr, indices, _ = pou.weights
+        rows = np.repeat(np.arange(space.n_points), np.diff(indptr))
+        assert np.array_equal(np.lexsort((indices, rows)), np.arange(len(indices)))
+        assert np.array_equal(np.argwhere(w > 0), np.stack([rows, indices], axis=1).reshape(-1, 2))
+
     def test_finite_call_holds_row_blocks_not_tables(self, s2_run):
-        """Only blocks of ``_ROW_BLOCK`` (inside sample, ball) pairs read
-        distance rows; the next block's rows are copied before the last
-        block's are freed, so two blocks may be alive at once."""
+        """A finite call holds no (samples x samples) table: beyond its
+        outputs and pair indices it stays within two blocks of
+        ``_ROW_BLOCK`` distance rows and their masks, the bound of the
+        pair form that read one distance row per (inside sample, ball)
+        pair."""
         space = s2_run.bundle.hspace
         nY = space.n_points
         assert nY == 201 and space.mode == "finite"
@@ -955,7 +1106,7 @@ class TestBallDepth:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # inside, depth and the distance block d, plus the (y, b) pair indices
+            # inside, depth and a table of depth's size, plus the (y, b) pair indices
             outputs = inside.nbytes + 2 * depth.nbytes + 2 * 8 * int(inside.sum())
             assert peak - base <= 2 * block + outputs
 

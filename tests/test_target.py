@@ -33,6 +33,28 @@ class TestNorm:
         with pytest.raises(ValueError, match="norm tag"):
             norm(np.zeros(2), "l1")
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=5),
+            elements=st.floats(allow_nan=True, allow_infinity=True),
+        )
+    )
+    def test_linf_matches_the_row_reduction(self, z):
+        """The column-at-a-time linf norm gives the floats of the reduction
+        over the last axis, infinities and signed zeros included, NaN where
+        that gives NaN (whose payload bits may differ), and a scalar for one
+        vector."""
+        got, want = norm(z, "linf"), np.abs(z).max(axis=-1)
+        assert type(got) is type(want)
+
+        def bits(x):
+            x = np.asarray(x)
+            return np.where(np.isnan(x), np.nan, x).tobytes()
+
+        assert bits(got) == bits(want)
+
 
 class TestRadialProject:
     def test_inside_is_identity(self):
