@@ -236,10 +236,12 @@ def _search_ranges(field: ExtensionField, q_pos: np.ndarray, center_pos, center_
         if ax and nc:
             x0, ext = center_pos[:, 0].min(), np.ptp(center_pos[:, 0])
             ncol = int(np.ceil(np.sqrt(nc) / 2.0))
-            scale = ncol / ext if ext > 0 else 0.0
+            # one column when ncol / ext would overflow (ext 0 or subnormal)
+            scale = ncol / ext if ext > ncol / np.finfo(float).max else 0.0
 
             def column(x):
-                return np.minimum(np.floor((x - x0) * scale), ncol - 1).astype(np.int64)
+                # clipped first: a float beyond int64 has no defined cast
+                return np.clip(np.floor((x - x0) * scale), -1, ncol - 1).astype(np.int64)
 
             col = column(center_pos[:, 0])
             c_lo = np.maximum(column(q_pos[:, 0] - reach), 0)

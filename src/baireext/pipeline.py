@@ -205,8 +205,6 @@ class LevelCover:
     k: int
     cover: CoverSystem
     z: np.ndarray  # (nb, m) target-space centers
-    member: np.ndarray  # (nY, nb) open-ball membership
-    depth: np.ndarray  # (nY, nb) dist(y, complement of ball); inf if none
 
 
 @dataclass
@@ -250,10 +248,10 @@ def ucpc_transform(bundle: FunctionBundle, n_seq: Optional[int] = None) -> Selec
     The constraint balls of every level built so far are held as stacked
     arrays of their (sample, ball) membership pairs, in level-then-sample
     order: the sample, the ball's target center and radius, and the depth
-    of the sample in the ball.  Each array doubles when it is full.  Only a
-    ball holding y constrains y, and a ball has depth 0 at a sample outside
-    it, so C_k is one comparison over the pairs, and each sample off C_k
-    passes its margin-1/k balls, in level-then-ball order, to one
+    of the sample in the ball, as ``ball_depth`` gives them.  Each array
+    doubles when it is full.  Only a ball holding y constrains y, so C_k is
+    one comparison over the pairs, and each sample off C_k passes its
+    margin-1/k balls, in level-then-ball order, to one
     ``ball_intersection_point`` call.
     """
     space = bundle.hspace
@@ -274,18 +272,14 @@ def ucpc_transform(bundle: FunctionBundle, n_seq: Optional[int] = None) -> Selec
 
     for k in range(1, n_seq + 1):
         rho = _preimage_radii(D, fdiff, k)
-        raw = CoverSystem(
-            centers=np.arange(nY), radii=rho, covered=np.arange(nY)
-        )
-        refined = build_refinement(space, raw, rho)
-        member, depth = ball_depth(space, refined.centers, refined.radii)
+        refined = build_refinement(space, CoverSystem(centers=np.arange(nY), radii=rho))
+        ys, bs, depth = ball_depth(space, refined.centers, refined.radii)
         z = bundle.f_values[refined.centers]
-        levels.append(LevelCover(k=k, cover=refined, z=z, member=member, depth=depth))
-        ys, bs = np.nonzero(member)  # row-major: a sample's balls ascend
+        levels.append(LevelCover(k=k, cover=refined, z=z))
         pair_y = _append(pair_y, n_pairs, ys)
         pair_z = _append(pair_z, n_pairs, z[bs])
         pair_r = _append(pair_r, n_pairs, np.full(len(ys), 2.0 ** (-k)))
-        pair_depth = _append(pair_depth, n_pairs, depth[ys, bs])
+        pair_depth = _append(pair_depth, n_pairs, depth)
         n_pairs += len(ys)
         py = pair_y[:n_pairs]
 
@@ -500,8 +494,7 @@ def lipschitz_mollify(space: SampledSpace, item: FunSeqItem, n: int) -> FunSeqIt
         delta = np.minimum(1.0 / n, np.where(lip_at > 0, 1.0 / (n * lip_at), np.inf))
     delta = np.maximum(delta, res)  # floor at resolution: such balls are singletons
 
-    raw = CoverSystem(centers=np.arange(nY), radii=delta, covered=np.arange(nY))
-    refined = build_refinement(space, raw, delta)
+    refined = build_refinement(space, CoverSystem(centers=np.arange(nY), radii=delta))
     pou = partition_of_unity(space, refined)
     anchors = item.values[refined.centers]
     # the dense product, as one table for this item alone: a sum over the

@@ -17,14 +17,14 @@ with fewer hits than one window of its order reads only that window, and any
 other row is compared in full, as a dense compare would.  Every hit is the
 same comparison on the same dense-matrix entry.
 
-``_depth_pairs`` is the one place that applies the mode rule to balls: for
+``ball_depth`` is the one place that applies the mode rule to balls: for
 the (sample, ball) pairs of a cover's open balls, taken from the centers'
-rows, it gives the depth dist(y, X \\ B), which is both the
-partition-of-unity weight and the interior margin of the selection
-transform.  Sampled mode takes r - d(y, c); finite mode reads the start of
-y's neighbour order, whose first sample outside the ball is the nearest, or
-for a ball holding more than half the samples one (inside x outside) block.
-``ball_depth`` gives the dense (samples x balls) form.
+rows and listed by sample, then ball, it gives the depth dist(y, X \\ B),
+which is both the partition-of-unity weight and the interior margin of the
+selection transform.  Sampled mode takes r - d(y, c); finite mode reads the
+start of y's neighbour order, whose first sample outside the ball is the
+nearest, or for a ball holding more than half the samples one
+(inside x outside) block.
 
 ``partition_of_unity`` keeps a cover's weights in CSR form, a ``Csr`` triple
 (indptr, indices, data) in plain numpy, built from those pairs: row y lists
@@ -39,13 +39,12 @@ tables held 213 x 208 entries; over its 126 covers a traced benchmark pass
 spends 0.020-0.032 s in ``partition_of_unity`` (0.042-0.065 s with the
 dense tables).
 
-``build_refinement`` computes the greedy refinement of a ball cover from the
-dense distance matrix: one (covered x covered) comparison block says which
-point's ball would contain which later point, a Python step is taken only
-for a point some earlier ball can reach, and one (centers x raw balls) block
-gives every center its parent.  It keeps the dense blocks: read through
-``_near_pairs`` its scan took 6-9 ms less over S1's 126 covers at grid 201
-(about 2% of a pass) and 1-3 ms more over S2's denser covers.
+``build_refinement`` refines the raw cover {B(y, r_y)}, one ball per sample,
+into the balls B(p, r_p/2) of a greedy scan in sample order; each lies in
+p's own raw ball, so no parent links are kept.  One (samples x samples)
+block of the dense distance matrix decides the scan.  It keeps that block:
+read through ``_near_pairs`` its scan took 6-9 ms less over S1's 126 covers
+at grid 201 (about 2% of a pass) and 1-3 ms more over S2's denser covers.
 
 ``SampledSpace.nearest_h`` is the one place that computes dist(x, H) and a
 nearest H sample u(x).  It streams the distances to the H samples in blocks
@@ -69,7 +68,6 @@ __all__ = [
     "CoverSystem",
     "Csr",
     "SpaceConfigError",
-    "RefinementError",
     "CoverageError",
     "ball_depth",
     "ball_multiplicity",
@@ -100,12 +98,8 @@ class SpaceConfigError(ValueError):
     """Invalid space definition (empty H, bad matrix, broken triangle...)."""
 
 
-class RefinementError(ValueError):
-    """A point's rule radius does not fit inside any raw ball."""
-
-
 class CoverageError(ValueError):
-    """A declared point is not covered by any ball of a cover."""
+    """A sample is not covered by any ball of a cover."""
 
 
 @dataclass(frozen=True)
@@ -258,20 +252,17 @@ class Csr(NamedTuple):
 
 @dataclass(frozen=True)
 class CoverSystem:
-    """A finite family of metric balls with optional refinement links and
-    partition-of-unity weights.
+    """A finite family of metric balls with optional partition-of-unity
+    weights.
 
     ``weights`` (when filled) is an (n_points x n_balls) ``Csr`` whose
     nonzeros are the (sample, ball) pairs with the sample in the open ball;
-    row sums are 1 on covered points.  ``weight_sum`` holds the row totals
-    W(y) before normalization.
+    every row sums to 1.  ``weight_sum`` holds the row totals W(y) before
+    normalization.
     """
 
     centers: np.ndarray  # (nb,) sample indices
     radii: np.ndarray  # (nb,)
-    covered: np.ndarray  # indices of points the cover must contain
-    parents: Optional[np.ndarray] = None  # (nb,) index into parent cover
-    parent: Optional["CoverSystem"] = None
     weights: Optional[Csr] = None
     weight_sum: Optional[np.ndarray] = None
 
@@ -311,53 +302,34 @@ def _near_pairs(
     return np.concatenate([few[r], many[fr]]), np.concatenate([near[r, c], fs])
 
 
-def build_refinement(
-    space: SampledSpace,
-    raw: CoverSystem,
-    radius_rule: np.ndarray,
-) -> CoverSystem:
-    """Greedy locally finite refinement of ``raw``.
+def build_refinement(space: SampledSpace, raw: CoverSystem) -> CoverSystem:
+    """Greedy locally finite refinement of the raw cover {B(y, r_y)}, given
+    as ``raw`` with one ball per sample in sample order (any other cover is
+    a ``ValueError``).  In index order, a sample p that no earlier emitted
+    ball contains emits B(p, r_p/2), which lies in B(p, r_p).
 
-    The points of ``raw.covered`` are scanned in order; a point that no
-    earlier emitted ball contains emits the ball B(p, rule[p]/2), linked to
-    the first raw ball that contains it with slack >= rule[p]/2, where
-    ``radius_rule`` holds one radius per point of the space.
-
-    The scan is decided on one (covered x covered) block ``reach``: entry
-    [i, j], for scan positions i < j, says that the ball point i would emit
-    contains point j.  A point no earlier ball can reach is a center outright;
-    only the contested points need the scan, which jumps from one uncovered
-    contested point to the next.
+    The scan is decided on one (samples x samples) block ``reach``: entry
+    [i, j], for i < j, says that the ball sample i would emit contains
+    sample j.  A sample no earlier ball can reach is a center outright;
+    only the contested samples need the scan, which jumps from one
+    uncovered contested sample to the next.
     """
-    pts = np.asarray(raw.covered, dtype=int)
-    rule = np.asarray(radius_rule, dtype=float)[pts]
-    half = rule / 2.0
+    n = space.n_points
+    if not (_is_every(raw.centers, n) and np.shape(raw.radii) == (n,)):
+        raise ValueError("build_refinement needs one raw ball per sample, in sample order")
+    half = np.asarray(raw.radii, dtype=float) / 2.0
 
-    dense = space.dense_matrix()
-    reach = np.triu(_rows_cols(dense, pts, pts) < half[:, None], 1)
+    reach = np.triu(space.dense_matrix() < half[:, None], 1)
     is_center = ~reach.any(axis=0)
     todo = ~is_center
     todo &= ~reach[is_center].any(axis=0)
     for k in np.flatnonzero(todo).tolist():
-        if todo[k]:  # reach[k] marks only later positions
+        if todo[k]:  # reach[k] marks only later samples
             is_center[k] = True
             todo[reach[k]] = False
 
     at = np.flatnonzero(is_center)
-    fits = _rows_cols(dense, pts[at], raw.centers) + half[at, None] <= raw.radii
-    has_fit = fits.any(axis=1)
-    if not has_fit.all():
-        k = at[int(has_fit.argmin())]
-        raise RefinementError(
-            f"point {int(pts[k])} (rule radius {rule[k]}) fits in no raw ball"
-        )
-    return CoverSystem(
-        centers=pts[at],
-        radii=half[at],
-        covered=pts,
-        parents=fits.argmax(axis=1) if len(at) else np.zeros(0, dtype=int),
-        parent=raw,
-    )
+    return CoverSystem(centers=at, radii=half[at])
 
 
 def _rows_cols(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -375,12 +347,12 @@ def _is_every(idx: np.ndarray, n: int) -> bool:
     return len(idx) == n and bool((idx == np.arange(n)).all())
 
 
-def _depth_pairs(
+def ball_depth(
     space: SampledSpace, centers: np.ndarray, radii: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(y, b, depth) for every sample y in the open ball B(centers[b],
-    radii[b]), in no fixed order: the ``_near_pairs`` of the centers' rows,
-    with depth dist(y, X \\ B).
+    radii[b]), rows first, then balls, ascending: the ``_near_pairs`` of the
+    centers' rows, with depth dist(y, X \\ B).
 
     Sampled mode uses the analytic distance r - d(y, c).  Finite mode takes
     the distance to the sampled complement, inf when the ball holds every
@@ -392,6 +364,8 @@ def _depth_pairs(
     centers = np.asarray(centers, dtype=int)
     radii = np.asarray(radii, dtype=float)
     b, y = _near_pairs(space, centers, radii)
+    rowwise = np.argsort(y * len(centers) + b)
+    y, b = y[rowwise], b[rowwise]
     if space.mode == "sampled":
         return y, b, radii[b] - dense[y, centers[b]]
     depth = np.full(len(y), np.inf)
@@ -416,43 +390,24 @@ def _depth_pairs(
     return y, b, depth
 
 
-def ball_depth(
-    space: SampledSpace, centers: np.ndarray, radii: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(inside, depth), each (n_points, n_balls), for the open balls
-    B(centers[b], radii[b]) of a cover: the membership mask and
-    dist(y, X \\ B) for every sample y and ball b, 0 outside the ball.  The
-    dense form of ``_depth_pairs``, which applies the mode rule."""
-    y, b, d = _depth_pairs(space, centers, radii)
-    inside = np.zeros((space.n_points, len(centers)), dtype=bool)
-    inside[y, b] = True
-    depth = np.zeros(inside.shape)
-    depth[y, b] = d
-    return inside, depth
-
-
 def partition_of_unity(space: SampledSpace, cover: CoverSystem) -> CoverSystem:
     """Fill normalized weights w_U(y)/W(y) with w_U(y) = dist(y, complement of
     U) capped at the radius, as a ``Csr`` over the open-ball pairs of
-    ``_depth_pairs``, and keep the totals W(y) as ``weight_sum``.  W(y) is
-    summed over the dense (samples x balls) block, whose summation order a
-    sum over the nonzeros would not keep."""
+    ``ball_depth``, and keep the totals W(y) as ``weight_sum``.  Every sample
+    must lie in some ball.  W(y) is summed over the dense (samples x balls)
+    block, whose summation order a sum over the nonzeros would not keep."""
     radii = np.asarray(cover.radii, dtype=float)
-    y, b, depth = _depth_pairs(space, cover.centers, radii)
-    rowwise = np.argsort(y * cover.n_balls + b)  # rows, then balls, ascend
-    y, b = y[rowwise], b[rowwise]
-    w = np.minimum(depth[rowwise], radii[b])
+    y, b, depth = ball_depth(space, cover.centers, radii)
+    w = np.minimum(depth, radii[b])
     block = np.zeros((space.n_points, cover.n_balls))
     block[y, b] = w
     tot = block.sum(axis=1)
-    covered = np.asarray(cover.covered, dtype=int)
-    bad = covered[tot[covered] <= 0]
+    bad = np.flatnonzero(tot <= 0)
     if bad.size:
         raise CoverageError(f"point {int(bad[0])} is not covered by any ball")
-    norm = np.where(tot > 0, tot, 1.0)
     indptr = np.zeros(space.n_points + 1, dtype=np.intp)
     np.cumsum(np.bincount(y, minlength=space.n_points), out=indptr[1:])
-    return replace(cover, weights=Csr(indptr, b, w / norm[y]), weight_sum=tot)
+    return replace(cover, weights=Csr(indptr, b, w / tot[y]), weight_sum=tot)
 
 
 def dense_weights(cover: CoverSystem) -> np.ndarray:
@@ -495,9 +450,13 @@ def _expand_lower_triangular(tri: Sequence[float], n: int) -> np.ndarray:
 
 
 def validate_metric(m: np.ndarray) -> None:
-    """Check symmetry, nonnegativity, zero diagonal and the triangle
-    inequality; raise naming the first violating triple."""
+    """Check finiteness, symmetry, nonnegativity, zero diagonal and the
+    triangle inequality; raise naming the first violating entry or triple."""
     n = len(m)
+    bad = np.argwhere(~np.isfinite(m))
+    if bad.size:
+        i, j = (int(v) for v in bad[0])
+        raise SpaceConfigError(f"metric entry d({i},{j}) = {m[i, j]} is not finite")
     if np.any(np.diag(m) != 0):
         raise SpaceConfigError("metric has a nonzero diagonal entry")
     if np.any(m < 0):
@@ -526,7 +485,11 @@ def load_space_json(text: str, mode: str = "finite", delta: float = 0.0) -> Samp
     labels = tuple(doc["points"])
     m = _expand_lower_triangular(doc["dist"], len(labels))
     validate_metric(m)
+    for e in doc["H"]:
+        if isinstance(e, bool) or not isinstance(e, int) or not 0 <= e < len(labels):
+            raise SpaceConfigError(f"H entry {e!r} is not a sample index in 0..{len(labels) - 1}")
     h = np.array(sorted(doc["H"]), dtype=int)
-    if h.size and (h[0] < 0 or h[-1] >= len(labels)):
-        raise SpaceConfigError("H index out of range")
+    repeated = h[1:][h[1:] == h[:-1]]
+    if repeated.size:
+        raise SpaceConfigError(f"H entry {int(repeated[0])} is repeated")
     return SampledSpace(coords=None, dmat=m, h_idx=h, mode=mode, delta=delta, labels=labels)

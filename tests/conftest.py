@@ -8,6 +8,7 @@ import pytest
 from baireext.extension import build_extension, smooth_extension
 from baireext.pipeline import baire_approximate
 from baireext.scenarios import ScenarioConfig, get_scenario
+from baireext.space import CoverSystem, ball_depth
 
 
 def run_scenario_objects(name: str, cfg: ScenarioConfig | None = None) -> SimpleNamespace:
@@ -26,6 +27,25 @@ def run_scenario_objects(name: str, cfg: ScenarioConfig | None = None) -> Simple
     return SimpleNamespace(
         cfg=cfg, data=data, bundle=data.bundle, items=items, field=field, diags=diags
     )
+
+
+def raw_cover(radii):
+    """The pipeline's raw cover {B(y, radii[y])}: one ball per sample."""
+    radii = np.asarray(radii, dtype=float)
+    return CoverSystem(centers=np.arange(len(radii)), radii=radii)
+
+
+def dense_ball_depth(space, centers, radii):
+    """(member, depth), each (n_points, n_balls): the pairs of ``ball_depth``
+    scattered into the open-ball membership table and the depth
+    dist(y, X \\ B), 0 outside the ball.  For a selection level, pass
+    ``lev.cover.centers`` and ``lev.cover.radii``."""
+    y, b, d = ball_depth(space, centers, radii)
+    member = np.zeros((space.n_points, len(centers)), dtype=bool)
+    member[y, b] = True
+    depth = np.zeros(member.shape)
+    depth[y, b] = d
+    return member, depth
 
 
 def selection_passes(items, n, u_y, dist_h):

@@ -8,6 +8,7 @@ import hashlib
 import json
 import re
 import tracemalloc
+import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -15,7 +16,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from conftest import run_scenario_objects
+from conftest import dense_ball_depth, raw_cover, run_scenario_objects
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -59,7 +60,7 @@ from baireext.space import (
     _near_pairs,
     CoverageError,
     CoverSystem,
-    RefinementError,
+    Csr,
     SampledSpace,
     SpaceConfigError,
     ball_depth,
@@ -118,31 +119,23 @@ def pair_dist(space, i, j):
     return float(np.linalg.norm(space.coords[i] - space.coords[j], axis=-1))
 
 
-def refine_by_pairs(space, raw, rule):
-    """The greedy refinement as a scan over the points, with one scalar pair
-    distance per raw ball."""
-    pts = np.asarray(raw.covered, dtype=int)
-    rule = np.asarray(rule, dtype=float)[pts]
-    centers, radii, parents = [], [], []
+def refine_by_pairs(space, raw):
+    """The greedy refinement as a scan over the samples in index order, with
+    one scalar pair distance per sample."""
+    centers, radii = [], []
     covered = np.zeros(space.n_points, dtype=bool)
-    for k, p in enumerate(pts):
+    for p in range(space.n_points):
         if covered[p]:
             continue
-        r_new = rule[k] / 2.0
-        d_raw = np.array([pair_dist(space, int(p), int(c)) for c in raw.centers])
-        fits = np.flatnonzero(d_raw + r_new <= raw.radii)
-        if fits.size == 0:
-            raise RefinementError(f"point {int(p)} fits in no raw ball")
-        centers.append(int(p))
+        r_new = raw.radii[p] / 2.0
+        centers.append(p)
         radii.append(r_new)
-        parents.append(int(fits[0]))
-        covered |= space.dists_from(int(p)) < r_new
-    return np.array(centers, dtype=int), np.array(radii), np.array(parents, dtype=int)
+        covered |= np.array([pair_dist(space, p, q) for q in range(space.n_points)]) < r_new
+    return np.array(centers, dtype=int), np.array(radii)
 
 
 def assert_cover_is(cover, expected):
-    centers, radii, parents = expected
-    for got, want in ((cover.centers, centers), (cover.radii, radii), (cover.parents, parents)):
+    for got, want in zip((cover.centers, cover.radii), expected):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
@@ -172,7 +165,7 @@ def radius_scales(space):
 
 
 def row_lists(draw, n):
-    """Scan orders of n samples: every sample in order, a permutation, with
+    """Row lists of n samples: every sample in order, a permutation, with
     repeats, a subset, or none."""
     kind = draw(st.sampled_from(["all", "permuted", "repeats", "subset", "empty"]))
     if kind == "all":
@@ -188,10 +181,9 @@ def row_lists(draw, n):
 
 @st.composite
 def refinement_cases(draw):
-    """(space, raw, rule) for ``build_refinement``: a coordinate cloud or a
-    JSON metric, rule radii from zero and below the resolution to above the
-    diameter or with rule/2 exactly a distance, every ordering of
-    ``covered``, and raw covers that may miss a point."""
+    """(space, raw) for ``build_refinement``: a coordinate cloud or a JSON
+    metric, and the raw cover of rule radii from zero and below the
+    resolution to above the diameter, or with rule/2 exactly a distance."""
     space = draw(finite_spaces())
     n = space.n_points
     dense = space.dense_matrix()
@@ -205,16 +197,7 @@ def refinement_cases(draw):
     if draw(st.booleans()):  # rule/2 exactly a distance: a point on the sphere
         rule = 2.0 * dense[np.arange(n), draw(hnp.arrays(int, n, elements=st.integers(0, n - 1)))]
     rule[draw(hnp.arrays(bool, n))] = 0.0
-
-    covered = row_lists(draw, n)
-
-    if draw(st.booleans()):  # the pipeline's raw cover: every point, radius rule(p)
-        raw = CoverSystem(centers=np.arange(n), radii=rule, covered=covered)
-    else:  # any raw cover, which may leave a point without a fit
-        centers = np.array(draw(st.lists(st.integers(0, n - 1), max_size=n)), dtype=int)
-        radii = (diam + 1.0) * draw(hnp.arrays(float, len(centers), elements=st.floats(0.0, 1.5)))
-        raw = CoverSystem(centers=centers, radii=radii, covered=covered)
-    return space, raw, rule
+    return space, raw_cover(rule)
 
 
 class TestRefinementKernel:
@@ -229,48 +212,35 @@ class TestRefinementKernel:
     def test_matches_scalar_pair_loop_on_coordinates(self, dim):
         sp = cloud_space(80, dim, seed=10 + dim)
         n = sp.n_points
-        radii = np.random.default_rng(dim).uniform(0.2, 0.8, size=n)
-        raw = CoverSystem(centers=np.arange(n), radii=radii, covered=np.arange(n))
-        ref = build_refinement(sp, raw, radii)
-        centers, rr, parents = refine_by_pairs(sp, raw, radii)
+        raw = raw_cover(np.random.default_rng(dim).uniform(0.2, 0.8, size=n))
+        ref = build_refinement(sp, raw)
         assert ref.n_balls > 1
-        assert np.array_equal(ref.centers, centers)
-        assert np.array_equal(ref.radii, rr)
-        assert np.array_equal(ref.parents, parents)
+        assert_cover_is(ref, refine_by_pairs(sp, raw))
 
     def test_matches_scalar_pair_loop_on_mollify_covers(self, s1_run, s3_run):
         for run in (s1_run, s3_run):
             hspace = run.bundle.hspace
             nY = hspace.n_points
             for it in run.items:
-                delta = it.extras["mollify_delta"]
-                raw = CoverSystem(centers=np.arange(nY), radii=delta, covered=np.arange(nY))
-                assert_cover_is(it.extras["mollify_pou"], refine_by_pairs(hspace, raw, delta))
+                raw = raw_cover(it.extras["mollify_delta"])
+                assert_cover_is(it.extras["mollify_pou"], refine_by_pairs(hspace, raw))
 
     def test_matches_scalar_pair_loop_on_selection_covers(self, s2_run, s3_run):
         for run in (s2_run, s3_run):
+            hspace, bundle = run.bundle.hspace, run.bundle
             levels = run.items[0].extras["selection_state"].levels
             assert len(levels) == len(run.items)
+            D = hspace.dense_matrix()
+            fdiff = norm(bundle.f_values[:, None, :] - bundle.f_values[None, :, :], bundle.norm_tag)
             for lev in levels:
-                raw = lev.cover.parent
-                assert_cover_is(lev.cover, refine_by_pairs(run.bundle.hspace, raw, raw.radii))
+                raw = raw_cover(pipeline._preimage_radii(D, fdiff, lev.k))
+                assert_cover_is(lev.cover, refine_by_pairs(hspace, raw))
 
     @settings(max_examples=300, deadline=None)
     @given(refinement_cases())
     def test_matches_scalar_pair_loop_on_any_cover(self, case):
-        space, raw, rule = case
-        try:
-            expected = refine_by_pairs(space, raw, rule)
-        except RefinementError as exc:
-            with pytest.raises(RefinementError) as got:
-                build_refinement(space, raw, rule)
-            point = re.compile(r"point (\d+) ")
-            assert point.search(str(got.value))[1] == point.search(str(exc))[1]
-            return
-        cover = build_refinement(space, raw, rule)
-        assert_cover_is(cover, expected)
-        assert np.array_equal(cover.covered, raw.covered)
-        assert cover.parent is raw
+        space, raw = case
+        assert_cover_is(build_refinement(space, raw), refine_by_pairs(space, raw))
 
 
 @st.composite
@@ -355,8 +325,7 @@ class TestRestrictKernel:
 
         monkeypatch.setattr(space_mod.np, "argsort", counted)
         first = sp.neighbour_order()
-        cover = CoverSystem(centers=np.arange(30), radii=np.full(30, 0.3), covered=np.arange(30))
-        refined = build_refinement(sp, cover, cover.radii)
+        refined = build_refinement(sp, raw_cover(np.full(30, 0.3)))
         partition_of_unity(sp, refined)
         ball_depth(sp, refined.centers, refined.radii)
         assert sp.neighbour_order() is first and len(builds) == 1
@@ -790,6 +759,23 @@ class TestSmoothingSearch:
         pairs, contributors, _ = self.counted_pairs(s3_run.field, monkeypatch)
         assert contributors <= pairs <= 1.05 * contributors
 
+    @pytest.mark.parametrize("pts", [
+        [[2.4562799292038146e-253] * 2, [0.0, 1.0]],  # centers 1.2e-253 apart in x
+        [[1.0, 0.0], [2.2250738585072014e-309, 0.0], [0.0, 0.0]],  # a subnormal x extent
+    ])
+    def test_extreme_column_scales_stay_finite(self, pts):
+        """A tiny x extent of the centers makes the column scale huge, and a
+        subnormal one would overflow it: the scale falls back to one column,
+        and the query box edges are clipped to the columns before the int64
+        cast, so no float overflows or is cast out of range (numpy warns on
+        either)."""
+        pts = np.array(pts)
+        for mids in (True, False):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                field = cloud_field(pts, np.arange(len(pts)) < 1, extra_midpoints=mids)
+            assert_same_smoothing(field, center_rows(field))
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_random_layouts_match_the_table(self, data):
@@ -1013,7 +999,7 @@ class TestBallDepth:
         for run in (s1_run, s2_run, s3_run):
             space = run.bundle.hspace
             for cover in mollify_covers(run):
-                inside, depth = ball_depth(space, cover.centers, cover.radii)
+                inside, depth = dense_ball_depth(space, cover.centers, cover.radii)
                 assert inside.shape == depth.shape == (space.n_points, cover.n_balls)
                 for b, (c, r) in enumerate(zip(cover.centers, cover.radii)):
                     ref_inside, ref_depth = depth_by_mode(space, c, r)
@@ -1022,7 +1008,7 @@ class TestBallDepth:
 
     def test_ball_holding_every_sample_is_infinitely_deep(self):
         sp = json_line_space([0.0, 0.25, 0.5, 1.0], h=[0, 2])
-        inside, depth = ball_depth(sp, np.array([1, 0]), np.array([5.0, 0.3]))
+        inside, depth = dense_ball_depth(sp, np.array([1, 0]), np.array([5.0, 0.3]))
         assert inside[:, 0].all()
         assert np.all(np.isinf(depth[:, 0]))
         assert np.array_equal(inside[:, 1], [True, True, False, False])
@@ -1035,15 +1021,16 @@ class TestBallDepth:
             for lev in state.levels:
                 member, depth = depth_by_ball(space, lev.cover.centers, lev.cover.radii)
                 assert np.array_equal(member, open_ball_members(space, lev.cover))
-                assert np.array_equal(lev.member, member)
-                assert np.array_equal(lev.depth, depth)
+                got_member, got_depth = dense_ball_depth(space, lev.cover.centers, lev.cover.radii)
+                assert np.array_equal(got_member, member)
+                assert np.array_equal(got_depth, depth)
 
     @settings(max_examples=300, deadline=None)
     @given(depth_cases(), WINDOWS)
     def test_finite_branch_matches_ball_loop(self, case, windows):
         space, centers, radii = case
         with scan_windows(*windows):
-            inside, depth = ball_depth(space, centers, radii)
+            inside, depth = dense_ball_depth(space, centers, radii)
         ref_inside, ref_depth = depth_by_ball(space, centers, radii)
         assert inside.shape == depth.shape == (space.n_points, len(centers))
         assert np.array_equal(inside, ref_inside)
@@ -1055,7 +1042,7 @@ class TestBallDepth:
         space, centers, radii = case
         space = in_mode(space, mode)
         with scan_windows(*windows):
-            inside, depth = ball_depth(space, centers, radii)
+            inside, depth = dense_ball_depth(space, centers, radii)
         assert inside.shape == depth.shape == (space.n_points, len(centers))
         for b, (c, r) in enumerate(zip(centers, radii)):
             ref_inside, ref_depth = depth_by_mode(space, c, r)
@@ -1070,14 +1057,14 @@ class TestBallDepth:
         those of the dense table."""
         space, centers, radii = case
         space = in_mode(space, mode)
-        cover = CoverSystem(centers=centers, radii=radii, covered=np.arange(space.n_points))
+        cover = CoverSystem(centers=centers, radii=radii)
         w = weights_by_loop(space, cover)
         tot = w.sum(axis=1)
-        if (tot <= 0).any():
+        if (tot <= 0).any():  # a random cover that misses a sample
             with pytest.raises(CoverageError, match=f"point {int(np.argmax(tot <= 0))} "):
                 with scan_windows(*windows):
                     partition_of_unity(space, cover)
-            cover = replace(cover, covered=np.flatnonzero(tot > 0))
+            return
         with scan_windows(*windows):
             pou = partition_of_unity(space, cover)
         assert np.array_equal(pou.weight_sum, tot)
@@ -1089,7 +1076,7 @@ class TestBallDepth:
 
     def test_finite_call_holds_row_blocks_not_tables(self, s2_run):
         """A finite call holds no (samples x samples) table: beyond its
-        outputs and pair indices it stays within two blocks of
+        pair outputs and pair-sized temporaries it stays within two blocks of
         ``_ROW_BLOCK`` distance rows and their masks, the bound of the
         pair form that read one distance row per (inside sample, ball)
         pair."""
@@ -1102,12 +1089,12 @@ class TestBallDepth:
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                inside, depth = ball_depth(space, cover.centers, cover.radii)
+                y, b, depth = ball_depth(space, cover.centers, cover.radii)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # inside, depth and a table of depth's size, plus the (y, b) pair indices
-            outputs = inside.nbytes + 2 * depth.nbytes + 2 * 8 * int(inside.sum())
+            # (y, b, depth), plus the unsorted (b, y) pairs, their sort keys and order
+            outputs = 7 * 8 * len(y)
             assert peak - base <= 2 * block + outputs
 
     def test_positive_weights_mark_the_open_balls(self, s1_run, s2_run, s3_run):
@@ -1147,6 +1134,17 @@ def multiplicity_cases(draw):
     return space, centers, radii, active
 
 
+def open_ball_csr(space, cover):
+    """The ``Csr`` structure ``partition_of_unity`` gives a cover, with every
+    weight 1: row y lists the balls holding sample y, ascending.  Unlike
+    ``partition_of_unity`` it accepts a cover that leaves a sample in no
+    ball."""
+    y, b, _ = ball_depth(space, cover.centers, cover.radii)
+    indptr = np.zeros(space.n_points + 1, dtype=np.intp)
+    np.cumsum(np.bincount(y, minlength=space.n_points), out=indptr[1:])
+    return Csr(indptr, b, np.ones(len(b)))
+
+
 class TestSparseWeights:
     """The partition-of-unity weights are kept as a CSR triple; the mollify
     oracle reads its ball multiplicity from the triple's structure."""
@@ -1155,10 +1153,10 @@ class TestSparseWeights:
     @given(multiplicity_cases())
     def test_csr_multiplicity_matches_dense_product(self, case):
         """Equal to ``active @ member.T`` over the dense open-ball table,
-        covers without balls included."""
+        covers without balls and samples in no ball included."""
         space, centers, radii, active = case
-        cover = CoverSystem(centers=centers, radii=radii, covered=np.zeros(0, dtype=int))
-        weights = partition_of_unity(space, cover).weights
+        cover = CoverSystem(centers=centers, radii=radii)
+        weights = open_ball_csr(space, cover)
         assert len(weights.indptr) == space.n_points + 1
         member = open_ball_members(space, cover)
         got = ball_multiplicity(weights, active)
@@ -1167,12 +1165,14 @@ class TestSparseWeights:
 
     def test_multiplicity_of_a_sample_in_no_ball_is_zero(self):
         sp = json_line_space([0.0, 0.25, 0.5, 1.0], h=[0])
-        cover = CoverSystem(centers=np.array([1]), radii=np.array([0.3]), covered=np.arange(3))
-        pou = partition_of_unity(sp, cover)
-        assert np.array_equal(pou.weights.indptr, [0, 1, 2, 3, 3])
-        got = ball_multiplicity(pou.weights, np.array([[True], [False]]))
+        cover = CoverSystem(centers=np.array([1]), radii=np.array([0.3]))
+        weights = open_ball_csr(sp, cover)
+        assert np.array_equal(weights.indptr, [0, 1, 2, 3, 3])
+        got = ball_multiplicity(weights, np.array([[True], [False]]))
         assert np.array_equal(got, [[1, 1, 1, 0], [0, 0, 0, 0]])
-        assert np.array_equal(dense_weights(pou), [[1.0], [1.0], [1.0], [0.0]])
+        assert np.array_equal(dense_weights(replace(cover, weights=weights)), [[1], [1], [1], [0]])
+        with pytest.raises(CoverageError, match="point 3 "):
+            partition_of_unity(sp, cover)
 
     def test_items_retain_the_nonzeros_not_the_table(self):
         """S1@201's 126 items keep 32,735 nonzero weights out of 34.6 MB of
@@ -1193,13 +1193,18 @@ class TestSparseWeights:
 # the selection transform on stacked ball arrays
 # ---------------------------------------------------------------------------
 
-def constraint_balls(levels, k, y):
+def level_tables(space, levels):
+    """Per selection level, its (member, depth) tables."""
+    return [dense_ball_depth(space, lev.cover.centers, lev.cover.radii) for lev in levels]
+
+
+def constraint_balls(levels, tables, k, y):
     """The margin-1/k constraint balls of sample y at level k, walked level
     by level: one (center, radius) per ball of levels 1..k whose depth at y
     is at least 1/k."""
     balls = []
-    for lev in levels[:k]:
-        for b in np.flatnonzero(lev.depth[y] >= 1.0 / k):
+    for lev, (_, depth) in zip(levels[:k], tables):
+        for b in np.flatnonzero(depth[y] >= 1.0 / k):
             balls.append((lev.z[b], 2.0 ** (-lev.k)))
     return balls
 
@@ -1238,20 +1243,22 @@ def selection_by_sample(bundle, levels):
     balls and a box or cyclic projection of its own."""
     tag = bundle.norm_tag
     nY, m = bundle.f_values.shape
+    tables = level_tables(bundle.hspace, levels)
     outputs = np.zeros((len(levels), nY, m))
     c_masks = []
     for k in range(1, len(levels) + 1):
         hk = bundle.h_values[k - 1]
         in_c = np.ones(nY, dtype=bool)
-        for lev in levels[:k]:
+        for lev, (member, _) in zip(levels[:k], tables):
             vd = norm(hk[:, None, :] - lev.z[None, :, :], tag)
-            in_c &= ~(lev.member & (vd > 2.0 ** (-lev.k))).any(axis=1)
+            in_c &= ~(member & (vd > 2.0 ** (-lev.k))).any(axis=1)
         c_masks.append(in_c)
         for y in range(nY):
             if in_c[y]:
                 outputs[k - 1, y] = hk[y]
             else:
-                pt = point_by_projection(constraint_balls(levels, k, y), 2.0 ** (-k), tag, m)
+                balls = constraint_balls(levels, tables, k, y)
+                pt = point_by_projection(balls, 2.0 ** (-k), tag, m)
                 assert pt is not None
                 outputs[k - 1, y] = pt
     return outputs, c_masks
@@ -1281,7 +1288,8 @@ class TestSelectionArrays:
         # one intersection call per sample off C_k, with its margin balls
         assert len(calls) == sum(int((~mask).sum()) for mask in c_masks)
         off = [(k, y) for k, mask in enumerate(c_masks, start=1) for y in np.flatnonzero(~mask)]
-        assert calls == [len(constraint_balls(state.levels, k, y)) for k, y in off]
+        tables = level_tables(data.bundle.hspace, state.levels)
+        assert calls == [len(constraint_balls(state.levels, tables, k, y)) for k, y in off]
         assert calls or name == "S0"  # S0's raw sequence lies in every C_k
 
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import dense_ball_depth
 
 from baireext.pipeline import (
     FunctionBundle,
@@ -131,18 +132,21 @@ class TestUcpcTransform:
         f = s2_run.bundle.f_values
         tag = s2_run.bundle.norm_tag
         for lev in state.levels:
+            member, _ = dense_ball_depth(s2_run.bundle.hspace, lev.cover.centers, lev.cover.radii)
             vd = norm(f[:, None, :] - lev.z[None, :, :], tag)
-            assert np.all(vd[lev.member] < 2.0 ** (-lev.k))
+            assert np.all(vd[member] < 2.0 ** (-lev.k))
 
     def test_constraint_systems_are_monotone(self, s2_run):
         state = s2_run.items[0].extras["selection_state"]
         nY = len(s2_run.bundle.f_values)
         n_levels = len(state.levels)
+        space = s2_run.bundle.hspace
+        depths = [dense_ball_depth(space, lev.cover.centers, lev.cover.radii)[1] for lev in state.levels]
 
         def idx_set(k, y, j):
             out = set()
-            for i, lev in enumerate(state.levels[:k]):
-                for b in np.flatnonzero(lev.depth[y] >= 1.0 / j):
+            for i, depth in enumerate(depths[:k]):
+                for b in np.flatnonzero(depth[y] >= 1.0 / j):
                     out.add((i, int(b)))
             return out
 
@@ -164,10 +168,12 @@ class TestUcpcTransform:
         # every output lies within slack 2^-k of each margin-1/k constraint ball
         state = s2_run.items[0].extras["selection_state"]
         tag = s2_run.bundle.norm_tag
+        space = s2_run.bundle.hspace
+        depths = [dense_ball_depth(space, lev.cover.centers, lev.cover.radii)[1] for lev in state.levels]
         for k in range(1, len(state.levels) + 1):
             out_k = state.outputs[k - 1]
-            for lev in state.levels[:k]:
-                sel = lev.depth >= 1.0 / k  # (nY, nb)
+            for lev, depth in zip(state.levels[:k], depths):
+                sel = depth >= 1.0 / k  # (nY, nb)
                 vd = norm(out_k[:, None, :] - lev.z[None, :, :], tag)
                 assert np.all(vd[sel] <= 2.0 ** (-lev.k) + 2.0 ** (-k) + 1e-12)
 

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import raw_cover
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -11,7 +12,6 @@ from hypothesis.extra import numpy as hnp
 from baireext.space import (
     CoverageError,
     CoverSystem,
-    RefinementError,
     SampledSpace,
     SpaceConfigError,
     build_refinement,
@@ -123,75 +123,78 @@ def test_triangle_inequality_on_many_random_triples():
 class TestBuildRefinement:
     def test_one_huge_ball(self):
         sp = line_space([0.0, 2.0, 4.0], h=[0])
-        raw = CoverSystem(
-            centers=np.array([0]), radii=np.array([100.0]), covered=np.arange(3)
-        )
-        ref = build_refinement(sp, raw, np.full(3, 1.0))
-        assert ref.n_balls <= 3
-        assert np.all(ref.radii == 0.5)
-        assert np.all(ref.parents == 0)
+        ref = build_refinement(sp, raw_cover(np.full(3, 100.0)))
+        assert np.array_equal(ref.centers, [0])
+        assert np.array_equal(ref.radii, [50.0])
 
     def test_greedy_scan_merges_close_points(self):
         sp = line_space([0.0, 0.1, 0.2], h=[0])
-        raw = CoverSystem(
-            centers=np.array([0]), radii=np.array([10.0]), covered=np.arange(3)
-        )
-        ref = build_refinement(sp, raw, np.full(3, 1.0))
+        ref = build_refinement(sp, raw_cover(np.full(3, 1.0)))
         assert ref.n_balls == 1
         assert ref.centers[0] == 0
 
     def test_empty_point_set(self):
+        """A raw cover without balls is no cover of the samples: refused."""
         sp = line_space([0.0, 1.0], h=[0])
-        raw = CoverSystem(
-            centers=np.array([0]), radii=np.array([5.0]), covered=np.array([], dtype=int)
-        )
-        ref = build_refinement(sp, raw, np.array([]))
-        assert ref.n_balls == 0
+        raw = CoverSystem(centers=np.zeros(0, dtype=int), radii=np.zeros(0))
+        with pytest.raises(ValueError, match="one raw ball per sample"):
+            build_refinement(sp, raw)
+
+    @pytest.mark.parametrize(
+        "centers, radii",
+        [([0], [5.0]), ([1, 0], [1.0, 1.0]), ([0, 0], [1.0, 1.0]), ([0, 1, 2], [1.0, 1.0, 1.0]),
+         ([0, 1], [1.0])],
+    )
+    def test_refuses_a_raw_cover_not_one_ball_per_sample(self, centers, radii):
+        sp = line_space([0.0, 1.0], h=[0])
+        raw = CoverSystem(centers=np.array(centers), radii=np.array(radii))
+        with pytest.raises(ValueError, match="one raw ball per sample, in sample order"):
+            build_refinement(sp, raw)
 
     def test_refined_ball_inside_parent(self):
+        """Each emitted ball B(p, r_p/2) lies in p's own raw ball B(p, r_p)."""
         rng = np.random.default_rng(3)
         pts = rng.uniform(0, 1, size=(30, 2))
         sp = SampledSpace(coords=pts, dmat=None, h_idx=np.array([0]), mode="finite")
-        raw = CoverSystem(
-            centers=np.arange(30), radii=np.full(30, 1.0), covered=np.arange(30)
-        )
-        ref = build_refinement(sp, raw, np.full(30, 0.3))
-        for c, r, p in zip(ref.centers, ref.radii, ref.parents):
-            d = pair_dist(sp, int(c), int(raw.centers[p]))
-            assert d + r <= raw.radii[p]
+        raw = raw_cover(rng.uniform(0.1, 0.6, size=30))
+        ref = build_refinement(sp, raw)
+        assert np.array_equal(ref.radii, raw.radii[ref.centers] / 2)
+        for c, r in zip(ref.centers, ref.radii):
+            inside = sp.dists_from(int(c)) < r
+            assert np.all(sp.dists_from(int(c))[inside] < raw.radii[c])
 
-    def test_failure_names_the_point(self):
-        sp = line_space([0.0, 5.0], h=[0])
-        raw = CoverSystem(
-            centers=np.array([0]), radii=np.array([1.0]), covered=np.arange(2)
-        )
-        with pytest.raises(RefinementError, match="point 1"):
-            build_refinement(sp, raw, np.array([1.0, 3.0]))
+    @settings(max_examples=60, deadline=None)
+    @given(clouds, st.sampled_from(["finite", "sampled"]), st.data())
+    def test_positive_rule_radii_cover_every_sample(self, pts, mode, data):
+        """With every rule radius positive each sample lies in an emitted open
+        ball, so the refinement's partition of unity does not raise."""
+        n = len(pts)
+        sp = SampledSpace(coords=pts, dmat=None, h_idx=np.array([0]), mode=mode, delta=0.5)
+        radii = data.draw(hnp.arrays(float, n, elements=st.floats(1e-9, 40.0)))
+        ref = build_refinement(sp, raw_cover(radii))
+        member = np.stack([sp.dists_from(int(c)) < r for c, r in zip(ref.centers, ref.radii)], axis=1)
+        assert member.any(axis=1).all()
+        w = dense_weights(partition_of_unity(sp, ref))
+        assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)
 
 
 class TestPartitionOfUnity:
     def test_single_ball_gives_weight_one(self):
         sp = line_space([0.0, 0.3, 0.6], h=[0], mode="sampled", delta=0.1)
-        cover = CoverSystem(
-            centers=np.array([0]), radii=np.array([1.0]), covered=np.arange(3)
-        )
+        cover = CoverSystem(centers=np.array([0]), radii=np.array([1.0]))
         pou = partition_of_unity(sp, cover)
         assert np.allclose(dense_weights(pou), 1.0)
 
     def test_symmetric_midpoint(self):
         sp = line_space([0.0, 0.25, 0.5], h=[0], mode="sampled", delta=0.1)
-        cover = CoverSystem(
-            centers=np.array([0, 2]), radii=np.array([0.6, 0.6]), covered=np.arange(3)
-        )
+        cover = CoverSystem(centers=np.array([0, 2]), radii=np.array([0.6, 0.6]))
         w = dense_weights(partition_of_unity(sp, cover))
         assert w[1, 0] == pytest.approx(0.5)
         assert w[1, 1] == pytest.approx(0.5)
 
     def test_rule_value_overlapping_balls(self):
         sp = line_space([0.0, 0.25, 0.5], h=[0], mode="sampled", delta=0.1)
-        cover = CoverSystem(
-            centers=np.array([0, 2]), radii=np.array([1.0, 1.0]), covered=np.arange(3)
-        )
+        cover = CoverSystem(centers=np.array([0, 2]), radii=np.array([1.0, 1.0]))
         pou = partition_of_unity(sp, cover)
         # raw weights at y=0.25 are radius - d(center, y) = (0.75, 0.75)
         assert dense_weights(pou)[1, 0] == pytest.approx(0.75 / 1.5)
@@ -203,9 +206,7 @@ class TestPartitionOfUnity:
         sp = SampledSpace(
             coords=pts, dmat=None, h_idx=np.array([0]), mode=mode, delta=0.5
         )
-        cover = CoverSystem(
-            centers=np.arange(n), radii=np.full(n, 50.0), covered=np.arange(n)
-        )
+        cover = CoverSystem(centers=np.arange(n), radii=np.full(n, 50.0))
         w = dense_weights(partition_of_unity(sp, cover))
         assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)
         member = np.stack(
@@ -215,9 +216,7 @@ class TestPartitionOfUnity:
 
     def test_uncovered_point_is_named(self):
         sp = line_space([0.0, 10.0], h=[0], mode="sampled", delta=0.1)
-        cover = CoverSystem(
-            centers=np.array([0]), radii=np.array([1.0]), covered=np.arange(2)
-        )
+        cover = CoverSystem(centers=np.array([0]), radii=np.array([1.0]))
         with pytest.raises(CoverageError, match="point 1"):
             partition_of_unity(sp, cover)
 
@@ -245,3 +244,34 @@ class TestFiniteMetricLoading:
         m = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(SpaceConfigError, match="symmetric"):
             validate_metric(m)
+
+    @staticmethod
+    def load_error(**changes):
+        """The one-line refusal of the three-point document with ``changes``."""
+        doc = {"points": ["a", "b", "c"], "dist": [0, 1, 0, 2, 1.5, 0], "H": [0]}
+        with pytest.raises(SpaceConfigError) as got:
+            load_space_json(json.dumps({**doc, **changes}))
+        assert "\n" not in str(got.value)
+        return str(got.value)
+
+    @pytest.mark.parametrize("entry, shown", [(0.7, "0.7"), (True, "True"), ("1", "'1'")])
+    def test_non_integer_h_entry_rejected(self, entry, shown):
+        assert self.load_error(H=[0, entry]) == f"H entry {shown} is not a sample index in 0..2"
+
+    def test_repeated_h_entry_rejected(self):
+        assert self.load_error(H=[1, 0, 1]) == "H entry 1 is repeated"
+
+    @pytest.mark.parametrize("entry", [3, -1])
+    def test_out_of_range_h_entry_rejected(self, entry):
+        assert self.load_error(H=[0, entry]) == f"H entry {entry} is not a sample index in 0..2"
+
+    def test_infinite_distance_rejected(self):
+        # the triangle check alone misses it: inf - inf is NaN
+        assert self.load_error(dist=[0, 1, 0, float("inf"), 1.5, 0]) == (
+            "metric entry d(0,2) = inf is not finite"
+        )
+
+    def test_nan_distance_rejected_as_not_finite(self):
+        assert self.load_error(dist=[0, float("nan"), 0, 2, 1.5, 0]) == (
+            "metric entry d(0,1) = nan is not finite"
+        )
