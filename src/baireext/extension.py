@@ -7,6 +7,12 @@ n around u(x) still satisfies dist(x,H) < 1/(n K_{x,n} (n M_n + 2)), and sets
 g(x) = f_{n(x)}(u(x)) with f_0 = 0.  The smoothing step blends g values over
 the cover {B(x_a, dist(x_a,H)/3)} with partition-of-unity weights.
 
+``build_extension`` also chooses and extends the cover's centers x_a: the
+queries and, on coordinate spaces, the midpoints (x + u(x))/2.  Queries and
+midpoints go through one selection scan, one oracle call per level; each K
+value depends only on its own point, so the scan gives every point the n and
+g a scan of its own set would.  ``smooth_extension`` then only blends.
+
 dist(x,H) and u(x) come from ``SampledSpace.nearest_h``, for the queries and
 for the midpoint centers alike (a scenario may hand over the queries' pair it
 already computed).  The field keeps no (queries x H) table: the NT quotient
@@ -31,7 +37,7 @@ import numpy as np
 
 from .pipeline import FunSeqItem, m_bound
 from .space import _PAIR_BLOCK, _ROW_BLOCK, CoverageError, SampledSpace
-from .target import norm
+from .target import _l2_rows, norm
 
 __all__ = [
     "ExtensionField",
@@ -81,9 +87,10 @@ def select_ceiling(dist_h: float) -> int:
     return n
 
 
-def _scan(items: list[FunSeqItem], u_y: np.ndarray, dist_h: np.ndarray):
+def _scan(items: list[FunSeqItem], u_y: np.ndarray, dist_h: np.ndarray, n_tables=None):
     """Descending scan from each query's analytic ceiling; returns n(x) and
-    the K table per query.
+    the K table of each of the first ``n_tables`` queries (of every query
+    when None).
 
     The satisfying set need not be an interval, so a query stops at its first
     (hence largest) passing n, or ends at 0.  Each level n makes one oracle
@@ -101,11 +108,11 @@ def _scan(items: list[FunSeqItem], u_y: np.ndarray, dist_h: np.ndarray):
             )
     ceilings = np.array(ceilings, dtype=int)
     n_of = np.zeros(len(ceilings), dtype=int)
-    tables: list[dict[int, float]] = [{} for _ in ceilings]
+    tables: list[dict[int, float]] = [{} for _ in ceilings[:n_tables]]
     for n in range(int(ceilings.max(initial=0)), 0, -1):
         rows = np.flatnonzero((n_of == 0) & (ceilings >= n))
         k = _k_values(items, n, u_y[rows], dist_h[rows])
-        for q, kq in zip(rows.tolist(), k.tolist()):
+        for q, kq in zip(rows.tolist(), k[:np.searchsorted(rows, len(tables))].tolist()):
             tables[q][n] = kq
         n_of[rows[_passes(n, k, dist_h[rows])]] = n
     return n_of, tables
@@ -134,10 +141,11 @@ class ExtensionField:
     n_of_x: np.ndarray  # (nq,)
     g: np.ndarray  # (nq, m)
     k_tables: list[dict[int, float]]
-    # smoothing data (filled by smooth_extension)
+    # the smoothing centers, queries first (filled by build_extension)
     center_pos: Optional[np.ndarray] = None  # coords (nc, dim) or X indices (nc,)
     center_g: Optional[np.ndarray] = None
     center_dist_h: Optional[np.ndarray] = None
+    # the blend (filled by smooth_extension)
     contributors: Optional[list[np.ndarray]] = None
     contrib_w: Optional[list[np.ndarray]] = None
     g_smooth: Optional[np.ndarray] = None
@@ -158,11 +166,12 @@ class ExtensionField:
         return self.space.cross_dists(self.query_idx, a)[:, 0]
 
 
-def _extend_rows(items, f_h, dist_h, u_y):
-    """Core per-query extension given dist(x,H) and u(x): (n(x), g, K tables)."""
-    n_of, tables = _scan(items, u_y, dist_h)
+def _extend_rows(items, f_h, dist_h, u_y, n_tables=None):
+    """Core per-point extension given dist(x,H) and u(x): (n(x), g, the K
+    tables of the first ``n_tables`` points)."""
+    n_of, tables = _scan(items, u_y, dist_h, n_tables)
     g = np.zeros((len(dist_h), f_h.shape[1]))
-    for n in np.unique(n_of[n_of > 0]).tolist():
+    for n in (np.flatnonzero(np.bincount(n_of)[1:]) + 1).tolist():
         rows = n_of == n
         g[rows] = items[n - 1].values[u_y[rows]]
     return n_of, g, tables
@@ -175,28 +184,49 @@ def build_extension(
     query_idx: np.ndarray,
     norm_tag: str = "linf",
     near: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    extra_midpoints: bool = True,
 ) -> ExtensionField:
-    """Run the extension at every query sample (all must lie off H).
-    ``near`` is the queries' (dist_h, u_y) from ``SampledSpace.nearest_h``
-    when the caller has it already."""
+    """Run the extension at every query sample (all must lie off H) and at
+    the smoothing centers, in one selection scan; only the queries' K tables
+    are kept.  ``near`` is the queries' (dist_h, u_y) from
+    ``SampledSpace.nearest_h`` when the caller has it already.
+
+    The centers are the queries themselves (each query covers itself, so
+    coverage holds by construction) plus, on coordinate spaces with
+    ``extra_midpoints``, the midpoints between each query and its nearest H
+    sample, which refine the cover toward H."""
     query_idx = np.asarray(query_idx, dtype=int)
     dist_h, u_y = space.nearest_h(query_idx) if near is None else near
     if not np.all(dist_h > 0):
         bad = int(query_idx[int(np.argmin(dist_h))])
         raise ValueError(f"query {bad} lies on a sampled H point")
-    n_of, g, tables = _extend_rows(items, f_h, dist_h, u_y)
+    nq = len(query_idx)
+    if space.coords is None:
+        center_pos = query_idx
+    else:
+        center_pos = space.coords[query_idx]
+        if extra_midpoints:
+            mids = (center_pos + space.coords[space.h_idx[u_y]]) / 2.0
+            # no midpoint lies on H: dist(mid, H) >= dist(x, H)/2 > 0
+            mdh, mu = space.nearest_h(mids)
+            center_pos = np.concatenate([center_pos, mids])
+            dist_h, u_y = np.concatenate([dist_h, mdh]), np.concatenate([u_y, mu])
+    n_of, g, tables = _extend_rows(items, f_h, dist_h, u_y, nq)
     return ExtensionField(
         space=space,
         items=items,
         f_h=f_h,
         norm_tag=norm_tag,
         query_idx=query_idx,
-        dist_h=dist_h,
-        u_x=space.h_idx[u_y],
-        u_y=u_y,
-        n_of_x=n_of,
-        g=g,
+        dist_h=dist_h[:nq],
+        u_x=space.h_idx[u_y[:nq]],
+        u_y=u_y[:nq],
+        n_of_x=n_of[:nq],
+        g=g[:nq],
         k_tables=tables,
+        center_pos=center_pos,
+        center_g=g,
+        center_dist_h=dist_h,
     )
 
 
@@ -280,25 +310,15 @@ def _search_ranges(field: ExtensionField, q_pos: np.ndarray, center_pos, center_
 
 def _pair_dists(space: SampledSpace, q_pos: np.ndarray, c_pos: np.ndarray) -> np.ndarray:
     """d(q, c) per pair of rows of ``q_pos`` and ``c_pos`` (coordinate rows, or
-    sample indices on a metric matrix), bit-equal to ``np.linalg.norm`` over
-    the coordinate differences c - q."""
+    sample indices on a metric matrix)."""
     if space.coords is None:
         return space.dmat[q_pos, c_pos]
-    diff = c_pos - q_pos
-    # the squares summed left to right, as add.reduce sums a short row, but
-    # one column at a time
-    sq = diff[:, 0] * diff[:, 0]
-    for k in range(1, diff.shape[1]):
-        sq += diff[:, k] * diff[:, k]
-    return np.sqrt(sq)
+    return _l2_rows(c_pos, q_pos)
 
 
-def smooth_extension(field: ExtensionField, extra_midpoints: bool = True) -> ExtensionField:
-    """Fill g_smooth: blend of g values over {B(x_a, dist(x_a,H)/3)}.
-
-    Centers are the queries themselves (each query covers itself, so coverage
-    holds by construction) plus, on coordinate spaces, the midpoints between
-    each query and its nearest H sample, which refine the cover toward H.
+def smooth_extension(field: ExtensionField) -> ExtensionField:
+    """Fill g_smooth: blend of g values over {B(x_a, dist(x_a,H)/3)}, for
+    the centers x_a that ``build_extension`` chose and extended.
 
     Contributor lemma: a center c reaches a query q when d(q,c) < dist(c,H)/3,
     and dist(c,H) <= d(q,c) + dist(q,H), so every contributor has
@@ -318,28 +338,7 @@ def smooth_extension(field: ExtensionField, extra_midpoints: bool = True) -> Ext
     center gives.
     """
     space = field.space
-    items, f_h = field.items, field.f_h
-
-    if space.coords is not None:
-        pos = [space.coords[field.query_idx]]
-        cg = [field.g]
-        cdh = [field.dist_h]
-        if extra_midpoints:
-            mids = (space.coords[field.query_idx] + space.coords[field.u_x]) / 2.0
-            mdh, mu = space.nearest_h(mids)
-            # no midpoint lies on H: dist(mid, H) >= dist(x, H)/2 > 0 (triangle inequality)
-            _, mg, _ = _extend_rows(items, f_h, mdh, mu)
-            pos.append(mids)
-            cg.append(mg)
-            cdh.append(mdh)
-        center_pos = np.concatenate(pos)
-        center_g = np.concatenate(cg)
-        center_dh = np.concatenate(cdh)
-    else:
-        center_pos = field.query_idx.copy()
-        center_g = field.g.copy()
-        center_dh = field.dist_h.copy()
-
+    center_pos, center_g, center_dh = field.center_pos, field.center_g, field.center_dist_h
     radii = center_dh / 3.0
     nq, nc = field.n_queries, len(center_dh)
     q_pos = field.query_idx if space.coords is None else space.coords[field.query_idx]
@@ -380,9 +379,6 @@ def smooth_extension(field: ExtensionField, extra_midpoints: bool = True) -> Ext
         a = b
     return replace(
         field,
-        center_pos=center_pos,
-        center_g=center_g,
-        center_dist_h=center_dh,
         contributors=contributors,
         contrib_w=weights,
         g_smooth=g_smooth,
@@ -405,9 +401,7 @@ def alp5_rhs(field: ExtensionField, anchor_y: int) -> np.ndarray:
     out = np.full(field.n_queries, np.inf)
     fa = field.f_h[anchor_y]
     fa_n = float(norm(fa, field.norm_tag))
-    for n in np.unique(field.n_of_x):
-        if n == 0:
-            continue
+    for n in (np.flatnonzero(np.bincount(field.n_of_x)[1:]) + 1).tolist():
         rows = field.n_of_x == n
         dev_n = float(norm(field.items[n - 1].values[anchor_y] - fa, field.norm_tag))
         out[rows] = 1.0 / n + fa_n / n + dev_n

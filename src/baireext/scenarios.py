@@ -22,7 +22,7 @@ import numpy as np
 from .extension import select_ceiling
 from .pipeline import FunctionBundle
 from .space import _ROW_BLOCK, SampledSpace
-from .target import NORM_TAGS, norm
+from .target import NORM_TAGS, _l2_rows, norm
 from .verify import ApproachPath
 
 __all__ = [
@@ -111,6 +111,12 @@ class Scenario:
 _DEDUP_TOL = 1e-9
 
 
+def _distinct(ids: np.ndarray) -> np.ndarray:
+    """The distinct sample indices of ``ids``, ascending: ``np.unique``'s
+    answer without its first-call import of ``numpy.ma``."""
+    return np.flatnonzero(np.bincount(ids))
+
+
 def _row_ids(rows: np.ndarray) -> np.ndarray:
     """Ids 0..k-1 of the distinct rows of a 2-D array, one sort per column;
     the ids stay below the row count, so their combination cannot wrap."""
@@ -179,7 +185,7 @@ class _PointSet:
         near = (cell + self._around).tolist()
         cand = sorted(j for c in near for j in self._cells.get(tuple(c), ()))
         if cand:
-            d = np.linalg.norm(self._buf[cand] - p, axis=1)
+            d = _l2_rows(self._buf[cand], p)
             j = int(np.argmin(d))
             if d[j] <= self.tol:
                 return cand[j]
@@ -285,10 +291,10 @@ def _build_s0(cfg: ScenarioConfig) -> ScenarioData:
     nH = len(ps.pts)
     path_idx = ps.add(radii[:, None])
     grid_q = ps.add(axis[axis > 1e-15][:, None])
-    query_idx = np.unique(np.concatenate([path_idx, grid_q]))
+    query_idx = _distinct(np.concatenate([path_idx, grid_q]))
     query_idx = query_idx[query_idx >= nH]
     query_idx = np.concatenate([query_idx, path_idx[path_idx < nH]])  # none expected
-    query_idx = np.unique(query_idx)
+    query_idx = _distinct(query_idx)
 
     space = SampledSpace(
         coords=ps.pts,
@@ -373,7 +379,7 @@ def _build_s1(cfg: ScenarioConfig) -> ScenarioData:
     ty = ty[np.abs(ty) > 1e-12]
     gx, gy = np.meshgrid(tx, ty)
     p_grid = ps.add(np.column_stack([gx.ravel(), gy.ravel()]))
-    query_idx = np.unique(np.concatenate([p_rad, p_tan, p_cp, p_cm, p_grid]))
+    query_idx = _distinct(np.concatenate([p_rad, p_tan, p_cp, p_cm, p_grid]))
     if (query_idx < nH).any():
         raise ValueError("an S1 query collided with an H sample")
 
@@ -514,7 +520,7 @@ def _build_s3(cfg: ScenarioConfig) -> ScenarioData:
 
     p_rad = ps.add((0.5 + radii)[:, None])
     grid_q = ps.add(axis[:, None])
-    query_idx = np.unique(np.concatenate([p_rad, grid_q]))
+    query_idx = _distinct(np.concatenate([p_rad, grid_q]))
     query_idx = query_idx[query_idx >= nH]
 
     space = SampledSpace(

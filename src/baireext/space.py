@@ -50,6 +50,10 @@ at grid 201 (about 2% of a pass) and 1-3 ms more over S2's denser covers.
 nearest H sample u(x).  It streams the distances to the H samples in blocks
 of ``_ROW_BLOCK`` rows, so no caller holds a (points x H) table.
 
+Euclidean distances come from the row-norm kernel ``target._l2_rows``, one
+coordinate column at a time: below 8 coordinates these are the floats of
+``np.linalg.norm``, with no (rows x samples x dim) difference array.
+
 All objects are immutable after construction and all operations are pure.
 A coordinate-only space builds its dense distance matrix on the first
 ``dense_matrix()`` call and keeps it, read-only, for the later calls; every
@@ -58,10 +62,13 @@ space likewise keeps its ``resolution()`` and its ``neighbour_order()``.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+
+from .target import _l2_rows
 
 __all__ = [
     "SampledSpace",
@@ -146,7 +153,7 @@ class SampledSpace:
         """Distances from sample ``i`` to every sample."""
         if self.dmat is not None:
             return self.dmat[i]
-        return np.linalg.norm(self.coords - self.coords[i], axis=1)
+        return _l2_rows(self.coords, self.coords[i])
 
     def dists_coords(self, q: np.ndarray, idx: Optional[np.ndarray] = None) -> np.ndarray:
         """Distances from free coordinate points ``q`` (k, dim) to samples.
@@ -157,11 +164,7 @@ class SampledSpace:
             raise SpaceConfigError("coordinate queries need a Euclidean space")
         pts = self.coords if idx is None else self.coords[idx]
         q = np.atleast_2d(np.asarray(q, dtype=float))
-        # the arithmetic of np.linalg.norm(diff, axis=2), bit for bit, without
-        # its second (k, n, dim) temporary
-        diff = q[:, None, :] - pts[None, :, :]
-        diff *= diff
-        return np.sqrt(np.add.reduce(diff, axis=2))
+        return _l2_rows(q[:, None, :], pts[None, :, :])
 
     def cross_dists(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Distances (len(rows), len(cols)) between two lists of samples, in a
@@ -483,6 +486,11 @@ def load_space_json(text: str, mode: str = "finite", delta: float = 0.0) -> Samp
     """
     doc = json.loads(text)
     labels = tuple(doc["points"])
+    for k, e in enumerate(doc["dist"]):
+        if isinstance(e, bool) or not isinstance(e, (int, float)):
+            raise SpaceConfigError(f"dist entry {k} is {e!r}, not a number")
+        if isinstance(e, int) and abs(e) > sys.float_info.max:
+            raise SpaceConfigError(f"dist entry {k} is an integer beyond the float range")
     m = _expand_lower_triangular(doc["dist"], len(labels))
     validate_metric(m)
     for e in doc["H"]:

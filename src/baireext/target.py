@@ -6,6 +6,15 @@ ball, and the radii.  The default norm is l-infinity, under which every ball
 intersection is a box and the selection surrogate is exact.  l2 is supported
 through a cyclic projection solver that exploits the slack the selection
 step grants.
+
+Every Euclidean row norm of the package, here and in ``space`` and
+``extension``, goes through ``_l2_rows``.  It sums the squares one column
+at a time, left to right, and takes the square root.  Below 8 columns
+numpy's ``add.reduce`` over the last axis also sums left to right, so the
+kernel gives the bits of ``np.linalg.norm(z, axis=-1)`` without a reduction
+per row and, for a difference of two arrays, without the difference array
+itself.  From 8 columns on numpy sums in pairwise blocks, so there, and for
+0 columns, the kernel takes numpy's path.
 """
 from __future__ import annotations
 
@@ -35,12 +44,31 @@ def _check_tag(tag: str) -> None:
         raise ValueError(f"unknown norm tag {tag!r}")
 
 
+def _l2_rows(a: np.ndarray, b: np.ndarray | None = None) -> float | np.ndarray:
+    """The Euclidean norm over the last axis of ``a - b`` (of ``a`` when ``b``
+    is None), with ``b`` broadcast against ``a``: the bits of
+    ``np.linalg.norm(a - b, axis=-1)``."""
+    m = np.shape(a)[-1]
+    if not 0 < m < 8:
+        z = a if b is None else a - b
+        return np.sqrt(np.add.reduce(z * z, axis=-1))
+
+    def square(c):
+        d = a[..., c] if b is None else a[..., c] - b[..., c]
+        return d * d
+
+    sq = square(0)
+    for c in range(1, m):
+        sq += square(c)
+    return np.sqrt(sq)
+
+
 def norm(z: np.ndarray, tag: str = "linf") -> float | np.ndarray:
     """l2 or l-infinity norm; vectorized over the leading axes."""
     _check_tag(tag)
     z = np.asarray(z, dtype=float)
     if tag == "l2":
-        return np.linalg.norm(z, axis=-1)
+        return _l2_rows(z)
     # the max over the last axis one column at a time: the floats of
     # np.abs(z).max(axis=-1), NaN where it gives NaN, without a reduction
     # per row
@@ -123,7 +151,7 @@ def ball_intersection_point(
         return _box_intersection(centers, radii + slack)
 
     # pairwise emptiness certificate
-    gaps = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
+    gaps = _l2_rows(centers[:, None, :], centers[None, :, :])
     if np.any(gaps > radii[:, None] + radii[None, :] + slack):
         return EMPTY
 
@@ -136,7 +164,7 @@ def ball_intersection_point(
             if d > r:
                 z = c + v * (r / d)
                 moved = True
-        dists = np.linalg.norm(z - centers, axis=1)
+        dists = _l2_rows(z, centers)
         if np.all(dists <= radii + slack):
             return z
         if not moved:  # fixed point that still violates: cannot happen, guard

@@ -3,11 +3,16 @@ byte-level determinism."""
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import baireext
 from baireext.cli import _extension_summary, _merge_config, main, run_scenario
 from baireext.scenarios import ConfigError, ScenarioConfig, get_scenario
 
@@ -272,3 +277,23 @@ class TestDeterminism:
             assert code == 0
         for suffix in ("field.csv", "manifest.json", "diag.jsonl"):
             assert (a / f"S3_{suffix}").read_bytes() == (b / f"S3_{suffix}").read_bytes()
+
+
+class TestImports:
+    def test_a_run_does_not_import_numpy_ma(self):
+        """np.unique without index outputs imports ``numpy.ma`` on its first
+        call (about 14 ms and 1.2 MiB); a run takes its distinct values
+        without it.  A fresh interpreter is needed, since any earlier test of
+        this process may have imported it."""
+        code = (
+            "import sys\n"
+            "from baireext.cli import run_scenario\n"
+            "from baireext.scenarios import ScenarioConfig\n"
+            "run_scenario('S1', ScenarioConfig(grid=41))\n"
+            "run_scenario('S3', ScenarioConfig(grid=201))\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+        )
+        src = str(Path(baireext.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from baireext.extension import (
+    _extend_rows,
     alp5_rhs,
     branch_condition_violations,
     build_extension,
@@ -123,21 +124,41 @@ class TestSelection:
 
     @pytest.mark.parametrize("which", ["s1", "s3"])
     def test_batched_scan_matches_the_scan_per_query(self, which, s1_run, s3_run):
-        """One oracle call per item for the whole query set, and the same
-        (query, n) pairs, K values and n(x) as a scan run query by query."""
+        """One oracle call per level for the queries and the midpoint centers
+        together, in strictly descending levels from the highest ceiling;
+        the same (point, n) pairs, K values, n(x) and g as a scan of the
+        queries alone and a scan of the midpoints alone; and the same n, K
+        values and g as a scan run point by point, for sampled queries and
+        sampled midpoints."""
         field = {"s1": s1_run, "s3": s3_run}[which].field
+        nq = field.n_queries
         calls = []
         items = counting_items(field.items, calls)
         batch = build_extension(field.space, items, field.f_h, field.query_idx, field.norm_tag)
+        mids = batch.center_pos[nq:]
+        assert len(mids) == nq  # a coordinate space: one midpoint per query
+        mid_dh, mid_u = field.space.nearest_h(mids)
+        assert np.array_equal(batch.center_dist_h, np.concatenate([field.dist_h, mid_dh]))
         levels = [n for n, _ in calls]
-        top = max(select_ceiling(d) for d in field.dist_h)
+        top = max(select_ceiling(d) for d in batch.center_dist_h)
         assert levels == sorted(set(levels), reverse=True) and levels[0] == top
-        assert sum(len(cs) for _, cs in calls) == sum(len(t) for t in batch.k_tables)
+        # the scans of either set alone make every K evaluation of the merge
+        mid_n, mid_g, mid_tables = _extend_rows(field.items, field.f_h, mid_dh, mid_u)
+        k_evals = sum(len(t) for t in batch.k_tables) + sum(len(t) for t in mid_tables)
+        assert sum(len(cs) for _, cs in calls) == k_evals
         assert np.array_equal(batch.n_of_x, field.n_of_x)
-        for q in range(0, field.n_queries, 7):
+        assert np.array_equal(batch.g, field.g)
+        assert np.array_equal(batch.center_g, np.concatenate([field.g, mid_g]))
+        for q in range(0, nq, 7):
             n, table = scan_by_query(field.items, int(field.u_y[q]), float(field.dist_h[q]))
             assert n == batch.n_of_x[q]
             assert list(table.items()) == list(batch.k_tables[q].items())
+        for i in range(0, nq, 7):
+            n, table = scan_by_query(field.items, int(mid_u[i]), float(mid_dh[i]))
+            assert n == mid_n[i]
+            assert list(table.items()) == list(mid_tables[i].items())
+            g = field.items[n - 1].values[mid_u[i]] if n else np.zeros(field.f_h.shape[1])
+            assert np.array_equal(batch.center_g[nq + i], g)
 
     @pytest.mark.parametrize("which", ["s1", "s3"])
     def test_selected_index_is_maximal(self, which, s1_run, s3_run):

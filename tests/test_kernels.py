@@ -582,7 +582,7 @@ class TestSmoothingKernel:
             coords=np.asarray(xs)[:, None], dmat=None, h_idx=np.array(h), mode="finite"
         )
         fd = smooth_extension(build_extension(sp_d, items, f_h, q))
-        fc = smooth_extension(build_extension(sp_c, items, f_h, q), extra_midpoints=False)
+        fc = smooth_extension(build_extension(sp_c, items, f_h, q, extra_midpoints=False))
         for name in ("dist_h", "u_x", "n_of_x", "g", "g_smooth"):
             assert np.array_equal(getattr(fd, name), getattr(fc, name)), name
 
@@ -624,8 +624,8 @@ def cloud_field(pts, h_mask, extra_midpoints=True):
     sp = SampledSpace(coords=pts, dmat=None, h_idx=np.flatnonzero(h_mask), mode="sampled", delta=1.0)
     q = np.flatnonzero(~h_mask)
     items = constant_lip_items(_sequence_length(sp.nearest_h(q)[0]), len(sp.h_idx))
-    field = build_extension(sp, items, items[-1].values, q)
-    return smooth_extension(field, extra_midpoints=extra_midpoints)
+    field = build_extension(sp, items, items[-1].values, q, extra_midpoints=extra_midpoints)
+    return smooth_extension(field)
 
 
 def lattice_cloud(dim, seed):
@@ -713,17 +713,16 @@ class TestSmoothingSearch:
             )
         else:
             sp = json_line_space(xs, h)
-        field = build_extension(sp, items, items[-1].values, q)
+        field = build_extension(sp, items, items[-1].values, q, extra_midpoints=False)
+        assert np.array_equal(field.center_pos, sp.coords[q] if coords else q)
+        assert np.array_equal(field.center_g, field.g)
         dist_h = field.dist_h.copy()
         dist_h[-1] = 0.0
-        broken = replace(field, dist_h=dist_h)
-        centers = replace(
-            broken, center_pos=sp.coords[q] if coords else q, center_g=field.g, center_dist_h=dist_h
-        )
+        broken = replace(field, dist_h=dist_h, center_dist_h=dist_h)
         with pytest.raises(CoverageError) as ref:
-            smooth_by_table(centers, center_rows(centers))
+            smooth_by_table(broken, center_rows(broken))
         with pytest.raises(CoverageError) as got:
-            smooth_extension(broken, extra_midpoints=False)
+            smooth_extension(broken)
         assert str(got.value) == str(ref.value) == f"query {int(q[-1])} is covered by no smoothing ball"
 
     @staticmethod

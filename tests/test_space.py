@@ -275,3 +275,18 @@ class TestFiniteMetricLoading:
         assert self.load_error(dist=[0, float("nan"), 0, 2, 1.5, 0]) == (
             "metric entry d(0,1) = nan is not finite"
         )
+
+    @pytest.mark.parametrize("entry, shown", [
+        ("1", "'1'"), ("x", "'x'"), (False, "False"), (True, "True"), (None, "None"),
+        ([1], "[1]"), ([[1.0, 2.0]], "[[1.0, 2.0]]"), ({"d": 1}, "{'d': 1}"),
+    ])
+    def test_non_number_dist_entry_rejected(self, entry, shown):
+        """A string, a bool, null or a nested value is refused by its index,
+        where numpy would convert "1" and False or raise its own error."""
+        assert self.load_error(dist=[0, 1, 0, entry, 1.5, 0]) == f"dist entry 3 is {shown}, not a number"
+
+    def test_integer_beyond_float_range_rejected(self):
+        """json reads a long integer literal exactly; numpy cannot store it."""
+        assert self.load_error(dist=[0, 1, 0, 10**400, 1.5, 0]) == (
+            "dist entry 3 is an integer beyond the float range"
+        )

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from baireext.target import (
     EMPTY,
     UndecidedIntersection,
+    _l2_rows,
     ball_intersection_point,
     norm,
     radial_project,
@@ -201,3 +202,51 @@ class TestBallIntersection:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             ball_intersection_point(np.zeros((2, 1)), np.array([1.0, -1.0]))
+
+
+class TestL2RowsKernel:
+    """The one Euclidean row-norm kernel against ``np.linalg.norm``, bit for
+    bit: column-wise below 8 columns, numpy's own reduction from 8 on and
+    at width 0."""
+
+    # subnormal to 1e150 (squares stay finite), signed zeros, NaN and inf
+    values = st.one_of(
+        st.floats(min_value=5e-324, max_value=1e150),
+        st.floats(min_value=-1e150, max_value=-5e-324),
+        st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e150]),
+    )
+
+    @staticmethod
+    def assert_same_bits(got, ref):
+        assert np.shape(got) == np.shape(ref)
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bit_equal_to_numpy(self, data):
+        width = data.draw(st.integers(0, 10), label="width")
+        lead = data.draw(st.lists(st.integers(1, 5), max_size=2), label="lead")
+        z = data.draw(hnp.arrays(np.float64, (*lead, width), elements=self.values), label="z")
+        self.assert_same_bits(_l2_rows(z), np.linalg.norm(z, axis=-1))
+        # a difference of two arrays, the second broadcast along the leading axes
+        w = data.draw(hnp.arrays(np.float64, (width,), elements=self.values), label="w")
+        with np.errstate(invalid="ignore", over="ignore"):
+            self.assert_same_bits(_l2_rows(z, w), np.linalg.norm(z - w, axis=-1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_l2_norm_bit_equal_to_numpy(self, data):
+        m = data.draw(st.integers(1, 10), label="m")
+        shape = data.draw(st.sampled_from([(m,), (3, m), (2, 4, m)]), label="shape")
+        z = data.draw(hnp.arrays(np.float64, shape, elements=self.values), label="z")
+        self.assert_same_bits(norm(z, "l2"), np.linalg.norm(z, axis=-1))
+
+    def test_wide_rows_take_the_pairwise_sum(self):
+        """From 8 columns on numpy's sum differs from a left-to-right one on
+        some rows; the kernel follows numpy there."""
+        rng = np.random.default_rng(0)
+        z = rng.standard_normal((2000, 9)) * rng.uniform(0, 1e3, (2000, 9))
+        left_to_right = np.sqrt(sum(z[:, c] * z[:, c] for c in range(9)))
+        ref = np.linalg.norm(z, axis=-1)
+        assert not np.array_equal(left_to_right, ref)
+        self.assert_same_bits(_l2_rows(z), ref)
