@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -60,7 +59,7 @@ def run_scenario(
     items = baire_approximate(bundle, data.n_seq, diag=diag_lines.append)
 
     field = None
-    if data.run_extension:
+    if len(data.query_idx):
         field = build_extension(
             data.space, items, bundle.f_values, data.query_idx, bundle.norm_tag,
             near=data.query_near,
@@ -134,13 +133,12 @@ def run_scenario(
 
 
 def _extension_summary(field: ExtensionField) -> dict:
-    """Selection statistics of the query field: the K_{x,n} evaluations of
-    the scan, how many were infinite, and the n(x) histogram (entry n counts
-    the queries with n(x) = n)."""
-    ks = [k for table in field.k_tables for k in table.values()]
+    """Selection statistics of the query field: the field's counts of the
+    K_{x,n} evaluations the scan made at the queries and of the infinite
+    ones, and the n(x) histogram (entry n counts the queries with n(x) = n)."""
     return {
-        "k_evals": len(ks),
-        "k_inf": sum(math.isinf(k) for k in ks),
+        "k_evals": field.k_evals,
+        "k_inf": field.k_inf,
         "n_of_x_hist": np.bincount(field.n_of_x).tolist(),
     }
 

@@ -11,7 +11,9 @@ the cover {B(x_a, dist(x_a,H)/3)} with partition-of-unity weights.
 queries and, on coordinate spaces, the midpoints (x + u(x))/2.  Queries and
 midpoints go through one selection scan, one oracle call per level; each K
 value depends only on its own point, so the scan gives every point the n and
-g a scan of its own set would.  ``smooth_extension`` then only blends.
+g a scan of its own set would.  Of the K values the field keeps two counts
+over the queries: how many the scan evaluated and how many were infinite.
+``smooth_extension`` then only blends.
 
 dist(x,H) and u(x) come from ``SampledSpace.nearest_h``, for the queries and
 for the midpoint centers alike (a scenario may hand over the queries' pair it
@@ -87,14 +89,14 @@ def select_ceiling(dist_h: float) -> int:
     return n
 
 
-def _scan(items: list[FunSeqItem], u_y: np.ndarray, dist_h: np.ndarray, n_tables=None):
-    """Descending scan from each query's analytic ceiling; returns n(x) and
-    the K table of each of the first ``n_tables`` queries (of every query
-    when None).
+def _scan(items: list[FunSeqItem], u_y: np.ndarray, dist_h: np.ndarray, n_count: int):
+    """Descending scan from each point's analytic ceiling; returns n(x) and,
+    over the first ``n_count`` points, the number of K_{x,n} evaluations and
+    how many of them were infinite.
 
-    The satisfying set need not be an interval, so a query stops at its first
+    The satisfying set need not be an interval, so a point stops at its first
     (hence largest) passing n, or ends at 0.  Each level n makes one oracle
-    call over the queries still pending.
+    call over the points still pending.
     """
     ceilings = []
     for d in dist_h.tolist():
@@ -108,22 +110,20 @@ def _scan(items: list[FunSeqItem], u_y: np.ndarray, dist_h: np.ndarray, n_tables
             )
     ceilings = np.array(ceilings, dtype=int)
     n_of = np.zeros(len(ceilings), dtype=int)
-    tables: list[dict[int, float]] = [{} for _ in ceilings[:n_tables]]
+    k_evals = k_inf = 0
     for n in range(int(ceilings.max(initial=0)), 0, -1):
         rows = np.flatnonzero((n_of == 0) & (ceilings >= n))
         k = _k_values(items, n, u_y[rows], dist_h[rows])
-        for q, kq in zip(rows.tolist(), k[:np.searchsorted(rows, len(tables))].tolist()):
-            tables[q][n] = kq
+        counted = k[:np.searchsorted(rows, n_count)]
+        k_evals += len(counted)
+        k_inf += int(np.count_nonzero(np.isinf(counted)))
         n_of[rows[_passes(n, k, dist_h[rows])]] = n
-    return n_of, tables
+    return n_of, k_evals, k_inf
 
 
-def select_n(
-    items: list[FunSeqItem], u_y: int, dist_h: float
-) -> tuple[int, dict[int, float]]:
-    """The descending scan for one query; returns (n(x), K table)."""
-    n_of, tables = _scan(items, np.array([u_y]), np.array([dist_h], dtype=float))
-    return int(n_of[0]), tables[0]
+def select_n(items: list[FunSeqItem], u_y: int, dist_h: float) -> int:
+    """The descending scan for one query; returns n(x)."""
+    return int(_scan(items, np.array([u_y]), np.array([dist_h], dtype=float), 0)[0][0])
 
 
 @dataclass
@@ -140,7 +140,8 @@ class ExtensionField:
     u_y: np.ndarray  # (nq,) same, in H-sample order
     n_of_x: np.ndarray  # (nq,)
     g: np.ndarray  # (nq, m)
-    k_tables: list[dict[int, float]]
+    k_evals: int  # K_{x,n} evaluations of the selection scan over the queries
+    k_inf: int  # how many of them were infinite
     # the smoothing centers, queries first (filled by build_extension)
     center_pos: Optional[np.ndarray] = None  # coords (nc, dim) or X indices (nc,)
     center_g: Optional[np.ndarray] = None
@@ -166,15 +167,15 @@ class ExtensionField:
         return self.space.cross_dists(self.query_idx, a)[:, 0]
 
 
-def _extend_rows(items, f_h, dist_h, u_y, n_tables=None):
-    """Core per-point extension given dist(x,H) and u(x): (n(x), g, the K
-    tables of the first ``n_tables`` points)."""
-    n_of, tables = _scan(items, u_y, dist_h, n_tables)
+def _extend_rows(items, f_h, dist_h, u_y, n_count):
+    """Core per-point extension given dist(x,H) and u(x): (n(x), g, and the
+    K evaluation and infinite-K counts over the first ``n_count`` points)."""
+    n_of, k_evals, k_inf = _scan(items, u_y, dist_h, n_count)
     g = np.zeros((len(dist_h), f_h.shape[1]))
     for n in (np.flatnonzero(np.bincount(n_of)[1:]) + 1).tolist():
         rows = n_of == n
         g[rows] = items[n - 1].values[u_y[rows]]
-    return n_of, g, tables
+    return n_of, g, k_evals, k_inf
 
 
 def build_extension(
@@ -184,17 +185,16 @@ def build_extension(
     query_idx: np.ndarray,
     norm_tag: str = "linf",
     near: Optional[tuple[np.ndarray, np.ndarray]] = None,
-    extra_midpoints: bool = True,
 ) -> ExtensionField:
     """Run the extension at every query sample (all must lie off H) and at
-    the smoothing centers, in one selection scan; only the queries' K tables
-    are kept.  ``near`` is the queries' (dist_h, u_y) from
+    the smoothing centers, in one selection scan; the K counts cover the
+    queries only.  ``near`` is the queries' (dist_h, u_y) from
     ``SampledSpace.nearest_h`` when the caller has it already.
 
     The centers are the queries themselves (each query covers itself, so
-    coverage holds by construction) plus, on coordinate spaces with
-    ``extra_midpoints``, the midpoints between each query and its nearest H
-    sample, which refine the cover toward H."""
+    coverage holds by construction) plus, on coordinate spaces, the midpoints
+    between each query and its nearest H sample, which refine the cover
+    toward H."""
     query_idx = np.asarray(query_idx, dtype=int)
     dist_h, u_y = space.nearest_h(query_idx) if near is None else near
     if not np.all(dist_h > 0):
@@ -205,13 +205,12 @@ def build_extension(
         center_pos = query_idx
     else:
         center_pos = space.coords[query_idx]
-        if extra_midpoints:
-            mids = (center_pos + space.coords[space.h_idx[u_y]]) / 2.0
-            # no midpoint lies on H: dist(mid, H) >= dist(x, H)/2 > 0
-            mdh, mu = space.nearest_h(mids)
-            center_pos = np.concatenate([center_pos, mids])
-            dist_h, u_y = np.concatenate([dist_h, mdh]), np.concatenate([u_y, mu])
-    n_of, g, tables = _extend_rows(items, f_h, dist_h, u_y, nq)
+        mids = (center_pos + space.coords[space.h_idx[u_y]]) / 2.0
+        # no midpoint lies on H: dist(mid, H) >= dist(x, H)/2 > 0
+        mdh, mu = space.nearest_h(mids)
+        center_pos = np.concatenate([center_pos, mids])
+        dist_h, u_y = np.concatenate([dist_h, mdh]), np.concatenate([u_y, mu])
+    n_of, g, k_evals, k_inf = _extend_rows(items, f_h, dist_h, u_y, nq)
     return ExtensionField(
         space=space,
         items=items,
@@ -223,7 +222,8 @@ def build_extension(
         u_y=u_y[:nq],
         n_of_x=n_of[:nq],
         g=g[:nq],
-        k_tables=tables,
+        k_evals=k_evals,
+        k_inf=k_inf,
         center_pos=center_pos,
         center_g=g,
         center_dist_h=dist_h,
@@ -429,19 +429,21 @@ def general_inequality_slacks(field: ExtensionField) -> dict[str, float]:
 
 def branch_condition_violations(field: ExtensionField) -> int:
     """Count of (query, a) pairs violating: dist/d > 1/(n M_n) implies
-    d(u(x), a) < 1/(n K_{x,n}); pairs with K = inf are skipped."""
+    d(u(x), a) < 1/(n K_{x,n}); pairs with K = inf are skipped.  K_{x,n(x)}
+    comes from one oracle call per selected level."""
     d_ua = field.space.h_space().dense_matrix()
+    k = np.full(field.n_queries, np.inf)
+    for n in (np.flatnonzero(np.bincount(field.n_of_x)[1:]) + 1).tolist():
+        rows = field.n_of_x == n
+        k[rows] = _k_values(field.items, n, field.u_y[rows], field.dist_h[rows])
     bad = 0
     for a, d_xa in _query_blocks(field):
         for q, row in enumerate(d_xa, start=a):
             n = int(field.n_of_x[q])
-            if n == 0:
-                continue
-            k = field.k_tables[q][n]
-            if np.isinf(k):
+            if np.isinf(k[q]):  # also every query with n(x) = 0
                 continue
             hot = field.dist_h[q] / row > 1.0 / (n * m_bound(n))
-            bad += int(np.count_nonzero(hot & ~(d_ua[field.u_y[q]] < 1.0 / (n * k))))
+            bad += int(np.count_nonzero(hot & ~(d_ua[field.u_y[q]] < 1.0 / (n * k[q]))))
     return bad
 
 

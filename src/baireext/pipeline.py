@@ -113,7 +113,6 @@ class FunSeqItem:
     values: np.ndarray  # (nY, m)
     sup_bound: float
     lip_bound: LipOracle
-    certified: bool = True
     norm_tag: str = "linf"
     extras: dict = field(default_factory=dict)
 
@@ -123,7 +122,6 @@ class FunctionBundle:
     """Scenario-supplied data: the raw sequence, its limit and certificates."""
 
     hspace: SampledSpace  # Y = H with a dense distance matrix
-    m: int
     norm_tag: str
     h_values: np.ndarray  # (n_seq, nY, m)
     f_values: np.ndarray  # (nY, m)
@@ -132,7 +130,6 @@ class FunctionBundle:
     conv_mask: np.ndarray  # (nY,) pointwise convergence certified
     ucpc_certified: bool = False
     continuity_idx: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
-    discontinuity_idx: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
 
     @property
     def n_seq(self) -> int:
@@ -144,7 +141,7 @@ def sampled_lip_oracle(space: SampledSpace, values: np.ndarray, tag: str) -> Lip
 
     In finite mode the samples are the whole space, so this is the true local
     Lipschitz constant; in sampled mode it is only a lower estimate of the
-    continuum constant and callers must flag the result as non-certified.
+    continuum constant, so the pipeline builds it in finite mode only.
 
     A call builds one quotient table over the union of its balls, upper
     triangle only (the metric is symmetric), reading the dense matrix itself
@@ -440,9 +437,8 @@ def enforce_local_uniform_boundedness(
     if rad is None:
         rad = local_bound_radius(bundle)
     tag = bundle.norm_tag
-    m = bundle.m
     r_min = float(rad.r.min())
-    factor = retraction_factor(tag, m)
+    factor = retraction_factor(tag, bundle.f_values.shape[1])
     finite = np.isfinite(rad.r)
     out = []
     for it in items:
@@ -575,9 +571,10 @@ def baire_approximate(
         raise ValueError(f"bundle supplies only {bundle.n_seq} raw items")
     tag = bundle.norm_tag
 
-    def emit(stage, n, violation, certified):
+    def emit(stage, n, violation):
+        # no stage builds an uncertified item: every line says certified
         if diag is not None:
-            diag({"stage": stage, "n": n, "max_violation": violation, "certified": certified})
+            diag({"stage": stage, "n": n, "max_violation": violation, "certified": True})
 
     if bundle.hspace.mode == "finite":
         state = ucpc_transform(bundle, n_seq)
@@ -594,7 +591,7 @@ def baire_approximate(
             )
             on_c = state.c_masks[k - 1]
             dev = float(norm(vals[on_c] - bundle.h_values[k - 1][on_c], tag).max()) if on_c.any() else 0.0
-            emit("ucpc_transform", k, dev, True)
+            emit("ucpc_transform", k, dev)
     else:
         if not bundle.ucpc_certified:
             raise ValueError(
@@ -603,7 +600,7 @@ def baire_approximate(
             )
         if bundle.h_lip is None:
             raise ValueError("sampled-continuum mode needs a raw Lipschitz oracle")
-        emit("ucpc_transform", 0, 0.0, True)  # skipped: raw sequence certified
+        emit("ucpc_transform", 0, 0.0)  # skipped: raw sequence certified
         items = []
         for k in range(1, n_seq + 1):
             vals = bundle.h_values[k - 1]
@@ -614,18 +611,18 @@ def baire_approximate(
     items = bound_sequence(items)
     for it in items:
         excess = float(norm(it.values, tag).max()) - it.n
-        emit("bound", it.n, max(0.0, excess), it.certified)
+        emit("bound", it.n, max(0.0, excess))
 
     items, rad = enforce_local_uniform_boundedness(items, bundle)
     finite = np.isfinite(rad.r)
     for it in items:
         it.extras["bound_radius"] = rad
         excess = norm(it.values[finite], tag) - rad.r[finite]
-        emit("enforce_bound", it.n, float(excess.max(initial=0.0)), it.certified)
+        emit("enforce_bound", it.n, float(excess.max(initial=0.0)))
 
     out = []
     for it in items:
         mo = lipschitz_mollify(bundle.hspace, it, it.n)
         out.append(mo)
-        emit("mollify", mo.n, float(mo.extras["mollify_err"].max()), mo.certified)
+        emit("mollify", mo.n, float(mo.extras["mollify_err"].max()))
     return out

@@ -91,7 +91,6 @@ class ScenarioData:
     plan: list[PlannedCheck]
     primary_anchor_y: int
     grid: int  # the grid the scenario ran at, after its clamps
-    run_extension: bool = True
     # (dist_h, u_y) of the queries from ``SampledSpace.nearest_h``
     query_near: Optional[tuple[np.ndarray, np.ndarray]] = None
 
@@ -292,9 +291,8 @@ def _build_s0(cfg: ScenarioConfig) -> ScenarioData:
     path_idx = ps.add(radii[:, None])
     grid_q = ps.add(axis[axis > 1e-15][:, None])
     query_idx = _distinct(np.concatenate([path_idx, grid_q]))
-    query_idx = query_idx[query_idx >= nH]
-    query_idx = np.concatenate([query_idx, path_idx[path_idx < nH]])  # none expected
-    query_idx = _distinct(query_idx)
+    if (query_idx < nH).any():
+        raise ValueError("an S0 query collided with an H sample")
 
     space = SampledSpace(
         coords=ps.pts,
@@ -310,7 +308,6 @@ def _build_s0(cfg: ScenarioConfig) -> ScenarioData:
     h_values = np.tile(c, (n_seq, nH, 1))
     bundle = FunctionBundle(
         hspace=hspace,
-        m=2,
         norm_tag=cfg.norm,
         h_values=h_values,
         f_values=f_values,
@@ -318,7 +315,6 @@ def _build_s0(cfg: ScenarioConfig) -> ScenarioData:
         conv_mask=np.ones(nH, dtype=bool),
         ucpc_certified=True,
         continuity_idx=np.arange(nH),
-        discontinuity_idx=np.array([], dtype=int),
     )
     scale = spacing
     _validate_continuity_declarations(hspace, f_values, bundle.continuity_idx, scale, cfg.norm)
@@ -402,10 +398,8 @@ def _build_s1(cfg: ScenarioConfig) -> ScenarioData:
         return np.where(flat, 0.0, float(n))
 
     cont = np.flatnonzero(np.abs(t) > 1e-12)
-    disc = np.flatnonzero(np.abs(t) <= 1e-12)
     bundle = FunctionBundle(
         hspace=hspace,
-        m=2,
         norm_tag=cfg.norm,
         h_values=h_values,
         f_values=f_values,
@@ -413,7 +407,6 @@ def _build_s1(cfg: ScenarioConfig) -> ScenarioData:
         conv_mask=np.ones(nH, dtype=bool),
         ucpc_certified=True,
         continuity_idx=cont,
-        discontinuity_idx=disc,
     )
     _validate_continuity_declarations(hspace, f_values, cont, delta, cfg.norm)
 
@@ -466,7 +459,6 @@ def _build_s2(cfg: ScenarioConfig) -> ScenarioData:
     f_values = np.zeros((nY, 1))
     bundle = FunctionBundle(
         hspace=space,
-        m=1,
         norm_tag=cfg.norm,
         h_values=h_values,
         f_values=f_values,
@@ -474,7 +466,6 @@ def _build_s2(cfg: ScenarioConfig) -> ScenarioData:
         conv_mask=np.ones(nY, dtype=bool),
         ucpc_certified=False,
         continuity_idx=np.arange(nY),
-        discontinuity_idx=np.array([], dtype=int),
     )
     _validate_continuity_declarations(
         space, f_values, bundle.continuity_idx, space.resolution(), cfg.norm
@@ -492,7 +483,6 @@ def _build_s2(cfg: ScenarioConfig) -> ScenarioData:
         plan=plan,
         primary_anchor_y=0,
         grid=nY,
-        run_extension=False,
     )
 
 
@@ -539,10 +529,8 @@ def _build_s3(cfg: ScenarioConfig) -> ScenarioData:
             h_values[n - 1, k - 1, 0] = float(k) if k <= n else 0.0
 
     cont = np.arange(_S3_KMAX)  # every 1/k is isolated in H
-    disc = np.array([a_zero])
     bundle = FunctionBundle(
         hspace=hspace,
-        m=1,
         norm_tag=cfg.norm,
         h_values=h_values,
         f_values=f_values,
@@ -550,7 +538,6 @@ def _build_s3(cfg: ScenarioConfig) -> ScenarioData:
         conv_mask=np.ones(nH, dtype=bool),
         ucpc_certified=True,
         continuity_idx=cont,
-        discontinuity_idx=disc,
     )
     _validate_continuity_declarations(hspace, f_values, cont, hspace.resolution(), cfg.norm)
 

@@ -11,10 +11,10 @@ Every Euclidean row norm of the package, here and in ``space`` and
 ``extension``, goes through ``_l2_rows``.  It sums the squares one column
 at a time, left to right, and takes the square root.  Below 8 columns
 numpy's ``add.reduce`` over the last axis also sums left to right, so the
-kernel gives the bits of ``np.linalg.norm(z, axis=-1)`` without a reduction
-per row and, for a difference of two arrays, without the difference array
-itself.  From 8 columns on numpy sums in pairwise blocks, so there, and for
-0 columns, the kernel takes numpy's path.
+kernel gives the bits of ``np.linalg.norm(z, axis=-1)`` (up to the sign of a
+NaN) without a reduction per row and, for a difference of two arrays,
+without the difference array itself.  From 8 columns on numpy sums in
+pairwise blocks, so there, and for 0 columns, the kernel takes numpy's path.
 """
 from __future__ import annotations
 
@@ -47,7 +47,9 @@ def _check_tag(tag: str) -> None:
 def _l2_rows(a: np.ndarray, b: np.ndarray | None = None) -> float | np.ndarray:
     """The Euclidean norm over the last axis of ``a - b`` (of ``a`` when ``b``
     is None), with ``b`` broadcast against ``a``: the bits of
-    ``np.linalg.norm(a - b, axis=-1)``."""
+    ``np.linalg.norm(a - b, axis=-1)`` for every non-NaN result, and NaN
+    wherever numpy gives NaN.  IEEE 754 leaves the sign of a NaN result open,
+    and the two can differ in it; ``repr`` and json spell every NaN alike."""
     m = np.shape(a)[-1]
     if not 0 < m < 8:
         z = a if b is None else a - b

@@ -8,7 +8,6 @@ crosses the tolerance is inconclusive — a first-class outcome, not an error.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -64,9 +63,6 @@ class CertReport:
             "trace": self.trace,
             "details": self.details,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def validate_path(space: SampledSpace, path: ApproachPath) -> None:
@@ -213,20 +209,19 @@ def check_ucpc(
     values_seq: np.ndarray,
     f_values: np.ndarray,
     y0: int,
-    eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
-    rho_grid: Sequence[float] = DEFAULT_RHO_GRID,
     tag: str = "linf",
 ) -> CertReport:
-    """Uniform convergence at y0: for each eps find (k0, rho) with
-    ||f_k(y) - f(y0)|| < eps for all k >= k0 and sampled y in B(y0, rho)."""
+    """Uniform convergence at y0: for each eps of ``DEFAULT_EPS_GRID`` find
+    (k0, rho) with rho in ``DEFAULT_RHO_GRID`` and ||f_k(y) - f(y0)|| < eps
+    for all k >= k0 and sampled y in B(y0, rho)."""
     values_seq = np.asarray(values_seq, dtype=float)
     k_max = len(values_seq)
     d0 = hspace.dists_from(int(y0))
     dev = norm(values_seq - f_values[int(y0)], tag)  # (k_max, nY)
     witnesses = []
-    for eps in eps_grid:
+    for eps in DEFAULT_EPS_GRID:
         found = None
-        for rho in rho_grid:
+        for rho in DEFAULT_RHO_GRID:
             s = d0 < rho
             if not s.any():
                 continue
@@ -237,7 +232,7 @@ def check_ucpc(
                 found = {"eps": eps, "k0": int(hits[0]) + 1, "rho": rho}
                 break
         if found is None:
-            rho = min(rho_grid)
+            rho = min(DEFAULT_RHO_GRID)
             s = d0 < rho
             # no witness even at the smallest rho: the final index already
             # violates (its suffix max is itself), so report (eps, k_max, y*)

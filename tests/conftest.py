@@ -19,7 +19,7 @@ def run_scenario_objects(name: str, cfg: ScenarioConfig | None = None) -> Simple
     diags: list[dict] = []
     items = baire_approximate(data.bundle, data.n_seq, diag=diags.append)
     field = None
-    if data.run_extension:
+    if len(data.query_idx):
         field = build_extension(
             data.space, items, data.bundle.f_values, data.query_idx, data.bundle.norm_tag
         )

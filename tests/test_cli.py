@@ -1,20 +1,23 @@
 """Command-line interface: subcommands, config merging, artifacts and
 byte-level determinism."""
 import argparse
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import baireext
 from baireext.cli import _extension_summary, _merge_config, main, run_scenario
+from baireext.extension import build_extension, local_lip_K, select_ceiling
+from baireext.pipeline import FunSeqItem
 from baireext.scenarios import ConfigError, ScenarioConfig, get_scenario
+from baireext.space import SampledSpace
 
 
 class TestListDescribe:
@@ -91,9 +94,15 @@ class TestRun:
             assert get_scenario(name).build(ScenarioConfig(grid=asked)).grid == used
 
     def test_manifest_extension_block_matches_the_field(self, s3_run):
+        """k_evals and k_inf count K_{x,n} at every level each query's scan
+        visits: from its ceiling down to n(x), or to 1 when n(x) = 0."""
         manifest, _ = run_scenario("S3", ScenarioConfig())
         field = s3_run.field
-        ks = [k for table in field.k_tables for k in table.values()]
+        ks = [
+            local_lip_K(field.items, n, int(u), float(d))
+            for u, d, nx in zip(field.u_y, field.dist_h, field.n_of_x)
+            for n in range(select_ceiling(float(d)), max(int(nx), 1) - 1, -1)
+        ]
         top = int(field.n_of_x.max())
         assert manifest["extension"] == {
             "k_evals": len(ks),
@@ -103,9 +112,26 @@ class TestRun:
         assert run_scenario("S2", ScenarioConfig(grid=41))[0]["extension"] is None
 
     def test_extension_block_counts_infinite_k(self):
-        field = SimpleNamespace(
-            k_tables=[{3: math.inf, 2: 4.0, 1: 1.0}, {1: math.inf}, {}], n_of_x=np.array([1, 0, 0])
+        """H = {0} and queries at 0.019, 0.15 and 0.3 (ceilings 3, 1 and 0).
+        The first query meets K = inf at n = 3 and K = 4 at n = 2, both
+        failing, and passes at n = 1; the second meets K = inf at n = 1.  The
+        midpoint centers are scanned as well, but only the queries count."""
+        bounds = {
+            1: lambda cs, rho: np.where(rho > 0.5, np.inf, 1.0),
+            2: lambda cs, rho: np.full(len(cs), 4.0),
+            3: lambda cs, rho: np.full(len(cs), np.inf),
+            4: lambda cs, rho: np.ones(len(cs)),
+        }
+        items = [
+            FunSeqItem(n=n, values=np.ones((1, 1)), sup_bound=1.0, lip_bound=lip)
+            for n, lip in bounds.items()
+        ]
+        space = SampledSpace(
+            coords=np.array([[0.0], [0.019], [0.15], [0.3]]), dmat=None,
+            h_idx=np.array([0]), mode="sampled", delta=0.01,
         )
+        field = build_extension(space, items, np.ones((1, 1)), np.array([1, 2, 3]))
+        assert field.n_of_x.tolist() == [1, 0, 0]
         assert _extension_summary(field) == {"k_evals": 4, "k_inf": 2, "n_of_x_hist": [2, 1]}
 
     def test_diag_lines_are_json(self, tmp_path):
@@ -270,6 +296,30 @@ class TestPathRadiusRefusal:
 
 
 class TestDeterminism:
+    # SHA-256 of the manifest and diag files of each scenario at grid 201,
+    # linf, CSV field
+    PINNED = {
+        "S0": ("8e541994721739bb735d34fbfc411f94ea1cfa754a33fb36e8bbd1d80555704e",
+               "6fb59de7ca5c3920ba54d38b7d28aa4e56c47f92e8ecc5b087f03768b329a7ad"),
+        "S1": ("0108bbb7d72adeaa3c2f5044397bb162be900284f5cc2f390af430b85153f947",
+               "45b6bf896700cad29f3b02e1c054267947510860d437f599bc10c7aac6a30a87"),
+        "S2": ("4b51279138cf0ef4599cdc887b0485f37e69148206986f9c196f6d679b23f359",
+               "db295285dcd11aea591168744cb1586b262cd7c2b377a835800afc3f94e58242"),
+        "S3": ("ad8f49640e9876266233cd9389d5a0c24977709aa9edd67c588b17ed639036c1",
+               "c15154fddcc4ecc404a0877c012402a3783f1835189dcc9bac3cdcf50c058273"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_manifest_and_diag_bytes_are_pinned(self, name, tmp_path):
+        """The manifest's extension block, reports and verdict and the diag
+        lines, byte for byte."""
+        run_scenario(name, ScenarioConfig(grid=201, norm="linf"), tmp_path, "csv")
+        got = tuple(
+            hashlib.sha256((tmp_path / f"{name}_{suffix}").read_bytes()).hexdigest()
+            for suffix in ("manifest.json", "diag.jsonl")
+        )
+        assert got == self.PINNED[name]
+
     def test_two_runs_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

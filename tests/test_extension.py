@@ -38,12 +38,13 @@ def flat_items(count, lip_value=0.0, m=1, nY=4):
 
 
 def counting_items(items, calls):
-    """Copies of ``items`` whose oracles log (n, centers) per call."""
+    """Copies of ``items`` whose oracles log (n, centers, bounds) per call."""
 
     def counted(it):
         def lip(cs, rho):
-            calls.append((it.n, cs.tolist()))
-            return it.lip_bound(cs, rho)
+            bounds = it.lip_bound(cs, rho)
+            calls.append((it.n, cs.tolist(), bounds))
+            return bounds
 
         return replace(it, lip_bound=lip)
 
@@ -83,9 +84,8 @@ class TestSelection:
 
     def test_select_example_near_one_twentieth(self):
         items = flat_items(3)
-        n, table = select_n(items, 0, 0.049)
-        assert n == 2
-        assert table[2] == 1.0
+        assert select_n(items, 0, 0.049) == 2
+        assert local_lip_K(items, 2, 0, 0.049) == 1.0
         # n = 3 genuinely fails the test at this distance
         assert not selection_passes(items, 3, 0, 0.049)
         assert selection_passes(items, 2, 0, 0.049)
@@ -93,8 +93,7 @@ class TestSelection:
     def test_boundary_distance_is_excluded(self):
         # at dist = 1/20 exactly, n = 2 fails the strict inequality
         items = flat_items(3)
-        n, _ = select_n(items, 0, 0.05)
-        assert n < 2
+        assert select_n(items, 0, 0.05) < 2
 
     def test_infinite_k_gives_n_zero(self):
         items = [
@@ -103,15 +102,14 @@ class TestSelection:
                 lip_bound=lambda cs, rho: np.full(len(cs), np.inf),
             )
         ]
-        n, table = select_n(items, 0, 0.15)
-        assert n == 0
-        assert np.isinf(table[1])
+        assert select_n(items, 0, 0.15) == 0
+        assert np.isinf(local_lip_K(items, 1, 0, 0.15))
 
     def test_select_evaluates_k_once_per_scanned_index(self):
         calls = []
         items = counting_items(flat_items(3, lip_value=2.0), calls)
-        n, table = select_n(items, 0, 0.049)
-        assert [n for n, _ in calls] == [2, 1] == list(table)
+        n = select_n(items, 0, 0.049)
+        assert [(lvl, cs) for lvl, cs, _ in calls] == [(2, [0]), (1, [0])]
         assert n == 1
 
     def test_zero_distance_rejected(self):
@@ -125,11 +123,13 @@ class TestSelection:
     @pytest.mark.parametrize("which", ["s1", "s3"])
     def test_batched_scan_matches_the_scan_per_query(self, which, s1_run, s3_run):
         """One oracle call per level for the queries and the midpoint centers
-        together, in strictly descending levels from the highest ceiling;
-        the same (point, n) pairs, K values, n(x) and g as a scan of the
-        queries alone and a scan of the midpoints alone; and the same n, K
-        values and g as a scan run point by point, for sampled queries and
-        sampled midpoints."""
+        together, in strictly descending levels from the highest ceiling.
+        Each level's call holds, in point order, every point whose scan
+        reaches that level: the same n(x) and g as a scan of the queries
+        alone and a scan of the midpoints alone, and the same levels, n and
+        K values as a scan run point by point, for sampled queries and
+        sampled midpoints.  The field's K counts are those of the calls'
+        query rows."""
         field = {"s1": s1_run, "s3": s3_run}[which].field
         nq = field.n_queries
         calls = []
@@ -139,26 +139,38 @@ class TestSelection:
         assert len(mids) == nq  # a coordinate space: one midpoint per query
         mid_dh, mid_u = field.space.nearest_h(mids)
         assert np.array_equal(batch.center_dist_h, np.concatenate([field.dist_h, mid_dh]))
-        levels = [n for n, _ in calls]
-        top = max(select_ceiling(d) for d in batch.center_dist_h)
-        assert levels == sorted(set(levels), reverse=True) and levels[0] == top
-        # the scans of either set alone make every K evaluation of the merge
-        mid_n, mid_g, mid_tables = _extend_rows(field.items, field.f_h, mid_dh, mid_u)
-        k_evals = sum(len(t) for t in batch.k_tables) + sum(len(t) for t in mid_tables)
-        assert sum(len(cs) for _, cs in calls) == k_evals
+        ceilings = np.array([select_ceiling(d) for d in batch.center_dist_h])
+        levels = [n for n, _, _ in calls]
+        assert levels == sorted(set(levels), reverse=True) and levels[0] == ceilings.max()
+        mid_n, mid_g, mid_evals, _ = _extend_rows(field.items, field.f_h, mid_dh, mid_u, len(mid_dh))
         assert np.array_equal(batch.n_of_x, field.n_of_x)
         assert np.array_equal(batch.g, field.g)
         assert np.array_equal(batch.center_g, np.concatenate([field.g, mid_g]))
-        for q in range(0, nq, 7):
-            n, table = scan_by_query(field.items, int(field.u_y[q]), float(field.dist_h[q]))
-            assert n == batch.n_of_x[q]
-            assert list(table.items()) == list(batch.k_tables[q].items())
-        for i in range(0, nq, 7):
-            n, table = scan_by_query(field.items, int(mid_u[i]), float(mid_dh[i]))
-            assert n == mid_n[i]
-            assert list(table.items()) == list(mid_tables[i].items())
-            g = field.items[n - 1].values[mid_u[i]] if n else np.zeros(field.f_h.shape[1])
-            assert np.array_equal(batch.center_g[nq + i], g)
+        # a point is pending at every level from its ceiling down to its n(x)
+        n_all = np.concatenate([field.n_of_x, mid_n])
+        u_all = np.concatenate([field.u_y, mid_u])
+        sampled = np.concatenate([np.arange(0, nq, 7), nq + np.arange(0, nq, 7)])
+        tables = {int(p): {} for p in sampled}
+        k_evals = k_inf = 0
+        for n, cs, bounds in calls:
+            rows = np.flatnonzero((ceilings >= n) & (n_all <= n))
+            assert cs == u_all[rows].tolist()
+            k = np.fmax(1.0, bounds)
+            on_q = rows < nq
+            k_evals += int(on_q.sum())
+            k_inf += int(np.isinf(k[on_q]).sum())
+            for i in np.flatnonzero(np.isin(rows, sampled)).tolist():
+                tables[int(rows[i])][n] = float(k[i])
+        assert (batch.k_evals, batch.k_inf) == (k_evals, k_inf)
+        assert sum(len(cs) for _, cs, _ in calls) == k_evals + mid_evals
+        for p, table in tables.items():
+            u, dh = int(u_all[p]), float(batch.center_dist_h[p])
+            n, by_query = scan_by_query(field.items, u, dh)
+            assert n == n_all[p]
+            assert list(table.items()) == list(by_query.items())
+            assert all(local_lip_K(field.items, lvl, u, dh) == k for lvl, k in table.items())
+            g = field.items[n - 1].values[u] if n else np.zeros(field.f_h.shape[1])
+            assert np.array_equal(batch.center_g[p], g)
 
     @pytest.mark.parametrize("which", ["s1", "s3"])
     def test_selected_index_is_maximal(self, which, s1_run, s3_run):
@@ -201,7 +213,8 @@ class TestField:
         assert one.u_y[0] == field.u_y[3]
         assert one.n_of_x[0] == field.n_of_x[3]
         assert np.array_equal(one.g[0], field.g[3])
-        assert one.k_tables[0] == field.k_tables[3]
+        _, table = scan_by_query(field.items, int(field.u_y[3]), float(field.dist_h[3]))
+        assert (one.k_evals, one.k_inf) == (len(table), sum(map(np.isinf, table.values())))
 
     def test_query_on_h_rejected(self, s1_run):
         field = s1_run.field

@@ -31,6 +31,7 @@ from baireext.extension import (
     field_to_csv,
     field_to_json,
     general_inequality_slacks,
+    local_lip_K,
     m_bound,
     select_ceiling,
     smooth_extension,
@@ -582,7 +583,7 @@ class TestSmoothingKernel:
             coords=np.asarray(xs)[:, None], dmat=None, h_idx=np.array(h), mode="finite"
         )
         fd = smooth_extension(build_extension(sp_d, items, f_h, q))
-        fc = smooth_extension(build_extension(sp_c, items, f_h, q, extra_midpoints=False))
+        fc = smooth_extension(without_midpoints(build_extension(sp_c, items, f_h, q)))
         for name in ("dist_h", "u_x", "n_of_x", "g", "g_smooth"):
             assert np.array_equal(getattr(fd, name), getattr(fc, name)), name
 
@@ -619,13 +620,26 @@ def run_field(name, grid):
     )
 
 
-def cloud_field(pts, h_mask, extra_midpoints=True):
-    """Smoothed field of a coordinate cloud, queries = every sample off H."""
+def without_midpoints(field):
+    """``field`` with its queries as the only smoothing centers, the centers
+    ``build_extension`` takes on a metric matrix."""
+    nq = field.n_queries
+    return replace(
+        field,
+        center_pos=field.center_pos[:nq],
+        center_g=field.center_g[:nq],
+        center_dist_h=field.center_dist_h[:nq],
+    )
+
+
+def cloud_field(pts, h_mask, midpoints=True):
+    """Smoothed field of a coordinate cloud, queries = every sample off H;
+    without ``midpoints`` the queries are the only smoothing centers."""
     sp = SampledSpace(coords=pts, dmat=None, h_idx=np.flatnonzero(h_mask), mode="sampled", delta=1.0)
     q = np.flatnonzero(~h_mask)
     items = constant_lip_items(_sequence_length(sp.nearest_h(q)[0]), len(sp.h_idx))
-    field = build_extension(sp, items, items[-1].values, q, extra_midpoints=extra_midpoints)
-    return smooth_extension(field)
+    field = build_extension(sp, items, items[-1].values, q)
+    return smooth_extension(field if midpoints else without_midpoints(field))
 
 
 def lattice_cloud(dim, seed):
@@ -679,7 +693,7 @@ class TestSmoothingSearch:
     def test_lattice_clouds_with_centers_on_the_sphere(self, dim):
         pts, on_h = lattice_cloud(dim, seed=dim)
         for mids in (True, False):
-            field = cloud_field(pts, on_h, extra_midpoints=mids)
+            field = cloud_field(pts, on_h, midpoints=mids)
             assert exact_sphere_pairs(field) > 0
             assert_same_smoothing(field, center_rows(field))
 
@@ -713,7 +727,7 @@ class TestSmoothingSearch:
             )
         else:
             sp = json_line_space(xs, h)
-        field = build_extension(sp, items, items[-1].values, q, extra_midpoints=False)
+        field = without_midpoints(build_extension(sp, items, items[-1].values, q))
         assert np.array_equal(field.center_pos, sp.coords[q] if coords else q)
         assert np.array_equal(field.center_g, field.g)
         dist_h = field.dist_h.copy()
@@ -772,7 +786,7 @@ class TestSmoothingSearch:
         for mids in (True, False):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                field = cloud_field(pts, np.arange(len(pts)) < 1, extra_midpoints=mids)
+                field = cloud_field(pts, np.arange(len(pts)) < 1, midpoints=mids)
             assert_same_smoothing(field, center_rows(field))
 
     @settings(max_examples=150, deadline=None)
@@ -799,7 +813,7 @@ class TestSmoothingSearch:
         pts = np.concatenate([h_pts, q_pts])
         on_h = np.arange(len(pts)) < n_h
         for mids in (True, False):
-            field = cloud_field(pts, on_h, extra_midpoints=mids)
+            field = cloud_field(pts, on_h, midpoints=mids)
             assert_same_smoothing(field, center_rows(field))
 
 
@@ -822,7 +836,7 @@ def diagnostics_by_tables(field):
         n = int(field.n_of_x[q])
         if n == 0:
             continue
-        k = field.k_tables[q][n]
+        k = local_lip_K(field.items, n, int(field.u_y[q]), float(field.dist_h[q]))
         if np.isinf(k):
             continue
         hot = field.dist_h[q] / qh[q] > 1.0 / (n * m_bound(n))
@@ -1633,7 +1647,7 @@ def partly_certified_field(mode):
     )
     f = 3.0 * ts[:, None]
     bundle = FunctionBundle(
-        hspace=space, m=1, norm_tag="linf", h_values=f[None], f_values=f, h_lip=None,
+        hspace=space, norm_tag="linf", h_values=f[None], f_values=f, h_lip=None,
         conv_mask=ts <= 0.7,
     )
     return local_bound_radius(bundle)

@@ -31,11 +31,9 @@ def finite_line(ts):
 
 def constant_bundle(space, value, n_seq=3, tag="linf"):
     nY = space.n_points
-    m = len(value)
     f = np.tile(np.asarray(value, dtype=float), (nY, 1))
     return FunctionBundle(
         hspace=space,
-        m=m,
         norm_tag=tag,
         h_values=np.tile(f, (n_seq, 1, 1)),
         f_values=f,
@@ -43,7 +41,6 @@ def constant_bundle(space, value, n_seq=3, tag="linf"):
         conv_mask=np.ones(nY, dtype=bool),
         ucpc_certified=True,
         continuity_idx=np.arange(nY),
-        discontinuity_idx=np.array([], dtype=int),
     )
 
 

@@ -2,7 +2,7 @@
 intersections of closed ball families."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -204,10 +204,21 @@ class TestBallIntersection:
             ball_intersection_point(np.zeros((2, 1)), np.array([1.0, -1.0]))
 
 
+@st.composite
+def rows_and_row(draw, elements):
+    """(z, w): rows of 0-10 columns under at most two leading axes, and one
+    row of the same width, broadcast along them."""
+    width = draw(st.integers(0, 10))
+    lead = draw(st.lists(st.integers(1, 5), max_size=2))
+    z = draw(hnp.arrays(np.float64, (*lead, width), elements=elements))
+    w = draw(hnp.arrays(np.float64, (width,), elements=elements))
+    return z, w
+
+
 class TestL2RowsKernel:
     """The one Euclidean row-norm kernel against ``np.linalg.norm``, bit for
-    bit: column-wise below 8 columns, numpy's own reduction from 8 on and
-    at width 0."""
+    bit up to the sign of a NaN: column-wise below 8 columns, numpy's own
+    reduction from 8 on and at width 0."""
 
     # subnormal to 1e150 (squares stay finite), signed zeros, NaN and inf
     values = st.one_of(
@@ -218,18 +229,23 @@ class TestL2RowsKernel:
 
     @staticmethod
     def assert_same_bits(got, ref):
-        assert np.shape(got) == np.shape(ref)
-        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+        """The bits of ``ref`` wherever it is a number, and NaN wherever it is
+        NaN: IEEE 754 does not fix the sign of a NaN result, and no artifact
+        can show it (``repr`` and json spell every NaN alike)."""
+        got, ref = np.asarray(got), np.asarray(ref)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        nan = np.isnan(ref)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == ref[~nan].tobytes()
 
     @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_bit_equal_to_numpy(self, data):
-        width = data.draw(st.integers(0, 10), label="width")
-        lead = data.draw(st.lists(st.integers(1, 5), max_size=2), label="lead")
-        z = data.draw(hnp.arrays(np.float64, (*lead, width), elements=self.values), label="z")
+    @given(pair=rows_and_row(values))
+    # z - w is [+NaN, -NaN]; the kernel's NaN has its sign bit set, numpy's not
+    @example(pair=(np.array([np.inf, np.inf]), np.array([np.nan, np.inf])))
+    def test_bit_equal_to_numpy(self, pair):
+        z, w = pair
         self.assert_same_bits(_l2_rows(z), np.linalg.norm(z, axis=-1))
         # a difference of two arrays, the second broadcast along the leading axes
-        w = data.draw(hnp.arrays(np.float64, (width,), elements=self.values), label="w")
         with np.errstate(invalid="ignore", over="ignore"):
             self.assert_same_bits(_l2_rows(z, w), np.linalg.norm(z - w, axis=-1))
 

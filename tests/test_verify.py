@@ -1,7 +1,5 @@
 """Certification harness: path validation, decay verdicts, boundedness
 bookkeeping, uniform-convergence witnesses and oscillation probes."""
-import json
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from baireext.pipeline import FunSeqItem
 from baireext.space import SampledSpace
 from baireext.verify import (
     ApproachPath,
-    CertReport,
     check_boundedness,
     check_continuity,
     check_nt,
@@ -45,7 +42,8 @@ def synthetic_field(g_values):
         u_y=np.zeros(steps, dtype=int),
         n_of_x=np.ones(steps, dtype=int),
         g=g,
-        k_tables=[{1: 1.0}] * steps,
+        k_evals=steps,
+        k_inf=0,
         g_smooth=g.copy(),
     )
     path = ApproachPath(anchor_x=0, anchor_y=0, points=query_idx, kind="radial")
@@ -209,12 +207,3 @@ class TestOscillation:
         t = hs.coords[:, 0]
         y0 = int(np.argmin(np.abs(t - 0.5)))
         assert oscillation(hs, s1_run.bundle.f_values, y0, 0.1) == 0.0
-
-
-class TestCertReport:
-    def test_json_roundtrip(self):
-        rep = CertReport(
-            prop="NT", status="pass", tolerance=0.05,
-            trace=[{"step": 0, "q": 0.1}], details={"anchor_x": 3},
-        )
-        assert json.loads(rep.to_json()) == rep.to_dict()
