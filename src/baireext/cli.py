@@ -56,7 +56,7 @@ def run_scenario(
     bundle = data.bundle
 
     diag_lines: list[dict] = []
-    items = baire_approximate(bundle, data.n_seq, diag=diag_lines.append)
+    items = baire_approximate(bundle, diag=diag_lines.append)
 
     field = None
     if len(data.query_idx):
@@ -244,6 +244,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         name = args.scenario or loaded.get("scenario")
         if not name:
             raise ConfigError("run needs --scenario (or a config with a scenario key)")
+        if not isinstance(name, str):
+            raise ConfigError(f"scenario must be a string, not {name!r}")
         out = loaded.get("out")
         if out is not None and not isinstance(out, str):
             raise ConfigError(f"out must be a string, not {out!r}")

@@ -13,7 +13,9 @@ midpoints go through one selection scan, one oracle call per level; each K
 value depends only on its own point, so the scan gives every point the n and
 g a scan of its own set would.  Of the K values the field keeps two counts
 over the queries: how many the scan evaluated and how many were infinite.
-``smooth_extension`` then only blends.
+``smooth_extension`` then only blends.  Of the blend the field keeps, per
+query, the contributing centers and g_smooth; the partition-of-unity weights
+are dropped once g_smooth is formed.
 
 dist(x,H) and u(x) come from ``SampledSpace.nearest_h``, for the queries and
 for the midpoint centers alike (a scenario may hand over the queries' pair it
@@ -128,7 +130,11 @@ def select_n(items: list[FunSeqItem], u_y: int, dist_h: float) -> int:
 
 @dataclass
 class ExtensionField:
-    """g and g_smooth over a finite query set in X \\ H, with diagnostics."""
+    """g and g_smooth over a finite query set in X \\ H, with diagnostics.
+
+    Besides g, the field keeps what the checks and the field table read: the
+    smoothing centers with their g and dist(., H), each query's contributing
+    centers (the factor-4 check) and g_smooth.  Blend weights are not kept."""
 
     space: SampledSpace
     items: list[FunSeqItem]
@@ -146,9 +152,9 @@ class ExtensionField:
     center_pos: Optional[np.ndarray] = None  # coords (nc, dim) or X indices (nc,)
     center_g: Optional[np.ndarray] = None
     center_dist_h: Optional[np.ndarray] = None
-    # the blend (filled by smooth_extension)
+    # the blend (filled by smooth_extension): each query's contributing
+    # centers, in ascending order, and the blended value
     contributors: Optional[list[np.ndarray]] = None
-    contrib_w: Optional[list[np.ndarray]] = None
     g_smooth: Optional[np.ndarray] = None
 
     @property
@@ -332,10 +338,11 @@ def smooth_extension(field: ExtensionField) -> ExtensionField:
     envelope search of ``_search_ranges``).
     Distances and weights are evaluated for blocks of at most ``_PAIR_BLOCK``
     candidate pairs (a single query may exceed it), and each query's
-    contributors stay in ascending center order.  Each query keeps its own
+    contributors stay in ascending center order.  Each query takes its own
     weight sum and its own product with its rows of a block's gathered g
-    values, so its weights and blend are the same floats as a scan over every
-    center gives.
+    values, so its blend is the same float as a scan over every center gives.
+    The field keeps each query's contributors and g_smooth; the weights are
+    dropped once the blend is formed.
     """
     space = field.space
     center_pos, center_g, center_dh = field.center_pos, field.center_g, field.center_dist_h
@@ -346,7 +353,7 @@ def smooth_extension(field: ExtensionField) -> ExtensionField:
     s_pos, s_radii = center_pos[order], radii[order]  # centers in search order
     first = np.searchsorted(eq, np.arange(nq + 1))  # each query's first entry
     before = np.concatenate([[0], np.cumsum(hi - lo)])[first]  # pairs ahead of q
-    contributors, weights = [], []
+    contributors = []
     g_smooth = np.zeros_like(field.g)
     a = 0
     while a < nq:
@@ -371,18 +378,11 @@ def smooth_extension(field: ExtensionField) -> ExtensionField:
                 )
             # a fresh array per query: views into the block's survivors
             # raised the peak RSS of S3 at grid 3201 by 0.75 MiB
-            idx, wv = c[s:t].copy(), w[s:t]
-            lam = wv / wv.sum()
-            contributors.append(idx)
-            weights.append(lam)
-            g_smooth[q] = lam @ gc[s:t]
+            contributors.append(c[s:t].copy())
+            wv = w[s:t]
+            g_smooth[q] = (wv / wv.sum()) @ gc[s:t]
         a = b
-    return replace(
-        field,
-        contributors=contributors,
-        contrib_w=weights,
-        g_smooth=g_smooth,
-    )
+    return replace(field, contributors=contributors, g_smooth=g_smooth)
 
 
 # ---------------------------------------------------------------------------

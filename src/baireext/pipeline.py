@@ -106,7 +106,9 @@ class FunSeqItem:
     upper-bounds, per center c in the int array ``cs``, the difference
     quotients over sampled pairs inside the closed ball B_Y(c, rho), with one
     radius or one radius per center (``LipOracle``); ``sup_bound`` dominates
-    the sup norm of the values.
+    the sup norm of the values.  An item carries nothing else: each stage
+    reads only its predecessor's values and bounds, and the stages' own
+    objects (covers, radius field, selection state) stay with the stages.
     """
 
     n: int
@@ -114,7 +116,6 @@ class FunSeqItem:
     sup_bound: float
     lip_bound: LipOracle
     norm_tag: str = "linf"
-    extras: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -195,20 +196,11 @@ def sampled_lip_oracle(space: SampledSpace, values: np.ndarray, tag: str) -> Lip
 # ---------------------------------------------------------------------------
 
 @dataclass
-class LevelCover:
-    """Refined cover at one selection level k: metric balls with target-space
-    centers z such that f maps each ball into B_Z(z, 2^-k)."""
-
-    k: int
-    cover: CoverSystem
-    z: np.ndarray  # (nb, m) target-space centers
-
-
-@dataclass
 class SelectionState:
-    """Per-level covers, the matched sets C_k and the selected outputs."""
+    """What the pipeline reads of the selection transform: per level k the
+    matched set C_k, and the selected outputs.  The level covers are built
+    and consumed inside ``ucpc_transform``."""
 
-    levels: list[LevelCover]
     c_masks: list[np.ndarray]  # per level: y in C_k
     outputs: np.ndarray  # (n_seq, nY, m)
 
@@ -233,8 +225,8 @@ def _append(buf: np.ndarray, used: int, new: np.ndarray) -> np.ndarray:
     return buf
 
 
-def ucpc_transform(bundle: FunctionBundle, n_seq: Optional[int] = None) -> SelectionState:
-    """Selection transform on a finite space.
+def ucpc_transform(bundle: FunctionBundle) -> SelectionState:
+    """Selection transform on a finite space, one level per raw item.
 
     Level k builds a refined ball cover whose balls G satisfy
     f(G) c B_Z(z_G, 2^-k); the constraint set at y intersects the closed balls
@@ -249,18 +241,18 @@ def ucpc_transform(bundle: FunctionBundle, n_seq: Optional[int] = None) -> Selec
     doubles when it is full.  Only a ball holding y constrains y, so C_k is
     one comparison over the pairs, and each sample off C_k passes its
     margin-1/k balls, in level-then-ball order, to one
-    ``ball_intersection_point`` call.
+    ``ball_intersection_point`` call.  The covers themselves are not
+    returned: only C_k and the outputs are.
     """
     space = bundle.hspace
     if space.mode != "finite":
         raise ValueError("the selection transform runs in finite mode only")
-    n_seq = bundle.n_seq if n_seq is None else n_seq
+    n_seq = bundle.n_seq
     tag = bundle.norm_tag
     nY, m = bundle.f_values.shape
     D = space.dense_matrix()
     fdiff = norm(bundle.f_values[:, None, :] - bundle.f_values[None, :, :], tag)
 
-    levels: list[LevelCover] = []
     c_masks: list[np.ndarray] = []
     outputs = np.zeros((n_seq, nY, m))
     pair_y, pair_z = np.zeros(0, dtype=np.intp), np.zeros((0, m))
@@ -272,7 +264,6 @@ def ucpc_transform(bundle: FunctionBundle, n_seq: Optional[int] = None) -> Selec
         refined = build_refinement(space, CoverSystem(centers=np.arange(nY), radii=rho))
         ys, bs, depth = ball_depth(space, refined.centers, refined.radii)
         z = bundle.f_values[refined.centers]
-        levels.append(LevelCover(k=k, cover=refined, z=z))
         pair_y = _append(pair_y, n_pairs, ys)
         pair_z = _append(pair_z, n_pairs, z[bs])
         pair_r = _append(pair_r, n_pairs, np.full(len(ys), 2.0 ** (-k)))
@@ -302,7 +293,7 @@ def ucpc_transform(bundle: FunctionBundle, n_seq: Optional[int] = None) -> Selec
                 raise RuntimeError(f"empty constraint set at level {k}, sample {y}")
             outputs[k - 1, y] = pt
 
-    return SelectionState(levels=levels, c_masks=c_masks, outputs=outputs)
+    return SelectionState(c_masks=c_masks, outputs=outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -537,13 +528,6 @@ def lipschitz_mollify(space: SampledSpace, item: FunSeqItem, n: int) -> FunSeqIt
         out = np.where(~np.isfinite(lb) | (w_min <= 0), l_rho + 2.0 * e / res, out)
         return np.where(blended, out, l_rho)
 
-    extras = dict(item.extras)
-    extras.update(
-        mollify_pou=pou,
-        mollify_err=err,
-        mollify_delta=delta,
-        pre_blend_values=item.values,
-    )
     return replace(
         item,
         values=values,
@@ -551,7 +535,6 @@ def lipschitz_mollify(space: SampledSpace, item: FunSeqItem, n: int) -> FunSeqIt
         # the crossover bound is not monotone where the blend error first
         # appears; the envelope restores the nondecreasing-in-radius invariant
         lip_bound=monotone_lip_envelope(lip, float(D.max()), res),
-        extras=extras,
     )
 
 
@@ -560,15 +543,16 @@ def lipschitz_mollify(space: SampledSpace, item: FunSeqItem, n: int) -> FunSeqIt
 # ---------------------------------------------------------------------------
 
 def baire_approximate(
-    bundle: FunctionBundle,
-    n_seq: Optional[int] = None,
-    diag: Optional[Callable[[dict], None]] = None,
+    bundle: FunctionBundle, diag: Optional[Callable[[dict], None]] = None
 ) -> list[FunSeqItem]:
     """Full pipeline: selection transform (finite mode), radial bounding,
-    local uniform boundedness, then mollification of every item."""
-    n_seq = bundle.n_seq if n_seq is None else n_seq
-    if n_seq > bundle.n_seq:
-        raise ValueError(f"bundle supplies only {bundle.n_seq} raw items")
+    local uniform boundedness, then mollification of every item; one item
+    per raw item of the bundle.
+
+    The items carry only values and bounds.  ``diag`` gets one line per
+    stage and item with the measured ``max_violation``; for mollify that is
+    the largest blend error ||f_n - pre-blend item|| over the samples."""
+    n_seq = bundle.n_seq
     tag = bundle.norm_tag
 
     def emit(stage, n, violation):
@@ -577,18 +561,13 @@ def baire_approximate(
             diag({"stage": stage, "n": n, "max_violation": violation, "certified": True})
 
     if bundle.hspace.mode == "finite":
-        state = ucpc_transform(bundle, n_seq)
+        state = ucpc_transform(bundle)
         items = []
         for k in range(1, n_seq + 1):
             vals = state.outputs[k - 1]
             lip = sampled_lip_oracle(bundle.hspace, vals, tag)
             sup = float(norm(vals, tag).max())
-            items.append(
-                FunSeqItem(
-                    n=k, values=vals, sup_bound=sup, lip_bound=lip, norm_tag=tag,
-                    extras={"selection_state": state},
-                )
-            )
+            items.append(FunSeqItem(n=k, values=vals, sup_bound=sup, lip_bound=lip, norm_tag=tag))
             on_c = state.c_masks[k - 1]
             dev = float(norm(vals[on_c] - bundle.h_values[k - 1][on_c], tag).max()) if on_c.any() else 0.0
             emit("ucpc_transform", k, dev)
@@ -616,7 +595,6 @@ def baire_approximate(
     items, rad = enforce_local_uniform_boundedness(items, bundle)
     finite = np.isfinite(rad.r)
     for it in items:
-        it.extras["bound_radius"] = rad
         excess = norm(it.values[finite], tag) - rad.r[finite]
         emit("enforce_bound", it.n, float(excess.max(initial=0.0)))
 
@@ -624,5 +602,5 @@ def baire_approximate(
     for it in items:
         mo = lipschitz_mollify(bundle.hspace, it, it.n)
         out.append(mo)
-        emit("mollify", mo.n, float(mo.extras["mollify_err"].max()))
+        emit("mollify", mo.n, float(norm(mo.values - it.values, tag).max()))
     return out

@@ -86,13 +86,17 @@ class PlannedCheck:
 class ScenarioData:
     space: SampledSpace
     bundle: FunctionBundle
-    n_seq: int
     query_idx: np.ndarray
     plan: list[PlannedCheck]
     primary_anchor_y: int
     grid: int  # the grid the scenario ran at, after its clamps
     # (dist_h, u_y) of the queries from ``SampledSpace.nearest_h``
     query_near: Optional[tuple[np.ndarray, np.ndarray]] = None
+
+    @property
+    def n_seq(self) -> int:
+        """The sequence length: the bundle's count of raw items."""
+        return self.bundle.n_seq
 
 
 @dataclass(frozen=True)
@@ -329,7 +333,6 @@ def _build_s0(cfg: ScenarioConfig) -> ScenarioData:
     return ScenarioData(
         space=space,
         bundle=bundle,
-        n_seq=n_seq,
         query_idx=query_idx,
         query_near=query_near,
         plan=plan,
@@ -421,7 +424,6 @@ def _build_s1(cfg: ScenarioConfig) -> ScenarioData:
     return ScenarioData(
         space=space,
         bundle=bundle,
-        n_seq=n_seq,
         query_idx=query_idx,
         query_near=query_near,
         plan=plan,
@@ -478,7 +480,6 @@ def _build_s2(cfg: ScenarioConfig) -> ScenarioData:
     return ScenarioData(
         space=space,
         bundle=bundle,
-        n_seq=n_seq,
         query_idx=np.array([], dtype=int),
         plan=plan,
         primary_anchor_y=0,
@@ -552,7 +553,6 @@ def _build_s3(cfg: ScenarioConfig) -> ScenarioData:
     return ScenarioData(
         space=space,
         bundle=bundle,
-        n_seq=n_seq,
         query_idx=query_idx,
         query_near=query_near,
         plan=plan,

@@ -1,23 +1,80 @@
 """Session-scoped end-to-end runs of the built-in scenarios, shared by the
 unit, property and acceptance tests."""
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from baireext import pipeline
 from baireext.extension import build_extension, smooth_extension
-from baireext.pipeline import baire_approximate
 from baireext.scenarios import ScenarioConfig, get_scenario
 from baireext.space import CoverSystem, ball_depth
 
 
+@contextmanager
+def recorded_calls(*names):
+    """Record the calls made through the given ``pipeline`` module
+    attributes (the stages look them up there, as the benchmark tracer
+    relies on).  Yields per name a list, in call order, of records with
+    ``args``, ``result`` and ``caller``: the innermost recorded call that
+    was running, or None."""
+    calls = {name: [] for name in names}
+    running: list[str] = []
+
+    def wrap(name, fn):
+        def wrapper(*args, **kwargs):
+            caller = running[-1] if running else None
+            running.append(name)
+            try:
+                result = fn(*args, **kwargs)
+            finally:
+                running.pop()
+            calls[name].append(SimpleNamespace(args=args, result=result, caller=caller))
+            return result
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in names:
+            mp.setattr(pipeline, name, wrap(name, getattr(pipeline, name)))
+        yield calls
+
+
+def selection_levels(calls, bundle) -> list[SimpleNamespace]:
+    """The levels of the ``ucpc_transform`` run in ``calls`` (recorded with
+    ``build_refinement``), in level order: level k's refined cover and its
+    target centers z = f(center), so that f maps each ball into
+    B_Z(z, 2^-k)."""
+    covers = [c.result for c in calls["build_refinement"] if c.caller == "ucpc_transform"]
+    return [
+        SimpleNamespace(k=k, cover=cover, z=bundle.f_values[cover.centers])
+        for k, cover in enumerate(covers, start=1)
+    ]
+
+
+def run_selection(bundle):
+    """``ucpc_transform(bundle)`` and the selection levels it built."""
+    with recorded_calls("ucpc_transform", "build_refinement") as calls:
+        state = pipeline.ucpc_transform(bundle)
+    return state, selection_levels(calls, bundle)
+
+
 def run_scenario_objects(name: str, cfg: ScenarioConfig | None = None) -> SimpleNamespace:
     """Build a scenario and run the pipeline + extension, returning the live
-    objects (not serialized artifacts) for inspection."""
+    objects (not serialized artifacts) for inspection.
+
+    The stage objects the items do not carry are recorded from the calls the
+    pipeline makes: per item its pre-blend values (the input of
+    ``lipschitz_mollify``), the raw mollify cover {B(y, delta(y))} and the
+    weighted refined cover (``mollify_raw``, ``mollify_pou``); in finite
+    mode the selection ``levels``."""
     cfg = cfg or ScenarioConfig()
     data = get_scenario(name).build(cfg)
     diags: list[dict] = []
-    items = baire_approximate(data.bundle, data.n_seq, diag=diags.append)
+    stages = ("ucpc_transform", "lipschitz_mollify", "build_refinement", "partition_of_unity")
+    with recorded_calls(*stages) as calls:
+        items = pipeline.baire_approximate(data.bundle, diag=diags.append)
     field = None
     if len(data.query_idx):
         field = build_extension(
@@ -25,7 +82,15 @@ def run_scenario_objects(name: str, cfg: ScenarioConfig | None = None) -> Simple
         )
         field = smooth_extension(field)
     return SimpleNamespace(
-        cfg=cfg, data=data, bundle=data.bundle, items=items, field=field, diags=diags
+        cfg=cfg, data=data, bundle=data.bundle, items=items, field=field, diags=diags,
+        pre_blend=[c.args[1].values for c in calls["lipschitz_mollify"]],
+        mollify_raw=[
+            c.args[1] for c in calls["build_refinement"] if c.caller == "lipschitz_mollify"
+        ],
+        mollify_pou=[
+            c.result for c in calls["partition_of_unity"] if c.caller == "lipschitz_mollify"
+        ],
+        levels=selection_levels(calls, data.bundle),
     )
 
 

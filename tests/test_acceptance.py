@@ -14,6 +14,7 @@ from baireext.extension import (
     nt_quotient,
     select_ceiling,
 )
+from baireext.pipeline import ucpc_transform
 from baireext.scenarios import ScenarioConfig
 from baireext.target import EMPTY, ball_intersection_point, norm
 from baireext.verify import (
@@ -90,11 +91,12 @@ def test_criterion_1_inequality_suite(s1_run, s2_run, s3_run):
 
         # selection-transform invariants on the finite-mode scenarios
         for run in (s2_run, s3_run):
-            state = run.items[0].extras["selection_state"]
+            state = ucpc_transform(run.bundle)
             f = run.bundle.f_values
             h = run.bundle.h_values
             tag = run.bundle.norm_tag
-            for lev in state.levels:
+            assert len(run.levels) == len(state.c_masks) == run.bundle.n_seq
+            for lev in run.levels:
                 member, _ = dense_ball_depth(run.bundle.hspace, lev.cover.centers, lev.cover.radii)
                 vd = norm(f[:, None, :] - lev.z[None, :, :], tag)
                 assert np.all(vd[member] < 2.0 ** (-lev.k))  # target-ball cover
@@ -105,8 +107,8 @@ def test_criterion_1_inequality_suite(s1_run, s2_run, s3_run):
         # blend stays within 2/n of its input at every sample
         for run in (s1_run, s2_run, s3_run):
             tag = run.bundle.norm_tag
-            for it in run.items:
-                err = norm(it.values - it.extras["pre_blend_values"], tag)
+            for it, pre in zip(run.items, run.pre_blend):
+                err = norm(it.values - pre, tag)
                 assert np.all(err <= 2.0 / it.n)
 
         assert time.monotonic() - t0 < 10.0
@@ -245,12 +247,12 @@ def test_criterion_5_ucpc(s2_run):
 # 6. oracle equivalence
 # ---------------------------------------------------------------------------
 
-def _reblend_at(run, it, y):
-    """Independent re-evaluation of the blend at sample y from the stored
-    cover, reimplementing the weight rule from its definition."""
+def _reblend_at(run, i, y):
+    """Independent re-evaluation of item i's blend at sample y from its
+    recorded cover, reimplementing the weight rule from its definition."""
     space = run.bundle.hspace
-    cover = it.extras["mollify_pou"]
-    pre = it.extras["pre_blend_values"]
+    cover = run.mollify_pou[i]
+    pre = run.pre_blend[i]
     D = space.dense_matrix()
     num = np.zeros(pre.shape[1])
     tot = 0.0
@@ -277,9 +279,10 @@ def test_criterion_6_oracle_equivalence(s1_run, s3_run):
         # 50 random blend re-evaluations match the pipeline values to 1e-12
         for _ in range(50):
             run = (s1_run, s3_run)[int(rng.integers(2))]
-            it = run.items[int(rng.integers(len(run.items)))]
+            i = int(rng.integers(len(run.items)))
+            it = run.items[i]
             y = int(rng.integers(len(it.values)))
-            redo = _reblend_at(run, it, y)
+            redo = _reblend_at(run, i, y)
             assert float(np.abs(redo - it.values[y]).max()) <= EXACT
 
         # 100 random l-infinity families agree exactly with the box oracle

@@ -191,6 +191,8 @@ class TestConfigMerging:
             ("format", "xml", "format must be one of ('csv', 'json'), not 'xml'"),
             ("format", "", "format must be one of ('csv', 'json'), not ''"),
             ("out", 5, "out must be a string, not 5"),
+            ("scenario", ["S0"], "scenario must be a string, not ['S0']"),
+            ("scenario", {"a": 1}, "scenario must be a string, not {'a': 1}"),
         ],
     )
     def test_bad_config_value_exits_2_with_one_line(self, tmp_path, capsys, key, value, message):
@@ -202,8 +204,8 @@ class TestConfigMerging:
         assert captured.out == ""
         assert captured.err == message + "\n"
         assert not out.exists()
-        if key == "out":
-            return  # only the command line reads an output directory
+        if key in ("out", "scenario"):
+            return  # only the command line reads these two keys
         with pytest.raises(ConfigError, match=key):
             if key == "format":
                 run_scenario("S0", ScenarioConfig(), out_dir=out, fmt=value)

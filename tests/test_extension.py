@@ -235,13 +235,18 @@ class TestField:
 
 class TestSmoothing:
     def test_smooth_is_convex_combination(self, s1_run, s3_run):
+        """g_smooth is the blend over the contributors with weights
+        dist(c,H)/3 - d(x,c), all positive, normalised to sum 1."""
         for run in (s1_run, s3_run):
             field = run.field
+            q_pos = field.space.coords[field.query_idx]
             for q in range(field.n_queries):
-                lam = field.contrib_w[q]
-                assert np.all(lam > 0)
-                assert lam.sum() == pytest.approx(1.0, abs=1e-12)
-                contrib = field.center_g[field.contributors[q]]
+                cs = field.contributors[q]
+                d = np.linalg.norm(field.center_pos[cs] - q_pos[q], axis=1)
+                w = field.center_dist_h[cs] / 3.0 - d
+                assert np.all(w > 0)
+                contrib = field.center_g[cs]
+                assert np.allclose(field.g_smooth[q], (w / w.sum()) @ contrib, rtol=0.0, atol=1e-12)
                 cap = float(norm(contrib, field.norm_tag).max())
                 assert float(norm(field.g_smooth[q], field.norm_tag)) <= cap + 1e-12
 

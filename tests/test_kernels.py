@@ -16,7 +16,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from conftest import dense_ball_depth, raw_cover, run_scenario_objects
+from conftest import dense_ball_depth, raw_cover, recorded_calls, run_scenario_objects, run_selection
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -42,11 +42,9 @@ from baireext.pipeline import (
     FunSeqItem,
     baire_approximate,
     enforce_local_uniform_boundedness,
-    lipschitz_mollify,
     local_bound_radius,
     monotone_lip_envelope,
     sampled_lip_oracle,
-    ucpc_transform,
 )
 from baireext.scenarios import (
     ScenarioConfig,
@@ -221,15 +219,14 @@ class TestRefinementKernel:
     def test_matches_scalar_pair_loop_on_mollify_covers(self, s1_run, s3_run):
         for run in (s1_run, s3_run):
             hspace = run.bundle.hspace
-            nY = hspace.n_points
-            for it in run.items:
-                raw = raw_cover(it.extras["mollify_delta"])
-                assert_cover_is(it.extras["mollify_pou"], refine_by_pairs(hspace, raw))
+            assert len(run.mollify_raw) == len(run.mollify_pou) == len(run.items)
+            for raw, pou in zip(run.mollify_raw, run.mollify_pou):
+                assert_cover_is(pou, refine_by_pairs(hspace, raw))
 
     def test_matches_scalar_pair_loop_on_selection_covers(self, s2_run, s3_run):
         for run in (s2_run, s3_run):
             hspace, bundle = run.bundle.hspace, run.bundle
-            levels = run.items[0].extras["selection_state"].levels
+            levels = run.levels
             assert len(levels) == len(run.items)
             D = hspace.dense_matrix()
             fdiff = norm(bundle.f_values[:, None, :] - bundle.f_values[None, :, :], bundle.norm_tag)
@@ -481,7 +478,7 @@ def smooth_by_table(field, dqc):
     """The smoothing loop over the rows of a (queries x centers) table, or
     over the rows ``center_rows`` computes one query at a time."""
     radii = field.center_dist_h / 3.0
-    contributors, weights = [], []
+    contributors = []
     g_smooth = np.zeros_like(field.g)
     for q, row in enumerate(dqc):
         w = radii - row
@@ -491,11 +488,9 @@ def smooth_by_table(field, dqc):
                 f"query {int(field.query_idx[q])} is covered by no smoothing ball"
             )
         wv = w[idx]
-        lam = wv / wv.sum()
         contributors.append(idx)
-        weights.append(lam)
-        g_smooth[q] = lam @ field.center_g[idx]
-    return contributors, weights, g_smooth
+        g_smooth[q] = (wv / wv.sum()) @ field.center_g[idx]
+    return contributors, g_smooth
 
 
 def coordinate_dqc(field, block=256):
@@ -524,12 +519,10 @@ def center_rows(field):
 
 
 def assert_same_smoothing(field, dqc):
-    contributors, weights, g_smooth = smooth_by_table(field, dqc)
+    contributors, g_smooth = smooth_by_table(field, dqc)
     assert np.array_equal(field.g_smooth, g_smooth)
     assert len(field.contributors) == len(contributors) == field.n_queries
     for a, b in zip(field.contributors, contributors):
-        assert np.array_equal(a, b)
-    for a, b in zip(field.contrib_w, weights):
         assert np.array_equal(a, b)
 
 
@@ -587,6 +580,24 @@ class TestSmoothingKernel:
         for name in ("dist_h", "u_x", "n_of_x", "g", "g_smooth"):
             assert np.array_equal(getattr(fd, name), getattr(fc, name)), name
 
+    def test_field_keeps_contributors_not_weights(self, s1_run):
+        """Smoothing S1@201 leaves the field holding its contributor index
+        arrays, g_smooth and under 256 bytes a query besides (an array object
+        and its list slot, about 122).  A weight array per query as well held
+        about 650 bytes a query besides, at 51 contributors a query."""
+        f = s1_run.field
+        field = build_extension(f.space, f.items, f.f_h, f.query_idx, f.norm_tag)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            smoothed = smooth_extension(field)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        kept = sum(ix.nbytes for ix in smoothed.contributors) + smoothed.g_smooth.nbytes
+        assert smoothed.n_queries == 1688
+        assert held <= kept + 256 * smoothed.n_queries
+
     def test_no_dense_query_center_temporary(self):
         """Peak traced memory of smoothing S3 at grid 1601 stays below the
         nq x nc float64 table the dense formula needed.  What it frees again
@@ -595,7 +606,7 @@ class TestSmoothingKernel:
         take some 30 MB."""
         cfg = ScenarioConfig(grid=1601)
         data = get_scenario("S3").build(cfg)
-        items = baire_approximate(data.bundle, data.n_seq)
+        items = baire_approximate(data.bundle)
         field = build_extension(
             data.space, items, data.bundle.f_values, data.query_idx, data.bundle.norm_tag
         )
@@ -614,7 +625,7 @@ class TestSmoothingKernel:
 
 def run_field(name, grid):
     data = get_scenario(name).build(ScenarioConfig(grid=grid))
-    items = baire_approximate(data.bundle, data.n_seq)
+    items = baire_approximate(data.bundle)
     return build_extension(
         data.space, items, data.bundle.f_values, data.query_idx, data.bundle.norm_tag
     )
@@ -711,7 +722,7 @@ class TestSmoothingSearch:
         sp = SampledSpace(coords=pts, dmat=None, h_idx=np.flatnonzero(on_h), mode="sampled", delta=1.0)
         items = constant_lip_items(3, len(sp.h_idx))
         field = smooth_extension(build_extension(sp, items, items[-1].values, np.array([], dtype=int)))
-        assert field.contributors == field.contrib_w == []
+        assert field.contributors == []
         assert field.g_smooth.shape == (0, 1)
 
     @pytest.mark.parametrize("coords", [True, False])
@@ -898,7 +909,7 @@ class TestRadialProjectRows:
     @pytest.mark.parametrize("tag", ["linf", "l2"])
     def test_local_bound_matches_per_row_projection(self, s3_run, tag):
         bundle = s3_run.bundle
-        rad = s3_run.items[0].extras["bound_radius"]
+        rad = local_bound_radius(bundle)
         nY = bundle.hspace.n_points
         vals = np.random.default_rng(3).normal(scale=20.0, size=(nY, 1))
         item = FunSeqItem(
@@ -1003,7 +1014,7 @@ def open_ball_members(space, cover):
 
 
 def mollify_covers(run):
-    return [it.extras["mollify_pou"] for it in run.items[:: max(1, len(run.items) // 6)]]
+    return run.mollify_pou[:: max(1, len(run.items) // 6)]
 
 
 class TestBallDepth:
@@ -1030,8 +1041,7 @@ class TestBallDepth:
     def test_selection_levels_match_membership_and_depth_loop(self, s2_run, s3_run):
         for run in (s2_run, s3_run):
             space = run.bundle.hspace
-            state = run.items[0].extras["selection_state"]
-            for lev in state.levels:
+            for lev in run.levels:
                 member, depth = depth_by_ball(space, lev.cover.centers, lev.cover.radii)
                 assert np.array_equal(member, open_ball_members(space, lev.cover))
                 got_member, got_depth = dense_ball_depth(space, lev.cover.centers, lev.cover.radii)
@@ -1097,8 +1107,7 @@ class TestBallDepth:
         nY = space.n_points
         assert nY == 201 and space.mode == "finite"
         block = _ROW_BLOCK * nY * (8 + 1)  # a block's distance rows and its mask
-        for it in s2_run.items:
-            cover = it.extras["mollify_pou"]
+        for cover in s2_run.mollify_pou:
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -1115,8 +1124,7 @@ class TestBallDepth:
         nonzeros, which must be the open-ball pairs."""
         for run in (s1_run, s2_run, s3_run):
             space = run.bundle.hspace
-            for it in run.items:
-                pou = it.extras["mollify_pou"]
+            for pou in run.mollify_pou:
                 assert np.array_equal(dense_weights(pou) > 0, open_ball_members(space, pou))
 
     def test_partition_weights_match_ball_loop(self, s1_run, s2_run, s3_run):
@@ -1194,7 +1202,7 @@ class TestSparseWeights:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            items = baire_approximate(data.bundle, data.n_seq)
+            items = baire_approximate(data.bundle)
             held = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
@@ -1292,17 +1300,17 @@ class TestSelectionArrays:
             return ball_intersection_point(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "ball_intersection_point", counted)
-        state = ucpc_transform(data.bundle, data.n_seq)
-        outputs, c_masks = selection_by_sample(data.bundle, state.levels)
-        assert len(state.levels) == len(state.c_masks) == data.n_seq
+        state, levels = run_selection(data.bundle)
+        outputs, c_masks = selection_by_sample(data.bundle, levels)
+        assert len(levels) == len(state.c_masks) == data.n_seq
         assert np.array_equal(state.outputs, outputs)
         for got, want in zip(state.c_masks, c_masks):
             assert np.array_equal(got, want)
         # one intersection call per sample off C_k, with its margin balls
         assert len(calls) == sum(int((~mask).sum()) for mask in c_masks)
         off = [(k, y) for k, mask in enumerate(c_masks, start=1) for y in np.flatnonzero(~mask)]
-        tables = level_tables(data.bundle.hspace, state.levels)
-        assert calls == [len(constraint_balls(state.levels, tables, k, y)) for k, y in off]
+        tables = level_tables(data.bundle.hspace, levels)
+        assert calls == [len(constraint_balls(levels, tables, k, y)) for k, y in off]
         assert calls or name == "S0"  # S0's raw sequence lies in every C_k
 
 
@@ -1525,8 +1533,9 @@ class TestSampledLipOracleBatch:
             space = run.bundle.hspace
             assert space.mode == "finite"
             cs = np.arange(space.n_points)
-            for it in (run.items[1], run.items[-1]):
-                for vals in (it.extras["pre_blend_values"], it.values):
+            for i in (1, -1):
+                it = run.items[i]
+                for vals in (run.pre_blend[i], it.values):
                     lip = sampled_lip_oracle(space, vals, tag)
                     rhos = oracle_rhos(space)[:-2] + [1.0 / it.n]
                     for rho in rhos + [mixed_rhos(rhos, len(cs))]:
@@ -1588,7 +1597,7 @@ class TestSampledLipOracleBatch:
         space = s2_run.bundle.hspace
         nY = space.n_points
         assert nY == 201
-        lip = sampled_lip_oracle(space, s2_run.items[0].extras["pre_blend_values"], "linf")
+        lip = sampled_lip_oracle(space, s2_run.pre_blend[0], "linf")
         table = nY * nY * 8
         tracemalloc.start()
         try:
@@ -1666,7 +1675,7 @@ class TestLipRBatch:
         return want
 
     def test_matches_level_loops_on_s3(self, s3_run):
-        rad = s3_run.items[0].extras["bound_radius"]
+        rad = local_bound_radius(s3_run.bundle)
         assert isinstance(rad, BoundRadiusField)
         finite_dc = np.unique(rad.d_compl[np.isfinite(rad.d_compl)])
         assert np.isinf(rad.d_compl).any()  # a level whose complement is empty
@@ -1792,13 +1801,23 @@ class TestEnvelopeBatch:
         assert len(calls) == n_calls
 
 
-def post_blend_by_center(space, item, mo, seen):
+def mollify_calls(run):
+    """Call ``run()`` and record its ``lipschitz_mollify`` calls: per call the
+    input item, the output item and the call's partition of unity."""
+    with recorded_calls("lipschitz_mollify", "partition_of_unity") as calls:
+        run()
+    pous = [c.result for c in calls["partition_of_unity"] if c.caller == "lipschitz_mollify"]
+    return [(c.args[1], c.result, pou) for c, pou in zip(calls["lipschitz_mollify"], pous)]
+
+
+def post_blend_by_center(space, item, mo, pou, seen):
     """The post-blend crossover bound of one ball at a time, as scalar code:
-    ``item`` went into ``lipschitz_mollify`` and ``mo`` came out.  Each call
-    adds the name of the branch it took to ``seen``."""
+    ``item`` went into ``lipschitz_mollify``, ``mo`` came out and ``pou`` is
+    the cover it blended over.  Each call adds the name of the branch it took
+    to ``seen``."""
     D = space.dense_matrix()
     res = space.resolution()
-    pou, err = mo.extras["mollify_pou"], mo.extras["mollify_err"]
+    err = norm(mo.values - item.values, item.norm_tag)
     member = open_ball_members(space, pou)
     centers, radii = pou.centers, pou.radii
 
@@ -1838,13 +1857,13 @@ def post_blend_by_center(space, item, mo, seen):
 
 class TestPostBlendOracle:
     @staticmethod
-    def check(space, pairs, seen):
+    def check(space, calls, seen):
         res = space.resolution()
         grid = radius_grid(res, float(space.dense_matrix().max()))
         cs = np.arange(space.n_points)
         rhos = [0.0, res, 0.05, 0.3]
-        for item, mo in pairs:
-            body = post_blend_by_center(space, item, mo, seen)
+        for item, mo, pou in calls:
+            body = post_blend_by_center(space, item, mo, pou, seen)
             for rho in rhos + [mixed_rhos(rhos, len(cs))]:
                 r = np.broadcast_to(rho, cs.shape)
                 want = [envelope_by_levels(body, grid, int(c), rc) for c, rc in zip(cs, r)]
@@ -1855,22 +1874,13 @@ class TestPostBlendOracle:
         [("S1", 41, {"identity", "crossover"}), ("S2", 41, {"identity", "crossover"}),
          ("S3", 101, {"identity"})],
     )
-    def test_matches_the_crossover_bound_per_ball(self, monkeypatch, name, grid, branches):
-        import baireext.pipeline as pipeline
-
-        pairs = []
-        mollify = pipeline.lipschitz_mollify
-
-        def record(space, item, n):
-            pairs.append((item, mollify(space, item, n)))
-            return pairs[-1][1]
-
-        monkeypatch.setattr(pipeline, "lipschitz_mollify", record)
+    def test_matches_the_crossover_bound_per_ball(self, name, grid, branches):
         data = get_scenario(name).build(ScenarioConfig(grid=grid))
-        baire_approximate(data.bundle, data.n_seq)
+        calls = mollify_calls(lambda: baire_approximate(data.bundle))
+        assert len(calls) == data.n_seq
         seen = set()
         # the first items carry the blend error; the last is the finest
-        self.check(data.bundle.hspace, pairs[:3] + pairs[-1:], seen)
+        self.check(data.bundle.hspace, calls[:3] + calls[-1:], seen)
         assert seen == branches
 
     def test_flat_and_unbounded_input_bounds(self):
@@ -1890,7 +1900,7 @@ class TestPostBlendOracle:
         for lip, branch in ((flat, "flat"), (steep, "unbounded")):
             item = FunSeqItem(n=2, values=vals, sup_bound=1.0, lip_bound=lip)
             seen = set()
-            self.check(space, [(item, lipschitz_mollify(space, item, 2))], seen)
+            self.check(space, mollify_calls(lambda: pipeline.lipschitz_mollify(space, item, 2)), seen)
             assert branch in seen, seen
 
 
@@ -1906,7 +1916,7 @@ class TestScenarioHLip:
             seen.append(type(cs))
             return s1.h_lip(n, cs, rho)
 
-        baire_approximate(replace(s1, h_lip=h_lip), 3)
+        baire_approximate(replace(s1, h_values=s1.h_values[:3], h_lip=h_lip))
         assert seen and all(issubclass(t, np.ndarray) for t in seen)
         t = s1.hspace.coords[:, 0]
         cs = np.arange(len(t))

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import dense_ball_depth
+from conftest import dense_ball_depth, run_selection
 
 from baireext.pipeline import (
     FunctionBundle,
@@ -86,7 +86,7 @@ class TestLocalBoundRadius:
         assert np.array_equal(rad.lip_r(np.array([0, 1]), 10.0), [0.0, 0.0])
 
     def test_radius_shrinks_near_blowup(self, s3_run):
-        rad = s3_run.items[0].extras["bound_radius"]
+        rad = local_bound_radius(s3_run.bundle)
         # r explodes toward the accumulation point 0 (last H index)
         assert rad.r[-1] > rad.r[0]
 
@@ -103,9 +103,8 @@ class TestEnforceLocalBound:
         assert np.array_equal(out[0].values, vals)
 
     def test_values_respect_radius_field(self, s3_run):
-        rad = s3_run.items[0].extras["bound_radius"]
-        for it in s3_run.items:
-            pre = it.extras["pre_blend_values"]
+        rad = local_bound_radius(s3_run.bundle)
+        for it, pre in zip(s3_run.items, s3_run.pre_blend):
             nv = norm(pre, it.norm_tag)
             finite = np.isfinite(rad.r)
             assert np.all(nv[finite] <= rad.r[finite] + 1e-12)
@@ -125,20 +124,19 @@ class TestUcpcTransform:
 
     def test_target_centers_cover_f_tightly(self, s2_run):
         # every refined ball G at level k satisfies f(G) inside B_Z(z_G, 2^-k)
-        state = s2_run.items[0].extras["selection_state"]
         f = s2_run.bundle.f_values
         tag = s2_run.bundle.norm_tag
-        for lev in state.levels:
+        assert len(s2_run.levels) == s2_run.bundle.n_seq
+        for lev in s2_run.levels:
             member, _ = dense_ball_depth(s2_run.bundle.hspace, lev.cover.centers, lev.cover.radii)
             vd = norm(f[:, None, :] - lev.z[None, :, :], tag)
             assert np.all(vd[member] < 2.0 ** (-lev.k))
 
     def test_constraint_systems_are_monotone(self, s2_run):
-        state = s2_run.items[0].extras["selection_state"]
         nY = len(s2_run.bundle.f_values)
-        n_levels = len(state.levels)
+        n_levels = len(s2_run.levels)
         space = s2_run.bundle.hspace
-        depths = [dense_ball_depth(space, lev.cover.centers, lev.cover.radii)[1] for lev in state.levels]
+        depths = [dense_ball_depth(space, lev.cover.centers, lev.cover.radii)[1] for lev in s2_run.levels]
 
         def idx_set(k, y, j):
             out = set()
@@ -156,20 +154,20 @@ class TestUcpcTransform:
                     assert idx_set(k, y, j) <= idx_set(k, y, j + 1)
 
     def test_kept_values_match_raw_sequence(self, s2_run):
-        state = s2_run.items[0].extras["selection_state"]
+        state = ucpc_transform(s2_run.bundle)
         h = s2_run.bundle.h_values
         for k, mask in enumerate(state.c_masks, start=1):
             assert np.array_equal(state.outputs[k - 1][mask], h[k - 1][mask])
 
     def test_outputs_nearly_satisfy_margin_constraints(self, s2_run):
         # every output lies within slack 2^-k of each margin-1/k constraint ball
-        state = s2_run.items[0].extras["selection_state"]
+        state, levels = run_selection(s2_run.bundle)
         tag = s2_run.bundle.norm_tag
         space = s2_run.bundle.hspace
-        depths = [dense_ball_depth(space, lev.cover.centers, lev.cover.radii)[1] for lev in state.levels]
-        for k in range(1, len(state.levels) + 1):
+        depths = [dense_ball_depth(space, lev.cover.centers, lev.cover.radii)[1] for lev in levels]
+        for k in range(1, len(levels) + 1):
             out_k = state.outputs[k - 1]
-            for lev, depth in zip(state.levels[:k], depths):
+            for lev, depth in zip(levels[:k], depths):
                 sel = depth >= 1.0 / k  # (nY, nb)
                 vd = norm(out_k[:, None, :] - lev.z[None, :, :], tag)
                 assert np.all(vd[sel] <= 2.0 ** (-lev.k) + 2.0 ** (-k) + 1e-12)
@@ -185,19 +183,19 @@ class TestMollify:
         )
         out = lipschitz_mollify(space, item, 3)
         assert np.allclose(out.values, vals, atol=1e-15)
-        assert np.all(out.extras["mollify_err"] == 0.0)
+        assert np.all(norm(out.values - vals, "linf") == 0.0)
 
     def test_blend_error_within_two_over_n(self, s1_run, s2_run, s3_run):
         for run in (s1_run, s2_run, s3_run):
             tag = run.bundle.norm_tag
-            for it in run.items:
-                err = norm(it.values - it.extras["pre_blend_values"], tag)
+            assert len(run.pre_blend) == len(run.items)
+            for it, pre in zip(run.items, run.pre_blend):
+                err = norm(it.values - pre, tag)
                 assert float(err.max()) <= 2.0 / it.n + 1e-12
 
     def test_blend_reevaluates_from_stored_cover(self, s1_run):
-        for it in (s1_run.items[0], s1_run.items[-1]):
-            pou = it.extras["mollify_pou"]
-            pre = it.extras["pre_blend_values"]
+        for i in (0, -1):
+            it, pou, pre = s1_run.items[i], s1_run.mollify_pou[i], s1_run.pre_blend[i]
             redo = dense_weights(pou) @ pre[pou.centers]
             assert np.allclose(redo, it.values, atol=1e-12)
 
@@ -245,11 +243,16 @@ class TestFullPipeline:
     def test_sampled_mode_requires_certificate(self, s1_run):
         bundle = replace(s1_run.bundle, ucpc_certified=False)
         with pytest.raises(ValueError, match="certificate"):
-            baire_approximate(bundle, 2)
+            baire_approximate(bundle)
 
-    def test_too_many_items_requested(self, s2_run):
-        with pytest.raises(ValueError, match="raw items"):
-            baire_approximate(s2_run.bundle, s2_run.bundle.n_seq + 1)
+    def test_mollify_diag_reports_the_blend_error(self, s1_run, s2_run):
+        """The mollify line's ``max_violation`` is the largest blend error
+        ||f_n - pre-blend item|| over the samples."""
+        for run in (s1_run, s2_run):
+            lines = [d for d in run.diags if d["stage"] == "mollify"]
+            assert [d["n"] for d in lines] == [it.n for it in run.items]
+            for d, it, pre in zip(lines, run.items, run.pre_blend):
+                assert d["max_violation"] == float(norm(it.values - pre, it.norm_tag).max())
 
 
 class TestLipOracles:
@@ -305,10 +308,9 @@ class TestBoundDiagnostics:
     def test_enforce_bound_reports_the_measured_excess(self, s3_run):
         lines = [d for d in s3_run.diags if d["stage"] == "enforce_bound"]
         assert len(lines) == len(s3_run.items)
-        for d, it in zip(lines, s3_run.items):
-            rad = it.extras["bound_radius"]
-            fin = np.isfinite(rad.r)
-            pre = it.extras["pre_blend_values"]
+        rad = local_bound_radius(s3_run.bundle)
+        fin = np.isfinite(rad.r)
+        for d, it, pre in zip(lines, s3_run.items, s3_run.pre_blend):
             want = max(0.0, float((norm(pre[fin], it.norm_tag) - rad.r[fin]).max()))
             assert d["n"] == it.n
             assert d["max_violation"] == want
