@@ -91,6 +91,30 @@ def select_ceiling(dist_h: float) -> int:
     return n
 
 
+def _ceilings(dist_h: np.ndarray, n_items: int) -> np.ndarray:
+    """``select_ceiling`` of every point, in one loop over n on the points
+    whose ceiling is still rising (an int below 2^53 times a float is the
+    same float in numpy as in Python).  Refuses the first point in order
+    with dist(x, H) <= 0 or a ceiling above ``n_items``."""
+    ceilings = np.zeros(len(dist_h), dtype=int)
+    rows = np.flatnonzero(dist_h > 0)
+    n = 0
+    while rows.size and n <= n_items:
+        n += 1
+        rows = rows[n * (n * (n + 2) + 2) * dist_h[rows] < 1.0]
+        ceilings[rows] = n
+    bad = ~(dist_h > 0) | (ceilings > n_items)
+    if bad.any():
+        d = float(dist_h[np.argmax(bad)])
+        if not d > 0:
+            raise ValueError("selection needs dist(x, H) > 0")
+        raise ValueError(
+            f"selection ceiling {select_ceiling(d)} exceeds the {n_items} built items; "
+            "increase the sequence length"
+        )
+    return ceilings
+
+
 def _scan(items: list[FunSeqItem], u_y: np.ndarray, dist_h: np.ndarray, n_count: int):
     """Descending scan from each point's analytic ceiling; returns n(x) and,
     over the first ``n_count`` points, the number of K_{x,n} evaluations and
@@ -100,17 +124,7 @@ def _scan(items: list[FunSeqItem], u_y: np.ndarray, dist_h: np.ndarray, n_count:
     (hence largest) passing n, or ends at 0.  Each level n makes one oracle
     call over the points still pending.
     """
-    ceilings = []
-    for d in dist_h.tolist():
-        if not d > 0:
-            raise ValueError("selection needs dist(x, H) > 0")
-        ceilings.append(select_ceiling(d))
-        if ceilings[-1] > len(items):
-            raise ValueError(
-                f"selection ceiling {ceilings[-1]} exceeds the {len(items)} built items; "
-                "increase the sequence length"
-            )
-    ceilings = np.array(ceilings, dtype=int)
+    ceilings = _ceilings(dist_h, len(items))
     n_of = np.zeros(len(ceilings), dtype=int)
     k_evals = k_inf = 0
     for n in range(int(ceilings.max(initial=0)), 0, -1):
@@ -365,11 +379,14 @@ def smooth_extension(field: ExtensionField) -> ExtensionField:
         qi = np.repeat(eq[e], span)
         w = s_radii[at] - _pair_dists(space, q_pos[qi], s_pos[at])
         inside = w > 0
-        qi, c, w = qi[inside], order[at[inside]], w[inside]
-        srt = np.argsort(qi * nc + c)
-        qi, c, w = qi[srt], c[srt], w[srt]
+        # survivors in (query, center) order: the key is unique, so the
+        # stable sort is the one permutation that orders it
+        key = qi[inside] * nc + order[at[inside]]
+        srt = np.argsort(key, kind="stable")
+        key, w = key[srt], w[inside][srt]
+        c = key % nc
         gc = center_g[c]  # a query's rows are one C-contiguous slice
-        bounds = np.searchsorted(qi, np.arange(a, b + 1)).tolist()
+        bounds = np.searchsorted(key, np.arange(a, b + 1) * nc).tolist()
         for q in range(a, b):
             s, t = bounds[q - a], bounds[q - a + 1]
             if s == t:

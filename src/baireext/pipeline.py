@@ -52,7 +52,10 @@ __all__ = [
 # item over sampled pairs in closed balls B_Y(c, rho).  ``cs`` is a 1-D int
 # array of centers and ``rho`` one radius or one radius per center; the result
 # is a float array with one bound per center, and entry i depends only on
-# (cs[i], rho[i]), never on the other centers of the call.
+# (cs[i], rho[i]), never on the other centers of the call.  An oracle is a
+# function of the inputs it was built from, so ``baire_approximate`` hands
+# one object to every item of a run of equal inputs: a memoizing envelope
+# then fills its cache once per run, and every answer is the same float.
 LipOracle = Callable[[np.ndarray, float | np.ndarray], np.ndarray]
 
 def monotone_lip_envelope(raw: LipOracle, r_top: float, res: float) -> LipOracle:
@@ -96,6 +99,11 @@ def monotone_lip_envelope(raw: LipOracle, r_top: float, res: float) -> LipOracle
         return np.fmin(suffix[inv, lo], np.inf)
 
     return lip
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and bit for bit equal floats (0.0 and -0.0 differ)."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @dataclass
@@ -152,14 +160,26 @@ def sampled_lip_oracle(space: SampledSpace, values: np.ndarray, tag: str) -> Lip
     rightward along the rows and then upward along the columns; any other
     ball takes the maximum of its own block.  Max is exact, so the answer is
     the same float either way.
+
+    The oracle keeps its last query and answer, and a repeated query
+    returns a copy of that answer: ``baire_approximate`` asks for the
+    mollify radii of an item both to decide reuse and inside
+    ``lipschitz_mollify``.
     """
     D = space.dense_matrix()
+    memo: dict[str, np.ndarray] = {}  # the last query and its answer
 
     def lip(cs: np.ndarray, rho) -> np.ndarray:
+        rho = np.broadcast_to(rho, cs.shape)
+        if not (memo and np.array_equal(cs, memo["cs"]) and np.array_equal(rho, memo["rho"])):
+            memo.update(cs=cs.copy(), rho=rho.copy(), out=quotients(cs, rho))
+        return memo["out"].copy()
+
+    def quotients(cs: np.ndarray, rho: np.ndarray) -> np.ndarray:
         # 0 stands for a pair at distance 0, which no quotient is taken over,
         # and for a ball of fewer than two samples
         out = np.zeros(len(cs))
-        balls = D[cs] <= np.broadcast_to(rho, cs.shape)[:, None]
+        balls = D[cs] <= rho[:, None]
         union = balls.any(axis=0)
         u = np.flatnonzero(union)
         size = balls.sum(axis=1)
@@ -301,17 +321,22 @@ def ucpc_transform(bundle: FunctionBundle) -> SelectionState:
 # ---------------------------------------------------------------------------
 
 def bound_sequence(items: list[FunSeqItem]) -> list[FunSeqItem]:
-    """Compose item n with the radial projection onto the ball of radius n."""
+    """Compose item n with the radial projection onto the ball of radius n.
+    Consecutive items that scale one oracle by one factor share the scaled
+    oracle."""
     out = []
+    old = factor = scaled = None
     for it in items:
         n = it.n
         new_vals = radial_project(it.values, float(n), it.norm_tag)
         if it.sup_bound <= n:
             lip = it.lip_bound  # projection is the identity on the range
         else:
-            factor = retraction_factor(it.norm_tag, it.values.shape[1])
-            old = it.lip_bound
-            lip = lambda c, rho, _old=old, _f=factor: _f * _old(c, rho)
+            f = retraction_factor(it.norm_tag, it.values.shape[1])
+            if it.lip_bound is not old or f != factor:
+                old, factor = it.lip_bound, f
+                scaled = lambda c, rho, _old=old, _f=f: _f * _old(c, rho)
+            lip = scaled
         out.append(
             replace(it, values=new_vals, sup_bound=min(it.sup_bound, float(n)), lip_bound=lip)
         )
@@ -424,7 +449,8 @@ def local_bound_radius(bundle: FunctionBundle) -> BoundRadiusField:
 def enforce_local_uniform_boundedness(
     items: list[FunSeqItem], bundle: FunctionBundle, rad: Optional[BoundRadiusField] = None
 ) -> tuple[list[FunSeqItem], BoundRadiusField]:
-    """Compose each item with the pointwise radial projection P_{r(y)}."""
+    """Compose each item with the pointwise radial projection P_{r(y)}.
+    Consecutive items with one input oracle share its envelope."""
     if rad is None:
         rad = local_bound_radius(bundle)
     tag = bundle.norm_tag
@@ -432,22 +458,25 @@ def enforce_local_uniform_boundedness(
     factor = retraction_factor(tag, bundle.f_values.shape[1])
     finite = np.isfinite(rad.r)
     out = []
+    old = env = None
     for it in items:
         vals = it.values.copy()
         vals[finite] = radial_project(it.values[finite], rad.r[finite], tag)
         if it.sup_bound <= r_min:
             lip = it.lip_bound  # every projection is the identity on the range
         else:
-            old = it.lip_bound
+            if it.lip_bound is not old:
+                old = it.lip_bound
 
-            def raw(c, rho, _old=old, _rad=rad, _f=factor):
-                return _f * (_old(c, rho) + _rad.lip_r(c, rho))
+                def raw(c, rho, _old=old, _rad=rad, _f=factor):
+                    return _f * (_old(c, rho) + _rad.lip_r(c, rho))
 
-            # lip_r is not monotone across its branch switches; re-establish
-            # the nondecreasing-in-radius invariant with the envelope
-            lip = monotone_lip_envelope(
-                raw, float(rad.D.max()), bundle.hspace.resolution()
-            )
+                # lip_r is not monotone across its branch switches; re-establish
+                # the nondecreasing-in-radius invariant with the envelope
+                env = monotone_lip_envelope(
+                    raw, float(rad.D.max()), bundle.hspace.resolution()
+                )
+            lip = env
         out.append(replace(it, values=vals, lip_bound=lip))
     return out, rad
 
@@ -462,26 +491,40 @@ def m_bound(n: int) -> float:
     return float(n + 2)
 
 
-def lipschitz_mollify(space: SampledSpace, item: FunSeqItem, n: int) -> FunSeqItem:
-    """Blend item values over a cover of balls B(x, delta(x)/2) where the item
-    oscillates by at most 1/n on B(x, delta(x)); the result is within 2/n of
-    the input at every sample.
-    """
+def _mollify_radii(space: SampledSpace, item: FunSeqItem, n: int) -> np.ndarray:
+    """delta(y) per sample: the radius on which item n oscillates by at most
+    1/n, floored at the resolution."""
     if item.lip_bound is None:
         raise ValueError("mollification needs a Lipschitz-bound oracle")
-    tag = item.norm_tag
-    D = space.dense_matrix()
     nY = len(item.values)
-    res = space.resolution()
-
     lip_at = np.asarray(item.lip_bound(np.arange(nY), 1.0 / n), dtype=float)
     if lip_at.shape != (nY,):
         raise ValueError("the Lipschitz-bound oracle must map an array of centers to an array")
     with np.errstate(divide="ignore"):
         delta = np.minimum(1.0 / n, np.where(lip_at > 0, 1.0 / (n * lip_at), np.inf))
-    delta = np.maximum(delta, res)  # floor at resolution: such balls are singletons
+    return np.maximum(delta, space.resolution())  # such balls are singletons
 
-    refined = build_refinement(space, CoverSystem(centers=np.arange(nY), radii=delta))
+
+def _mollified_sup(item: FunSeqItem, n: int) -> float:
+    """The blend moves no value by more than 2/n, and M_n caps the bound."""
+    return min(item.sup_bound + 2.0 / n, m_bound(n))
+
+
+def lipschitz_mollify(space: SampledSpace, item: FunSeqItem, n: int) -> FunSeqItem:
+    """Blend item values over a cover of balls B(x, delta(x)/2) where the item
+    oscillates by at most 1/n on B(x, delta(x)); the result is within 2/n of
+    the input at every sample.
+
+    The blend and its oracle depend on the input only through its values,
+    its oracle and the radii delta; n enters through delta and the sup
+    bound alone.
+    """
+    delta = _mollify_radii(space, item, n)
+    tag = item.norm_tag
+    D = space.dense_matrix()
+    res = space.resolution()
+
+    refined = build_refinement(space, CoverSystem(centers=np.arange(len(delta)), radii=delta))
     pou = partition_of_unity(space, refined)
     anchors = item.values[refined.centers]
     # the dense product, as one table for this item alone: a sum over the
@@ -531,7 +574,7 @@ def lipschitz_mollify(space: SampledSpace, item: FunSeqItem, n: int) -> FunSeqIt
     return replace(
         item,
         values=values,
-        sup_bound=min(item.sup_bound + 2.0 / n, m_bound(n)),
+        sup_bound=_mollified_sup(item, n),
         # the crossover bound is not monotone where the blend error first
         # appears; the envelope restores the nondecreasing-in-radius invariant
         lip_bound=monotone_lip_envelope(lip, float(D.max()), res),
@@ -551,21 +594,37 @@ def baire_approximate(
 
     The items carry only values and bounds.  ``diag`` gets one line per
     stage and item with the measured ``max_violation``; for mollify that is
-    the largest blend error ||f_n - pre-blend item|| over the samples."""
+    the largest blend error ||f_n - pre-blend item|| over the samples.
+
+    A stage reuses its result for the previous item when this item's input
+    matches that item's: a selection output bit for bit equal to its
+    predecessor shares its ``sampled_lip_oracle``, the bound stages wrap
+    each oracle object once per run of items, and a mollify input with the
+    same oracle object, equal values and equal radii delta shares its
+    predecessor's blend and post-blend oracle, with its own n and sup bound.
+    The reuse is exact: an oracle depends only on the inputs it was built
+    from (``LipOracle``), and so do the blend and its cover.  On a finite H
+    the selection outputs repeat in long runs once h_n has settled at every
+    sample; only the predecessor is compared, so the reuse holds no more
+    than one item of extra state."""
     n_seq = bundle.n_seq
     tag = bundle.norm_tag
+    space = bundle.hspace
 
     def emit(stage, n, violation):
         # no stage builds an uncertified item: every line says certified
         if diag is not None:
             diag({"stage": stage, "n": n, "max_violation": violation, "certified": True})
 
-    if bundle.hspace.mode == "finite":
+    if space.mode == "finite":
         state = ucpc_transform(bundle)
         items = []
         for k in range(1, n_seq + 1):
             vals = state.outputs[k - 1]
-            lip = sampled_lip_oracle(bundle.hspace, vals, tag)
+            if items and _same_bits(vals, items[-1].values):
+                lip = items[-1].lip_bound
+            else:
+                lip = sampled_lip_oracle(space, vals, tag)
             sup = float(norm(vals, tag).max())
             items.append(FunSeqItem(n=k, values=vals, sup_bound=sup, lip_bound=lip, norm_tag=tag))
             on_c = state.c_masks[k - 1]
@@ -599,8 +658,19 @@ def baire_approximate(
         emit("enforce_bound", it.n, float(excess.max(initial=0.0)))
 
     out = []
-    for it in items:
-        mo = lipschitz_mollify(bundle.hspace, it, it.n)
+    for i, it in enumerate(items):
+        prev = items[i - 1] if i else None
+        # the predecessor's radii first: they repeat the last query its
+        # oracle answered, which a sampled oracle answers from memory
+        if (
+            prev is not None
+            and it.lip_bound is prev.lip_bound
+            and _same_bits(it.values, prev.values)
+            and _same_bits(_mollify_radii(space, prev, prev.n), _mollify_radii(space, it, it.n))
+        ):
+            mo = replace(out[-1], n=it.n, sup_bound=_mollified_sup(it, it.n))
+        else:
+            mo = lipschitz_mollify(space, it, it.n)
         out.append(mo)
         emit("mollify", mo.n, float(norm(mo.values - it.values, tag).max()))
     return out

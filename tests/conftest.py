@@ -60,12 +60,22 @@ def run_selection(bundle):
     return state, selection_levels(calls, bundle)
 
 
+def blend_calls(calls, items) -> list[int]:
+    """Per item, the index of the recorded ``lipschitz_mollify`` call that
+    built its blend.  The pipeline calls it once per distinct input and an
+    item with its predecessor's input shares that call's values and
+    post-blend oracle, so the oracle object names the call."""
+    built = {id(c.result.lip_bound): j for j, c in enumerate(calls["lipschitz_mollify"])}
+    return [built[id(it.lip_bound)] for it in items]
+
+
 def run_scenario_objects(name: str, cfg: ScenarioConfig | None = None) -> SimpleNamespace:
     """Build a scenario and run the pipeline + extension, returning the live
     objects (not serialized artifacts) for inspection.
 
     The stage objects the items do not carry are recorded from the calls the
-    pipeline makes: per item its pre-blend values (the input of
+    pipeline makes: per item, from the call that built its blend
+    (``blend_calls``), its pre-blend values (the input of
     ``lipschitz_mollify``), the raw mollify cover {B(y, delta(y))} and the
     weighted refined cover (``mollify_raw``, ``mollify_pou``); in finite
     mode the selection ``levels``."""
@@ -81,15 +91,15 @@ def run_scenario_objects(name: str, cfg: ScenarioConfig | None = None) -> Simple
             data.space, items, data.bundle.f_values, data.query_idx, data.bundle.norm_tag
         )
         field = smooth_extension(field)
+    # each lipschitz_mollify call refines one raw cover and weights it once
+    raws = [c.args[1] for c in calls["build_refinement"] if c.caller == "lipschitz_mollify"]
+    pous = [c.result for c in calls["partition_of_unity"] if c.caller == "lipschitz_mollify"]
+    at = blend_calls(calls, items)
     return SimpleNamespace(
         cfg=cfg, data=data, bundle=data.bundle, items=items, field=field, diags=diags,
-        pre_blend=[c.args[1].values for c in calls["lipschitz_mollify"]],
-        mollify_raw=[
-            c.args[1] for c in calls["build_refinement"] if c.caller == "lipschitz_mollify"
-        ],
-        mollify_pou=[
-            c.result for c in calls["partition_of_unity"] if c.caller == "lipschitz_mollify"
-        ],
+        pre_blend=[calls["lipschitz_mollify"][j].args[1].values for j in at],
+        mollify_raw=[raws[j] for j in at],
+        mollify_pou=[pous[j] for j in at],
         levels=selection_levels(calls, data.bundle),
     )
 

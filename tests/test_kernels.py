@@ -16,7 +16,14 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from conftest import dense_ball_depth, raw_cover, recorded_calls, run_scenario_objects, run_selection
+from conftest import (
+    blend_calls,
+    dense_ball_depth,
+    raw_cover,
+    recorded_calls,
+    run_scenario_objects,
+    run_selection,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -544,6 +551,67 @@ def constant_lip_items(count, nY, lip=1.0):
         )
         for n in range(1, count + 1)
     ]
+
+
+def ceiling_product(n):
+    """n (n (n+2) + 2): the selection test's factor at K = 1."""
+    return n * (n * (n + 2) + 2)
+
+
+# distances at which a ceiling product times the distance is exactly 1.0,
+# where the strict test ``< 1.0`` flips
+AT_ONE = [1.0 / ceiling_product(n) for n in range(1, 400)]
+AT_ONE = [d for n, d in enumerate(AT_ONE, start=1) if ceiling_product(n) * d == 1.0]
+
+
+@st.composite
+def ceiling_cases(draw):
+    """(dist_h, n_items) for ``extension._ceilings``: distances whose
+    product is exactly 1.0 and their float neighbours, any distance down to
+    1e-8, and now and then a non-positive or NaN distance or too few items."""
+    at_one = st.sampled_from(AT_ONE)
+    dist = st.one_of(
+        at_one,
+        at_one.map(lambda d: float(np.nextafter(d, 0.0))),
+        at_one.map(lambda d: float(np.nextafter(d, 1.0))),
+        st.floats(1e-8, 2.0),
+    )
+    if draw(st.integers(0, 9)) == 0:
+        dist = st.one_of(dist, st.sampled_from([0.0, -0.0, -1e-3, float("nan")]))
+    dists = draw(st.lists(dist, max_size=40))
+    n_items = draw(st.integers(0, 520))
+    return np.array(dists, dtype=float), n_items
+
+
+class TestSelectionCeilings:
+    """``extension._ceilings`` against ``select_ceiling`` point by point."""
+
+    def test_products_hit_one_exactly(self):
+        assert len(AT_ONE) > 100
+        assert [select_ceiling(d) for d in AT_ONE[:3]] == [0, 1, 2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(ceiling_cases())
+    def test_matches_select_ceiling_per_point(self, case):
+        dist_h, n_items = case
+        want, error = [], None
+        for d in dist_h.tolist():
+            if not d > 0:
+                error = "selection needs dist(x, H) > 0"
+                break
+            want.append(select_ceiling(d))
+            if want[-1] > n_items:
+                error = (
+                    f"selection ceiling {want[-1]} exceeds the {n_items} built items; "
+                    "increase the sequence length"
+                )
+                break
+        if error is not None:
+            with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+                extension._ceilings(dist_h, n_items)
+        else:
+            got = extension._ceilings(dist_h, n_items)
+            assert got.dtype == int and got.tolist() == want
 
 
 class TestSmoothingKernel:
@@ -1586,10 +1654,29 @@ class TestSampledLipOracleBatch:
     def test_matches_ball_loop_on_any_call(self, case):
         space, vals, tag, cs, rho = case
         with np.errstate(over="ignore"):  # a subnormal distance gives an inf quotient
-            got = sampled_lip_oracle(space, vals, tag)(cs, rho)
+            lip = sampled_lip_oracle(space, vals, tag)
+            got = lip(cs, rho)
             want = quotients_by_center(space, vals, tag, cs, rho)
         assert got.shape == cs.shape
         assert got.tobytes() == want.tobytes()
+        got[...] = -1.0  # the caller owns the answer: the repeat is untouched
+        assert lip(cs, rho).tobytes() == want.tobytes()
+
+    def test_repeated_query_is_compared_by_value(self):
+        """The oracle answers a query equal to its last one from memory, so
+        a centers or radii array changed in place after the call is a new
+        query."""
+        space = json_line_space([0.0, 0.25, 0.5, 1.0, 1.75, 3.0], h=[0, 2])
+        vals = np.array([[0.0], [1.0], [1.0], [4.0], [4.0], [5.0]])
+        lip = sampled_lip_oracle(space, vals, "linf")
+        cs, rho = np.array([1, 3]), np.array([0.3, 0.8])
+        for _ in range(2):
+            assert np.array_equal(lip(cs, rho), [4.0, 6.0])
+        cs[0] = 5
+        assert np.array_equal(lip(cs, rho), [0.0, 6.0])
+        rho[1] = 0.3
+        assert np.array_equal(lip(cs, rho), [0.0, 0.0])
+        assert np.array_equal(lip(cs, 1.3), [0.8, 6.0])
 
     def test_batch_call_leaves_no_table_behind(self, s2_run):
         """The union table of a batch (nY x nY at rho = 1) is freed on return,
@@ -1802,12 +1889,16 @@ class TestEnvelopeBatch:
 
 
 def mollify_calls(run):
-    """Call ``run()`` and record its ``lipschitz_mollify`` calls: per call the
-    input item, the output item and the call's partition of unity."""
+    """Call ``run()``, which returns items, and record its
+    ``lipschitz_mollify`` calls: per item the input of the call that built
+    its blend, the item itself and the call's partition of unity."""
     with recorded_calls("lipschitz_mollify", "partition_of_unity") as calls:
-        run()
+        items = run()
     pous = [c.result for c in calls["partition_of_unity"] if c.caller == "lipschitz_mollify"]
-    return [(c.args[1], c.result, pou) for c, pou in zip(calls["lipschitz_mollify"], pous)]
+    return [
+        (calls["lipschitz_mollify"][j].args[1], it, pous[j])
+        for j, it in zip(blend_calls(calls, items), items)
+    ]
 
 
 def post_blend_by_center(space, item, mo, pou, seen):
@@ -1877,7 +1968,7 @@ class TestPostBlendOracle:
     def test_matches_the_crossover_bound_per_ball(self, name, grid, branches):
         data = get_scenario(name).build(ScenarioConfig(grid=grid))
         calls = mollify_calls(lambda: baire_approximate(data.bundle))
-        assert len(calls) == data.n_seq
+        assert len(calls) == data.n_seq  # one per item
         seen = set()
         # the first items carry the blend error; the last is the finest
         self.check(data.bundle.hspace, calls[:3] + calls[-1:], seen)
@@ -1900,7 +1991,7 @@ class TestPostBlendOracle:
         for lip, branch in ((flat, "flat"), (steep, "unbounded")):
             item = FunSeqItem(n=2, values=vals, sup_bound=1.0, lip_bound=lip)
             seen = set()
-            self.check(space, mollify_calls(lambda: pipeline.lipschitz_mollify(space, item, 2)), seen)
+            self.check(space, mollify_calls(lambda: [pipeline.lipschitz_mollify(space, item, 2)]), seen)
             assert branch in seen, seen
 
 

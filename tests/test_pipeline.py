@@ -17,6 +17,7 @@ from baireext.pipeline import (
     sampled_lip_oracle,
     ucpc_transform,
 )
+from baireext.scenarios import ScenarioConfig, get_scenario
 from baireext.space import SampledSpace, dense_weights
 from baireext.target import norm
 
@@ -253,6 +254,46 @@ class TestFullPipeline:
             assert [d["n"] for d in lines] == [it.n for it in run.items]
             for d, it, pre in zip(lines, run.items, run.pre_blend):
                 assert d["max_violation"] == float(norm(it.values - pre, it.norm_tag).max())
+
+
+def items_without_reuse(bundle):
+    """The finite-mode items with every stage run on one item at a time, so
+    that no item shares an oracle, an envelope or a blend with another."""
+    tag, space = bundle.norm_tag, bundle.hspace
+    rad = local_bound_radius(bundle)
+    out = []
+    for n, vals in enumerate(ucpc_transform(bundle).outputs, start=1):
+        sup = float(norm(vals, tag).max())
+        lip = sampled_lip_oracle(space, vals, tag)
+        [it] = bound_sequence([FunSeqItem(n=n, values=vals, sup_bound=sup, lip_bound=lip, norm_tag=tag)])
+        [it], _ = enforce_local_uniform_boundedness([it], bundle, rad)
+        out.append(lipschitz_mollify(space, it, n))
+    return out
+
+
+class TestItemReuse:
+    @pytest.mark.parametrize("tag", ["linf", "l2"])
+    @pytest.mark.parametrize("name,grid,distinct", [("S3", 201, 10), ("S2", 121, 10)])
+    def test_items_equal_those_built_without_reuse(self, name, grid, distinct, tag):
+        """Items that share a predecessor's oracle and blend are the items a
+        run without reuse builds: bit for bit equal values, the same n and
+        sup bound, and the same bound, hence the same K, at seeded (c, rho)
+        pairs from below the resolution to beyond the diameter.  S3's 73
+        items per norm come from 10 mollify calls."""
+        bundle = get_scenario(name).build(ScenarioConfig(grid=grid, norm=tag)).bundle
+        items = baire_approximate(bundle)
+        fresh = items_without_reuse(bundle)
+        assert len({id(it.lip_bound) for it in items}) == distinct
+        assert len(items) == len(fresh) == bundle.n_seq
+        space = bundle.hspace
+        rng = np.random.default_rng(11)
+        cs = rng.integers(0, space.n_points, size=64)
+        top = 1.5 * float(space.dense_matrix().max())
+        rhos = np.concatenate([rng.uniform(0.0, top, size=48), rng.uniform(0.0, 4.0 * space.resolution(), size=16)])
+        for it, ref in zip(items, fresh):
+            assert (it.n, it.sup_bound) == (ref.n, ref.sup_bound)
+            assert it.values.tobytes() == ref.values.tobytes()
+            assert it.lip_bound(cs, rhos).tobytes() == ref.lip_bound(cs, rhos).tobytes()
 
 
 class TestLipOracles:
