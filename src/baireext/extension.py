@@ -14,8 +14,8 @@ value depends only on its own point, so the scan gives every point the n and
 g a scan of its own set would.  Of the K values the field keeps two counts
 over the queries: how many the scan evaluated and how many were infinite.
 ``smooth_extension`` then only blends.  Of the blend the field keeps, per
-query, the contributing centers and g_smooth; the partition-of-unity weights
-are dropped once g_smooth is formed.
+query, the contributing centers (int32 indices, so nc < 2^31) and g_smooth;
+the partition-of-unity weights are dropped once g_smooth is formed.
 
 dist(x,H) and u(x) come from ``SampledSpace.nearest_h``, for the queries and
 for the midpoint centers alike (a scenario may hand over the queries' pair it
@@ -29,8 +29,10 @@ of half-width dist(q,H)/2 that the contributor lemma allows (a band of
 dist(c,H) on a metric matrix), cut on coordinate spaces to the run of centers
 whose ball extent y_c +- dist(c,H)/3 can hold y_q (``_search_ranges``).  Along
 a line dist(., H) is 1-Lipschitz, so both ball ends are nondecreasing and the
-run holds little more than the contributors.  The field table is written
-column by column, byte for byte the text of the ``field_rows`` dicts.
+run holds little more than the contributors.  Each block of candidates is
+sorted once into (query, center) order before its distances are taken.  The
+field table is written column by column, byte for byte the text of the
+``field_rows`` dicts.
 """
 from __future__ import annotations
 
@@ -167,7 +169,7 @@ class ExtensionField:
     center_g: Optional[np.ndarray] = None
     center_dist_h: Optional[np.ndarray] = None
     # the blend (filled by smooth_extension): each query's contributing
-    # centers, in ascending order, and the blended value
+    # centers, an int32 array in ascending order, and the blended value
     contributors: Optional[list[np.ndarray]] = None
     g_smooth: Optional[np.ndarray] = None
 
@@ -351,20 +353,23 @@ def smooth_extension(field: ExtensionField) -> ExtensionField:
     extent y_c +- r_c along the search coordinate can hold the query (the
     envelope search of ``_search_ranges``).
     Distances and weights are evaluated for blocks of at most ``_PAIR_BLOCK``
-    candidate pairs (a single query may exceed it), and each query's
-    contributors stay in ascending center order.  Each query takes its own
-    weight sum and its own product with its rows of a block's gathered g
-    values, so its blend is the same float as a scan over every center gives.
-    The field keeps each query's contributors and g_smooth; the weights are
-    dropped once the blend is formed.
+    candidate pairs (a single query may exceed it).  A block's candidates
+    are sorted once on the key q nc + c, unique since one query's ranges are
+    disjoint, so every query's candidates, and the contributors that pass
+    ``w > 0``, come in ascending center order.  Each query takes its own
+    pairwise weight sum and its own product with its rows of the block's
+    gathered g values, so its blend is the same float as a scan over every
+    center gives.  The field keeps each query's contributors, as an int32
+    array, and g_smooth; the weights are dropped once the blend is formed.
     """
     space = field.space
     center_pos, center_g, center_dh = field.center_pos, field.center_g, field.center_dist_h
-    radii = center_dh / 3.0
     nq, nc = field.n_queries, len(center_dh)
+    if nc >= 2**31:
+        raise ValueError(f"{nc} smoothing centers exceed the int32 contributor indices")
+    radii = center_dh / 3.0
     q_pos = field.query_idx if space.coords is None else space.coords[field.query_idx]
     order, eq, lo, hi = _search_ranges(field, q_pos, center_pos, center_dh)
-    s_pos, s_radii = center_pos[order], radii[order]  # centers in search order
     first = np.searchsorted(eq, np.arange(nq + 1))  # each query's first entry
     before = np.concatenate([[0], np.cumsum(hi - lo)])[first]  # pairs ahead of q
     contributors = []
@@ -376,17 +381,18 @@ def smooth_extension(field: ExtensionField) -> ExtensionField:
         e = slice(first[a], first[b])
         span = hi[e] - lo[e]
         at = np.repeat(lo[e] - (np.cumsum(span) - span), span) + np.arange(span.sum())
-        qi = np.repeat(eq[e], span)
-        w = s_radii[at] - _pair_dists(space, q_pos[qi], s_pos[at])
-        inside = w > 0
-        # survivors in (query, center) order: the key is unique, so the
-        # stable sort is the one permutation that orders it
-        key = qi[inside] * nc + order[at[inside]]
-        srt = np.argsort(key, kind="stable")
-        key, w = key[srt], w[inside][srt]
-        c = key % nc
-        gc = center_g[c]  # a query's rows are one C-contiguous slice
-        bounds = np.searchsorted(key, np.arange(a, b + 1) * nc).tolist()
+        # the sorted keys q nc + c leave each query's candidates in its own run
+        edges = before[a : b + 1] - before[a]
+        count = np.diff(edges)
+        base = np.repeat(np.arange(a, b) * nc, count)
+        c = np.sort(base + order[at]) - base
+        w = radii.take(c) - _pair_dists(
+            space, np.repeat(q_pos[a:b], count, axis=0), center_pos.take(c, axis=0)
+        )
+        keep = w > 0
+        bounds = np.concatenate([[0], np.cumsum(keep)])[edges].tolist()
+        c, w = c[keep], w[keep]
+        gc = center_g.take(c, axis=0)  # a query's rows are one C-contiguous slice
         for q in range(a, b):
             s, t = bounds[q - a], bounds[q - a + 1]
             if s == t:
@@ -395,9 +401,9 @@ def smooth_extension(field: ExtensionField) -> ExtensionField:
                 )
             # a fresh array per query: views into the block's survivors
             # raised the peak RSS of S3 at grid 3201 by 0.75 MiB
-            contributors.append(c[s:t].copy())
+            contributors.append(c[s:t].astype(np.int32))
             wv = w[s:t]
-            g_smooth[q] = (wv / wv.sum()) @ gc[s:t]
+            g_smooth[q] = np.divide(wv, np.add.reduce(wv), out=wv) @ gc[s:t]
         a = b
     return replace(field, contributors=contributors, g_smooth=g_smooth)
 

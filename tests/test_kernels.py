@@ -650,9 +650,10 @@ class TestSmoothingKernel:
 
     def test_field_keeps_contributors_not_weights(self, s1_run):
         """Smoothing S1@201 leaves the field holding its contributor index
-        arrays, g_smooth and under 256 bytes a query besides (an array object
-        and its list slot, about 122).  A weight array per query as well held
-        about 650 bytes a query besides, at 51 contributors a query."""
+        arrays as int32, 4 bytes a contributor, g_smooth and under 256 bytes a
+        query besides (an array object and its list slot, about 122): 577,747
+        bytes for 85,992 contributors.  int64 indices held 921,334 bytes, and
+        a weight array per query as well about 650 bytes a query besides."""
         f = s1_run.field
         field = build_extension(f.space, f.items, f.f_h, f.query_idx, f.norm_tag)
         tracemalloc.start()
@@ -662,9 +663,10 @@ class TestSmoothingKernel:
             held = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        kept = sum(ix.nbytes for ix in smoothed.contributors) + smoothed.g_smooth.nbytes
+        assert all(ix.dtype == np.int32 for ix in smoothed.contributors)
+        hits = sum(len(ix) for ix in smoothed.contributors)
         assert smoothed.n_queries == 1688
-        assert held <= kept + 256 * smoothed.n_queries
+        assert held <= 4 * hits + smoothed.g_smooth.nbytes + 256 * smoothed.n_queries
 
     def test_no_dense_query_center_temporary(self):
         """Peak traced memory of smoothing S3 at grid 1601 stays below the
@@ -755,18 +757,69 @@ class TestSmoothingSearch:
             field = smooth_extension(run_field(name, grid))
             assert_same_smoothing(field, center_rows(field))
 
-    def test_metric_matrix_field(self):
+    @staticmethod
+    def metric_line():
+        """(space, queries, items) of 61 points on a line as a JSON metric,
+        4 of them in H."""
         rng = np.random.default_rng(7)
         xs = np.sort(rng.choice(np.arange(1, 400), size=60, replace=False)) / 64.0
         xs = np.concatenate([[0.0], xs])
         h = [0, 5, 17, 40]
         sp = json_line_space(xs, h)
         q = np.array([i for i in range(len(xs)) if i not in h])
-        items = constant_lip_items(_sequence_length(sp.nearest_h(q)[0]), len(h))
+        return sp, q, constant_lip_items(_sequence_length(sp.nearest_h(q)[0]), len(h))
+
+    def test_metric_matrix_field(self):
+        sp, q, items = self.metric_line()
         field = smooth_extension(build_extension(sp, items, items[-1].values, q))
         assert field.space.coords is None
         assert max(len(c) for c in field.contributors) > 3
         assert_same_smoothing(field, center_rows(field))
+
+    @pytest.mark.parametrize("case", ["S1", "S3", "metric"])
+    def test_shuffled_queries(self, case):
+        """Queries in shuffled order, so the center index order (queries,
+        then their midpoints) disagrees with the search order among the
+        queries and among the midpoints: each query's contributors still come
+        in ascending center order, and g_smooth has the loop's bits."""
+        rng = np.random.default_rng(19)
+        if case == "metric":
+            sp, q, items = self.metric_line()
+            f_h, tag = items[-1].values, "linf"
+        else:
+            data = get_scenario(case).build(ScenarioConfig(grid={"S1": 41, "S3": 401}[case]))
+            sp, q, items = data.space, data.query_idx, baire_approximate(data.bundle)
+            f_h, tag = data.bundle.f_values, data.bundle.norm_tag
+        field = smooth_extension(build_extension(sp, items, f_h, rng.permutation(q), tag))
+        q_pos = field.query_idx if sp.coords is None else sp.coords[field.query_idx]
+        order = extension._search_ranges(field, q_pos, field.center_pos, field.center_dist_h)[0]
+        nq = field.n_queries
+        assert np.any(np.diff(order[order < nq]) < 0)
+        if sp.coords is not None:
+            assert np.any(np.diff(order[order >= nq]) < 0)
+        assert_same_smoothing(field, center_rows(field))
+
+    def test_keys_past_int32(self):
+        """A line of k = 46,400 queries at 2i + 1/2 with H at the even
+        integers, the queries its only centers, puts the last queries' keys
+        q nc + c past 2^31.  Each query's ball of radius 1/6 holds itself
+        alone, and the pair search reads none of the K data."""
+        k = 46_400
+        xs = np.arange(2 * k) + np.tile([0.0, -0.5], k)
+        sp = SampledSpace(
+            coords=xs[:, None], dmat=None, h_idx=np.arange(0, 2 * k, 2), mode="sampled", delta=1.0
+        )
+        q, half = np.arange(1, 2 * k, 2), np.full(k, 0.5)
+        g = np.random.default_rng(k).uniform(-1.0, 1.0, (k, 1))
+        field = extension.ExtensionField(
+            space=sp, items=[], f_h=np.zeros((k, 1)), norm_tag="linf", query_idx=q,
+            dist_h=half, u_x=q - 1, u_y=np.arange(k), n_of_x=np.ones(k, dtype=int), g=g,
+            k_evals=0, k_inf=0, center_pos=sp.coords[q], center_g=g, center_dist_h=half,
+        )
+        assert (k - 1) * k >= 2**31
+        field = smooth_extension(field)
+        assert np.array_equal(np.concatenate(field.contributors), np.arange(k))
+        assert np.array_equal(field.g_smooth, g)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_lattice_clouds_with_centers_on_the_sphere(self, dim):
