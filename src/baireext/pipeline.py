@@ -31,6 +31,7 @@ from .space import (
     partition_of_unity,
 )
 from .target import EMPTY, ball_intersection_point, norm, radial_project, retraction_factor
+from .target import _box_intersection
 
 __all__ = [
     "FunSeqItem",
@@ -161,31 +162,29 @@ def sampled_lip_oracle(space: SampledSpace, values: np.ndarray, tag: str) -> Lip
     ball takes the maximum of its own block.  Max is exact, so the answer is
     the same float either way.
 
-    The oracle keeps its last query and answer, and a repeated query
-    returns a copy of that answer: ``baire_approximate`` asks for the
-    mollify radii of an item both to decide reuse and inside
-    ``lipschitz_mollify``.
+    A call compares its balls with ``D`` ``_ROW_BLOCK`` centers at a time,
+    so a mollify run's call, k copies of every center, builds one table.
     """
     D = space.dense_matrix()
-    memo: dict[str, np.ndarray] = {}  # the last query and its answer
+    nY = len(D)
 
     def lip(cs: np.ndarray, rho) -> np.ndarray:
         rho = np.broadcast_to(rho, cs.shape)
-        if not (memo and np.array_equal(cs, memo["cs"]) and np.array_equal(rho, memo["rho"])):
-            memo.update(cs=cs.copy(), rho=rho.copy(), out=quotients(cs, rho))
-        return memo["out"].copy()
-
-    def quotients(cs: np.ndarray, rho: np.ndarray) -> np.ndarray:
         # 0 stands for a pair at distance 0, which no quotient is taken over,
         # and for a ball of fewer than two samples
         out = np.zeros(len(cs))
-        balls = D[cs] <= rho[:, None]
-        union = balls.any(axis=0)
-        u = np.flatnonzero(union)
-        size = balls.sum(axis=1)
+        union = np.zeros(nY, dtype=bool)
+        size, first, last = (np.zeros(len(cs), dtype=int) for _ in range(3))
+        for a in range(0, len(cs), _ROW_BLOCK):
+            b = slice(a, a + _ROW_BLOCK)
+            balls = D[cs[b]] <= rho[b, None]
+            union |= balls.any(axis=0)
+            size[b] = balls.sum(axis=1)
+            first[b], last[b] = balls.argmax(axis=1), nY - 1 - balls[:, ::-1].argmax(axis=1)
         big = np.flatnonzero(size >= 2)
         if not big.size:
             return out
+        u = np.flatnonzero(union)
         dd = _rows_cols(D, u, u)
         vals = values[u]
         quot = np.zeros(dd.shape)
@@ -196,11 +195,10 @@ def sampled_lip_oracle(space: SampledSpace, values: np.ndarray, tag: str) -> Lip
             keep = (dd[b] > 0) & (col > col[b, None])
             np.divide(vd, dd[b], out=quot[b], where=keep)
         pos = np.cumsum(union) - 1
-        first = pos[balls[big].argmax(axis=1)]
-        last = pos[len(D) - 1 - balls[big, ::-1].argmax(axis=1)]
+        first, last = pos[first[big]], pos[last[big]]
         run = last - first + 1 == size[big]
         for i in big[~run].tolist():
-            p = pos[balls[i]]
+            p = pos[D[cs[i]] <= rho[i]]
             out[i] = quot[p[:, None], p].max()
         # quot[a, h] becomes the max over a <= a' <= b' <= h of the old table
         np.maximum.accumulate(quot, axis=1, out=quot)
@@ -259,10 +257,11 @@ def ucpc_transform(bundle: FunctionBundle) -> SelectionState:
     order: the sample, the ball's target center and radius, and the depth
     of the sample in the ball, as ``ball_depth`` gives them.  Each array
     doubles when it is full.  Only a ball holding y constrains y, so C_k is
-    one comparison over the pairs, and each sample off C_k passes its
+    one comparison over the pairs.  In l2 each sample off C_k passes its
     margin-1/k balls, in level-then-ball order, to one
-    ``ball_intersection_point`` call.  The covers themselves are not
-    returned: only C_k and the outputs are.
+    ``ball_intersection_point`` call; in linf one grouped max and min over
+    the margin balls of all of them gives each the point that call gives.
+    The covers themselves are not returned: only C_k and the outputs are.
     """
     space = bundle.hspace
     if space.mode != "finite":
@@ -305,13 +304,22 @@ def ucpc_transform(bundle: FunctionBundle) -> SelectionState:
         sel = np.flatnonzero((pair_depth[:n_pairs] >= 1.0 / k) & ~in_c[py])
         sel = sel[np.argsort(py[sel], kind="stable")]
         bounds = np.searchsorted(py[sel], np.arange(nY + 1))
-        for y in np.flatnonzero(~in_c).tolist():
-            b = sel[bounds[y]:bounds[y + 1]]
-            pt = ball_intersection_point(pair_z[b], pair_r[b], 2.0 ** (-k), tag)
-            if pt is EMPTY:
-                # f(y) is in every constraint ball, so this cannot happen
-                raise RuntimeError(f"empty constraint set at level {k}, sample {y}")
-            outputs[k - 1, y] = pt
+        off = np.flatnonzero(~in_c)
+        if tag == "linf":
+            # every sample's boxes in one pass; a sample without margin
+            # balls keeps the origin, as ``ball_intersection_point`` gives it
+            pts, ok = np.zeros((len(off), m)), np.ones(len(off), dtype=bool)
+            has = np.flatnonzero(bounds[off + 1] > bounds[off])
+            r = pair_r[sel] + 2.0 ** (-k)
+            pts[has], ok[has] = _box_intersection(pair_z[sel], r, bounds[off[has]])
+        else:  # sel holds the samples off C_k alone, so it splits at their starts
+            groups = np.split(sel, bounds[off[1:]])
+            pts = [ball_intersection_point(pair_z[b], pair_r[b], 2.0 ** (-k), tag) for b in groups]
+            ok = np.array([pt is not EMPTY for pt in pts])
+        if not ok.all():
+            # f(y) is in every constraint ball, so this cannot happen
+            raise RuntimeError(f"empty constraint set at level {k}, sample {off[~ok][0]}")
+        outputs[k - 1, off] = pts
 
     return SelectionState(c_masks=c_masks, outputs=outputs)
 
@@ -491,15 +499,20 @@ def m_bound(n: int) -> float:
     return float(n + 2)
 
 
-def _mollify_radii(space: SampledSpace, item: FunSeqItem, n: int) -> np.ndarray:
-    """delta(y) per sample: the radius on which item n oscillates by at most
-    1/n, floored at the resolution."""
-    if item.lip_bound is None:
+def _mollify_radii(space: SampledSpace, run: list[FunSeqItem]) -> np.ndarray:
+    """delta(y) per sample, one row per item n of a run with one oracle: the
+    radius on which the item oscillates by at most 1/n, floored at the
+    resolution.  One oracle call answers the whole run; by the ``LipOracle``
+    contract each delta is the float a call for its item alone gives."""
+    lip = run[0].lip_bound
+    if lip is None:
         raise ValueError("mollification needs a Lipschitz-bound oracle")
-    nY = len(item.values)
-    lip_at = np.asarray(item.lip_bound(np.arange(nY), 1.0 / n), dtype=float)
-    if lip_at.shape != (nY,):
+    k, nY = len(run), len(run[0].values)
+    n = np.array([[it.n] for it in run], dtype=float)
+    lip_at = np.asarray(lip(np.tile(np.arange(nY), k), np.repeat(1.0 / n, nY)), dtype=float)
+    if lip_at.shape != (k * nY,):
         raise ValueError("the Lipschitz-bound oracle must map an array of centers to an array")
+    lip_at = lip_at.reshape(k, nY)
     with np.errstate(divide="ignore"):
         delta = np.minimum(1.0 / n, np.where(lip_at > 0, 1.0 / (n * lip_at), np.inf))
     return np.maximum(delta, space.resolution())  # such balls are singletons
@@ -510,16 +523,17 @@ def _mollified_sup(item: FunSeqItem, n: int) -> float:
     return min(item.sup_bound + 2.0 / n, m_bound(n))
 
 
-def lipschitz_mollify(space: SampledSpace, item: FunSeqItem, n: int) -> FunSeqItem:
+def lipschitz_mollify(
+    space: SampledSpace, item: FunSeqItem, n: int, delta: np.ndarray
+) -> FunSeqItem:
     """Blend item values over a cover of balls B(x, delta(x)/2) where the item
-    oscillates by at most 1/n on B(x, delta(x)); the result is within 2/n of
-    the input at every sample.
+    oscillates by at most 1/n on B(x, delta(x)) (``_mollify_radii``); the
+    result is within 2/n of the input at every sample.
 
     The blend and its oracle depend on the input only through its values,
     its oracle and the radii delta; n enters through delta and the sup
     bound alone.
     """
-    delta = _mollify_radii(space, item, n)
     tag = item.norm_tag
     D = space.dense_matrix()
     res = space.resolution()
@@ -599,14 +613,14 @@ def baire_approximate(
     A stage reuses its result for the previous item when this item's input
     matches that item's: a selection output bit for bit equal to its
     predecessor shares its ``sampled_lip_oracle``, the bound stages wrap
-    each oracle object once per run of items, and a mollify input with the
-    same oracle object, equal values and equal radii delta shares its
-    predecessor's blend and post-blend oracle, with its own n and sup bound.
-    The reuse is exact: an oracle depends only on the inputs it was built
-    from (``LipOracle``), and so do the blend and its cover.  On a finite H
-    the selection outputs repeat in long runs once h_n has settled at every
-    sample; only the predecessor is compared, so the reuse holds no more
-    than one item of extra state."""
+    each oracle object once per run of items, and one oracle call gives the
+    mollify radii delta of a run of inputs with one oracle and equal values;
+    an input whose delta equals its predecessor's shares that item's blend
+    and post-blend oracle, with its own n and sup bound.  The reuse is
+    exact: an oracle depends only on the inputs it was built from
+    (``LipOracle``), and so do the blend and its cover.  On a finite H the
+    selection outputs repeat in long runs once h_n has settled at every
+    sample; the reuse holds one run's radii of extra state."""
     n_seq = bundle.n_seq
     tag = bundle.norm_tag
     space = bundle.hspace
@@ -657,20 +671,20 @@ def baire_approximate(
         excess = norm(it.values[finite], tag) - rad.r[finite]
         emit("enforce_bound", it.n, float(excess.max(initial=0.0)))
 
+    # runs of consecutive inputs with one oracle object and equal values
+    starts = [
+        i for i, it in enumerate(items)
+        if not i or it.lip_bound is not items[i - 1].lip_bound
+        or not _same_bits(it.values, items[i - 1].values)
+    ]
     out = []
-    for i, it in enumerate(items):
-        prev = items[i - 1] if i else None
-        # the predecessor's radii first: they repeat the last query its
-        # oracle answered, which a sampled oracle answers from memory
-        if (
-            prev is not None
-            and it.lip_bound is prev.lip_bound
-            and _same_bits(it.values, prev.values)
-            and _same_bits(_mollify_radii(space, prev, prev.n), _mollify_radii(space, it, it.n))
-        ):
-            mo = replace(out[-1], n=it.n, sup_bound=_mollified_sup(it, it.n))
-        else:
-            mo = lipschitz_mollify(space, it, it.n)
-        out.append(mo)
-        emit("mollify", mo.n, float(norm(mo.values - it.values, tag).max()))
+    for a, b in zip(starts, starts[1:] + [len(items)]):
+        deltas = _mollify_radii(space, items[a:b])
+        for j, (it, delta) in enumerate(zip(items[a:b], deltas)):
+            if j and _same_bits(delta, deltas[j - 1]):
+                mo = replace(out[-1], n=it.n, sup_bound=_mollified_sup(it, it.n))
+            else:
+                mo = lipschitz_mollify(space, it, it.n, delta)
+            out.append(mo)
+            emit("mollify", mo.n, float(norm(mo.values - it.values, tag).max()))
     return out

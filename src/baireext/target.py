@@ -113,12 +113,16 @@ def retraction_factor(tag: str, m: int) -> float:
     return 2.0
 
 
-def _box_intersection(centers: np.ndarray, radii: np.ndarray):
-    lo = (centers - radii[:, None]).max(axis=0)
-    hi = (centers + radii[:, None]).min(axis=0)
-    if np.all(lo <= hi):
-        return (lo + hi) / 2.0
-    return EMPTY
+def _box_intersection(
+    centers: np.ndarray, radii: np.ndarray, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per group of l-infinity balls (rows ``starts[i]`` up to the next
+    start; no group may be empty): the midpoint of the box
+    [max(c - r), min(c + r)] and whether it is nonempty.  Max and min are
+    exact, so a group's floats do not depend on the other groups."""
+    lo = np.maximum.reduceat(centers - radii[:, None], starts, axis=0)
+    hi = np.minimum.reduceat(centers + radii[:, None], starts, axis=0)
+    return (lo + hi) / 2.0, (lo <= hi).all(axis=1)
 
 
 def ball_intersection_point(
@@ -150,7 +154,8 @@ def ball_intersection_point(
         return np.zeros(centers.shape[1])
 
     if tag == "linf":
-        return _box_intersection(centers, radii + slack)
+        [mid], [ok] = _box_intersection(centers, radii + slack, [0])
+        return mid if ok else EMPTY
 
     # pairwise emptiness certificate
     gaps = _l2_rows(centers[:, None, :], centers[None, :, :])

@@ -76,7 +76,7 @@ from baireext.space import (
     load_space_json,
     partition_of_unity,
 )
-from baireext.target import ball_intersection_point, norm, radial_project
+from baireext.target import EMPTY, ball_intersection_point, norm, radial_project
 from baireext.verify import oscillation
 
 
@@ -1427,12 +1427,58 @@ class TestSelectionArrays:
         assert np.array_equal(state.outputs, outputs)
         for got, want in zip(state.c_masks, c_masks):
             assert np.array_equal(got, want)
-        # one intersection call per sample off C_k, with its margin balls
-        assert len(calls) == sum(int((~mask).sum()) for mask in c_masks)
+        # in l2 one intersection call per sample off C_k, with its margin
+        # balls; linf takes the boxes of every sample in one pass
         off = [(k, y) for k, mask in enumerate(c_masks, start=1) for y in np.flatnonzero(~mask)]
         tables = level_tables(data.bundle.hspace, levels)
-        assert calls == [len(constraint_balls(levels, tables, k, y)) for k, y in off]
-        assert calls or name == "S0"  # S0's raw sequence lies in every C_k
+        per_sample = [len(constraint_balls(levels, tables, k, y)) for k, y in off]
+        assert calls == (per_sample if tag == "l2" else [])
+        assert off or name == "S0"  # S0's raw sequence lies in every C_k
+
+    @settings(max_examples=60, deadline=None)
+    @given(finite_spaces(), st.integers(1, 3), st.integers(1, 6), st.data())
+    def test_linf_points_match_per_sample_calls(self, space, m, n_seq, data):
+        """In linf each sample off C_k gets the point of its own
+        ``ball_intersection_point`` call over its margin balls, the origin
+        for a sample without one.  Dyadic values, so box edges tie exactly."""
+        n = space.n_points
+        dyadic = st.sampled_from(np.arange(-16, 17) / 16.0)
+        f = data.draw(hnp.arrays(float, (n, m), elements=dyadic))
+        h = f + data.draw(hnp.arrays(float, (n_seq, n, m), elements=dyadic))
+        bundle = FunctionBundle(
+            hspace=space, norm_tag="linf", h_values=h, f_values=f, h_lip=None,
+            conv_mask=np.ones(n, dtype=bool),
+        )
+        with patch.object(pipeline, "ball_intersection_point", None):  # linf makes no call
+            state, levels = run_selection(bundle)
+        tables = level_tables(space, levels)
+        for k, mask in enumerate(state.c_masks, start=1):
+            for y in np.flatnonzero(~mask):
+                balls = constraint_balls(levels, tables, k, y)
+                centers = np.array([c for c, _ in balls], dtype=float).reshape(len(balls), m)
+                radii = np.array([r for _, r in balls], dtype=float)
+                want = ball_intersection_point(centers, radii, 2.0 ** (-k), "linf")
+                assert state.outputs[k - 1, y].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tag", ["linf", "l2"])
+    def test_an_empty_set_names_its_first_sample(self, monkeypatch, tag):
+        """Were every nonempty constraint family empty, the error would name
+        the first level and sample off C_k with a margin ball."""
+        data = get_scenario("S2").build(ScenarioConfig(grid=41, norm=tag))
+        state, levels = run_selection(data.bundle)
+        tables = level_tables(data.bundle.hspace, levels)
+        k, y = next(
+            (k, y) for k, mask in enumerate(state.c_masks, start=1)
+            for y in np.flatnonzero(~mask) if constraint_balls(levels, tables, k, y)
+        )
+        box = pipeline._box_intersection
+        monkeypatch.setattr(pipeline, "_box_intersection", lambda *a: (box(*a)[0], False))
+        point = pipeline.ball_intersection_point
+        monkeypatch.setattr(
+            pipeline, "ball_intersection_point", lambda c, *a: EMPTY if len(c) else point(c, *a)
+        )
+        with pytest.raises(RuntimeError, match=rf"^empty constraint set at level {k}, sample {y}$"):
+            pipeline.ucpc_transform(data.bundle)
 
 
 # ---------------------------------------------------------------------------
@@ -1710,15 +1756,44 @@ class TestSampledLipOracleBatch:
             lip = sampled_lip_oracle(space, vals, tag)
             got = lip(cs, rho)
             want = quotients_by_center(space, vals, tag, cs, rho)
-        assert got.shape == cs.shape
-        assert got.tobytes() == want.tobytes()
-        got[...] = -1.0  # the caller owns the answer: the repeat is untouched
-        assert lip(cs, rho).tobytes() == want.tobytes()
+            assert got.shape == cs.shape
+            assert got.tobytes() == want.tobytes()
+            got[...] = -1.0  # the caller owns the answer: the repeat is untouched
+            assert lip(cs, rho).tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        oracle_cases(),
+        st.lists(st.integers(1, 40), min_size=1, max_size=12),
+        st.sampled_from([3, _ROW_BLOCK]),
+    )
+    def test_run_calls_match_calls_per_item(self, case, ns, block):
+        """A run's radii delta, from one call at every sample once per item,
+        equal bit for bit the one-item-per-call formula; and a call with k
+        copies of the centers equals its k slices called one at a time.
+        ``block`` rows at a time, so the tiled calls span several blocks."""
+        space, vals, tag, cs, rho = case
+        nY = space.n_points
+        res = space.resolution()
+        rhos = [np.broadcast_to(rho, cs.shape) * (j + 1) / len(ns) for j in range(len(ns))]
+        with np.errstate(over="ignore"), patch.object(pipeline, "_ROW_BLOCK", block):
+            lip = sampled_lip_oracle(space, vals, tag)
+            run = [FunSeqItem(n=n, values=vals, sup_bound=4.0, lip_bound=lip, norm_tag=tag) for n in ns]
+            deltas = pipeline._mollify_radii(space, run)
+            tiled = lip(np.tile(cs, len(ns)), np.concatenate(rhos))
+            slices = [lip(cs, r) for r in rhos]
+        assert len(deltas) == len(ns)
+        for n, delta in zip(ns, deltas):
+            with np.errstate(over="ignore"):
+                lip_at = sampled_lip_oracle(space, vals, tag)(np.arange(nY), 1.0 / n)
+            want = [max(min(1.0 / n, 1.0 / (n * x) if x > 0 else np.inf), res) for x in lip_at.tolist()]
+            assert delta.tobytes() == np.array(want, dtype=float).tobytes()
+        assert tiled.tobytes() == np.concatenate([np.zeros(0)] + slices).tobytes()
 
     def test_repeated_query_is_compared_by_value(self):
-        """The oracle answers a query equal to its last one from memory, so
-        a centers or radii array changed in place after the call is a new
-        query."""
+        """A call reads its centers and radii when it is made: a repeated
+        query gets the same answer, and a centers or radii array changed in
+        place after a call is a new query."""
         space = json_line_space([0.0, 0.25, 0.5, 1.0, 1.75, 3.0], h=[0, 2])
         vals = np.array([[0.0], [1.0], [1.0], [4.0], [4.0], [5.0]])
         lip = sampled_lip_oracle(space, vals, "linf")
@@ -1733,22 +1808,26 @@ class TestSampledLipOracleBatch:
 
     def test_batch_call_leaves_no_table_behind(self, s2_run):
         """The union table of a batch (nY x nY at rho = 1) is freed on return,
-        and at most six tables of its size are alive during the call."""
+        and at most six tables of its size are alive during the call, also
+        for a mollify run's call of k = 10 items: every sample k times, at
+        radii 1/n for n = 1..k."""
         space = s2_run.bundle.hspace
         nY = space.n_points
         assert nY == 201
         lip = sampled_lip_oracle(space, s2_run.pre_blend[0], "linf")
         table = nY * nY * 8
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            out = lip(np.arange(nY), 1.0)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert 6 * table >= peak - base >= table  # the table was built ...
-        assert held - base < table // 8  # ... and nothing of its size is kept
-        assert out.shape == (nY,)
+        for k in (1, 10):
+            cs, rho = np.tile(np.arange(nY), k), np.repeat(1.0 / np.arange(1.0, k + 1), nY)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = lip(cs, rho)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert 6 * table >= peak - base >= table  # the table was built ...
+            assert held - base < table // 8  # ... and nothing of its size is kept
+            assert out.shape == (k * nY,)
 
 
 def lip_r_by_levels(rad, c, rho):
@@ -2044,7 +2123,8 @@ class TestPostBlendOracle:
         for lip, branch in ((flat, "flat"), (steep, "unbounded")):
             item = FunSeqItem(n=2, values=vals, sup_bound=1.0, lip_bound=lip)
             seen = set()
-            self.check(space, mollify_calls(lambda: [pipeline.lipschitz_mollify(space, item, 2)]), seen)
+            [delta] = pipeline._mollify_radii(space, [item])
+            self.check(space, mollify_calls(lambda: [pipeline.lipschitz_mollify(space, item, 2, delta)]), seen)
             assert branch in seen, seen
 
 

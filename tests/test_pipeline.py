@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import dense_ball_depth, run_selection
 
+from baireext import pipeline
 from baireext.pipeline import (
     FunctionBundle,
     FunSeqItem,
@@ -174,6 +175,13 @@ class TestUcpcTransform:
                 assert np.all(vd[sel] <= 2.0 ** (-lev.k) + 2.0 ** (-k) + 1e-12)
 
 
+def mollify_alone(space, item):
+    """``lipschitz_mollify`` of one item, with the radii delta of a
+    ``_mollify_radii`` call for that item alone."""
+    [delta] = pipeline._mollify_radii(space, [item])
+    return lipschitz_mollify(space, item, item.n, delta)
+
+
 class TestMollify:
     def test_constant_item_is_unchanged(self):
         space = finite_line(np.linspace(0, 1, 9))
@@ -182,7 +190,7 @@ class TestMollify:
             n=3, values=vals, sup_bound=0.7,
             lip_bound=sampled_lip_oracle(space, vals, "linf"), norm_tag="linf",
         )
-        out = lipschitz_mollify(space, item, 3)
+        out = mollify_alone(space, item)
         assert np.allclose(out.values, vals, atol=1e-15)
         assert np.all(norm(out.values - vals, "linf") == 0.0)
 
@@ -204,7 +212,7 @@ class TestMollify:
         space = finite_line([0.0, 1.0])
         item = FunSeqItem(n=1, values=np.zeros((2, 1)), sup_bound=0.0, lip_bound=None)
         with pytest.raises(ValueError, match="oracle"):
-            lipschitz_mollify(space, item, 1)
+            mollify_alone(space, item)
 
 
 class TestFullPipeline:
@@ -258,7 +266,8 @@ class TestFullPipeline:
 
 def items_without_reuse(bundle):
     """The finite-mode items with every stage run on one item at a time, so
-    that no item shares an oracle, an envelope or a blend with another."""
+    that no item shares an oracle, an envelope, its radii call or a blend
+    with another."""
     tag, space = bundle.norm_tag, bundle.hspace
     rad = local_bound_radius(bundle)
     out = []
@@ -267,7 +276,7 @@ def items_without_reuse(bundle):
         lip = sampled_lip_oracle(space, vals, tag)
         [it] = bound_sequence([FunSeqItem(n=n, values=vals, sup_bound=sup, lip_bound=lip, norm_tag=tag)])
         [it], _ = enforce_local_uniform_boundedness([it], bundle, rad)
-        out.append(lipschitz_mollify(space, it, n))
+        out.append(mollify_alone(space, it))
     return out
 
 
@@ -294,6 +303,45 @@ class TestItemReuse:
             assert (it.n, it.sup_bound) == (ref.n, ref.sup_bound)
             assert it.values.tobytes() == ref.values.tobytes()
             assert it.lip_bound(cs, rhos).tobytes() == ref.lip_bound(cs, rhos).tobytes()
+
+
+    @pytest.mark.parametrize("tag", ["linf", "l2"])
+    def test_one_oracle_call_per_mollify_run(self, monkeypatch, tag):
+        """The mollify stage splits its inputs into maximal runs of one
+        oracle object and equal values and asks each run's
+        ``sampled_lip_oracle`` once, at every sample once per item.  S2 at
+        grid 121 builds 8 oracles for its 10 items in either norm, and each
+        is one run."""
+        bundle = get_scenario("S2").build(ScenarioConfig(grid=121, norm=tag)).bundle
+        nY = bundle.hspace.n_points
+        runs, calls, built = [], [], []
+        oracle, radii = pipeline.sampled_lip_oracle, pipeline._mollify_radii
+
+        def counted_oracle(space, values, tag):
+            lip = oracle(space, values, tag)
+            built.append(lip)
+
+            def counted(cs, rho):
+                calls.append((len(runs), len(cs)))  # the number of runs asked so far
+                return lip(cs, rho)
+
+            return counted
+
+        def recorded_radii(space, run):
+            runs.append(run)
+            return radii(space, run)
+
+        monkeypatch.setattr(pipeline, "sampled_lip_oracle", counted_oracle)
+        monkeypatch.setattr(pipeline, "_mollify_radii", recorded_radii)
+        items = baire_approximate(bundle)
+        assert [it.n for run in runs for it in run] == [it.n for it in items]
+        for run in runs:
+            assert all(it.lip_bound is run[0].lip_bound for it in run)
+            assert all(it.values.tobytes() == run[0].values.tobytes() for it in run)
+        for a, b in zip(runs, runs[1:]):
+            assert a[-1].lip_bound is not b[0].lip_bound or a[-1].values.tobytes() != b[0].values.tobytes()
+        assert len(runs) == len(built) == 8
+        assert calls == [(j, len(run) * nY) for j, run in enumerate(runs, start=1)]
 
 
 class TestLipOracles:

@@ -130,6 +130,11 @@ class TestBallIntersection:
         centers, radii = balls_of([([0.0, 0.0], 1.0), ([3.0, 0.0], 1.0)])
         assert ball_intersection_point(centers, radii, slack=0.0, tag="l2") is EMPTY
 
+    def test_linf_boxes_that_touch_meet_in_a_point(self):
+        centers, radii = balls_of([([0.0, 0.0], 1.0), ([2.0, 0.5], 1.0)])
+        z = ball_intersection_point(centers, radii, tag="linf")
+        assert np.array_equal(z, [1.0, 0.25])
+
     def test_linf_certified_empty(self):
         centers, radii = balls_of([([0.0, 0.0], 1.0), ([3.0, 0.0], 1.0)])
         assert ball_intersection_point(centers, radii, tag="linf") is EMPTY
