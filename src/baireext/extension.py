@@ -13,9 +13,8 @@ midpoints go through one selection scan, one oracle call per level; each K
 value depends only on its own point, so the scan gives every point the n and
 g a scan of its own set would.  Of the K values the field keeps two counts
 over the queries: how many the scan evaluated and how many were infinite.
-``smooth_extension`` then only blends.  Of the blend the field keeps, per
-query, the contributing centers (int32 indices, so nc < 2^31) and g_smooth;
-the partition-of-unity weights are dropped once g_smooth is formed.
+``smooth_extension`` then only blends, and the field keeps g_smooth alone:
+``_smooth_blocks`` recomputes the contributing centers on demand.
 
 dist(x,H) and u(x) come from ``SampledSpace.nearest_h``, for the queries and
 for the midpoint centers alike (a scenario may hand over the queries' pair it
@@ -149,8 +148,8 @@ class ExtensionField:
     """g and g_smooth over a finite query set in X \\ H, with diagnostics.
 
     Besides g, the field keeps what the checks and the field table read: the
-    smoothing centers with their g and dist(., H), each query's contributing
-    centers (the factor-4 check) and g_smooth.  Blend weights are not kept."""
+    smoothing centers with their g and dist(., H), and g_smooth (neither the
+    contributors nor the blend weights)."""
 
     space: SampledSpace
     items: list[FunSeqItem]
@@ -168,14 +167,18 @@ class ExtensionField:
     center_pos: Optional[np.ndarray] = None  # coords (nc, dim) or X indices (nc,)
     center_g: Optional[np.ndarray] = None
     center_dist_h: Optional[np.ndarray] = None
-    # the blend (filled by smooth_extension): each query's contributing
-    # centers, an int32 array in ascending order, and the blended value
-    contributors: Optional[list[np.ndarray]] = None
-    g_smooth: Optional[np.ndarray] = None
+    g_smooth: Optional[np.ndarray] = None  # the blend (filled by smooth_extension)
 
     @property
     def n_queries(self) -> int:
         return len(self.query_idx)
+
+    @property
+    def contributors(self) -> list[np.ndarray]:
+        """Each query's contributors, rebuilt by ``_smooth_blocks`` on every
+        read; kept only while the benchmark tracer's ``extension.smooth_hits``
+        counts them from the field."""
+        return [c[s:t] for _, _, bd, c, _ in _smooth_blocks(self) for s, t in zip(bd, bd[1:])]
 
     def row_of(self, x_idx: int) -> int:
         rows = np.flatnonzero(self.query_idx == x_idx)
@@ -338,9 +341,10 @@ def _pair_dists(space: SampledSpace, q_pos: np.ndarray, c_pos: np.ndarray) -> np
     return _l2_rows(c_pos, q_pos)
 
 
-def smooth_extension(field: ExtensionField) -> ExtensionField:
-    """Fill g_smooth: blend of g values over {B(x_a, dist(x_a,H)/3)}, for
-    the centers x_a that ``build_extension`` chose and extended.
+def _smooth_blocks(field: ExtensionField):
+    """Yields (a, b, bounds, c, w) per pair block: query q of a..b-1 has the
+    contributors ``c[bounds[q - a]:bounds[q - a + 1]]``, ascending, with the
+    weights dist(c,H)/3 - d(q,c) > 0 in ``w``.  Raises ``CoverageError``.
 
     Contributor lemma: a center c reaches a query q when d(q,c) < dist(c,H)/3,
     and dist(c,H) <= d(q,c) + dist(q,H), so every contributor has
@@ -356,24 +360,16 @@ def smooth_extension(field: ExtensionField) -> ExtensionField:
     candidate pairs (a single query may exceed it).  A block's candidates
     are sorted once on the key q nc + c, unique since one query's ranges are
     disjoint, so every query's candidates, and the contributors that pass
-    ``w > 0``, come in ascending center order.  Each query takes its own
-    pairwise weight sum and its own product with its rows of the block's
-    gathered g values, so its blend is the same float as a scan over every
-    center gives.  The field keeps each query's contributors, as an int32
-    array, and g_smooth; the weights are dropped once the blend is formed.
+    ``w > 0``, come in ascending center order.
     """
     space = field.space
-    center_pos, center_g, center_dh = field.center_pos, field.center_g, field.center_dist_h
+    center_pos, center_dh = field.center_pos, field.center_dist_h
     nq, nc = field.n_queries, len(center_dh)
-    if nc >= 2**31:
-        raise ValueError(f"{nc} smoothing centers exceed the int32 contributor indices")
     radii = center_dh / 3.0
     q_pos = field.query_idx if space.coords is None else space.coords[field.query_idx]
     order, eq, lo, hi = _search_ranges(field, q_pos, center_pos, center_dh)
     first = np.searchsorted(eq, np.arange(nq + 1))  # each query's first entry
     before = np.concatenate([[0], np.cumsum(hi - lo)])[first]  # pairs ahead of q
-    contributors = []
-    g_smooth = np.zeros_like(field.g)
     a = 0
     while a < nq:
         # queries a..b-1 bring at most _PAIR_BLOCK candidate pairs (or a alone)
@@ -390,22 +386,26 @@ def smooth_extension(field: ExtensionField) -> ExtensionField:
             space, np.repeat(q_pos[a:b], count, axis=0), center_pos.take(c, axis=0)
         )
         keep = w > 0
-        bounds = np.concatenate([[0], np.cumsum(keep)])[edges].tolist()
-        c, w = c[keep], w[keep]
-        gc = center_g.take(c, axis=0)  # a query's rows are one C-contiguous slice
-        for q in range(a, b):
-            s, t = bounds[q - a], bounds[q - a + 1]
-            if s == t:
-                raise CoverageError(
-                    f"query {int(field.query_idx[q])} is covered by no smoothing ball"
-                )
-            # a fresh array per query: views into the block's survivors
-            # raised the peak RSS of S3 at grid 3201 by 0.75 MiB
-            contributors.append(c[s:t].astype(np.int32))
+        bounds = np.concatenate([[0], np.cumsum(keep)])[edges]
+        empty = np.flatnonzero(bounds[1:] == bounds[:-1])
+        if empty.size:
+            q = int(field.query_idx[a + empty[0]])
+            raise CoverageError(f"query {q} is covered by no smoothing ball")
+        yield a, b, bounds.tolist(), c[keep], w[keep]
+        a = b
+
+
+def smooth_extension(field: ExtensionField) -> ExtensionField:
+    """Fill g_smooth: blend of g over {B(x_a, dist(x_a,H)/3)} with the weights
+    of ``_smooth_blocks``.  Each query's own weight sum and product with its
+    rows of the gathered g give the float a scan over every center gives."""
+    g_smooth = np.zeros_like(field.g)
+    for a, b, bounds, c, w in _smooth_blocks(field):
+        gc = field.center_g.take(c, axis=0)  # a query's rows are one C-contiguous slice
+        for q, s, t in zip(range(a, b), bounds, bounds[1:]):
             wv = w[s:t]
             g_smooth[q] = np.divide(wv, np.add.reduce(wv), out=wv) @ gc[s:t]
-        a = b
-    return replace(field, contributors=contributors, g_smooth=g_smooth)
+    return replace(field, g_smooth=g_smooth)
 
 
 # ---------------------------------------------------------------------------
@@ -472,17 +472,17 @@ def branch_condition_violations(field: ExtensionField) -> int:
 
 def factor4_ratio_range(field: ExtensionField) -> tuple[float, float]:
     """Range of (dist(x_a,H)/d(x_a,a')) / (dist(x,H)/d(x,a')) over every
-    (query, contributing center, sampled a') triple; must stay in [1/4, 4]."""
-    if field.contributors is None:
+    (query, contributing center, sampled a') triple of ``_smooth_blocks``;
+    must stay in [1/4, 4]."""
+    if field.g_smooth is None:
         raise ValueError("smooth_extension has not been run")
     lo, hi = np.inf, -np.inf
-    for a, d_xa in _query_blocks(field):
-        for q, row in enumerate(d_xa, start=a):
-            cs = field.contributors[q]
-            ratio_c = field.center_dist_h[cs, None] / field.space.h_dists(field.center_pos[cs])
-            rr = ratio_c / (field.dist_h[q] / row)[None, :]
-            lo = min(lo, float(rr.min()))
-            hi = max(hi, float(rr.max()))
+    for a, b, bounds, c, _ in _smooth_blocks(field):
+        ratio_q = field.dist_h[a:b, None] / field.space.h_dists(field.query_idx[a:b])
+        ratio_c = field.center_dist_h[c, None] / field.space.h_dists(field.center_pos[c])
+        rr = ratio_c / np.repeat(ratio_q, np.diff(bounds), axis=0)
+        lo = min(lo, float(rr.min()))
+        hi = max(hi, float(rr.max()))
     return lo, hi
 
 

@@ -162,3 +162,17 @@ def s2_run():
 @pytest.fixture(scope="session")
 def s3_run():
     return run_scenario_objects("S3")
+
+
+def pytest_collection_modifyitems(items):
+    """Ignore, in every test, the one DeprecationWarning that libcst's import
+    of ``mypy_extensions`` raises.  A failing hypothesis property imports
+    libcst to write its patch, and under ``-W error`` that warning would end
+    the session in an INTERNALERROR before the falsifying example is shown.
+    A mark is applied after the ``-W`` options, so it wins over them; an
+    ini ``filterwarnings`` entry would not."""
+    ignore = pytest.mark.filterwarnings(
+        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
+    )
+    for item in items:
+        item.add_marker(ignore)

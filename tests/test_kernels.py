@@ -528,8 +528,9 @@ def center_rows(field):
 def assert_same_smoothing(field, dqc):
     contributors, g_smooth = smooth_by_table(field, dqc)
     assert np.array_equal(field.g_smooth, g_smooth)
-    assert len(field.contributors) == len(contributors) == field.n_queries
-    for a, b in zip(field.contributors, contributors):
+    got = field.contributors  # one read: every read rebuilds the list
+    assert len(got) == len(contributors) == field.n_queries
+    for a, b in zip(got, contributors):
         assert np.array_equal(a, b)
 
 
@@ -648,12 +649,11 @@ class TestSmoothingKernel:
         for name in ("dist_h", "u_x", "n_of_x", "g", "g_smooth"):
             assert np.array_equal(getattr(fd, name), getattr(fc, name)), name
 
-    def test_field_keeps_contributors_not_weights(self, s1_run):
-        """Smoothing S1@201 leaves the field holding its contributor index
-        arrays as int32, 4 bytes a contributor, g_smooth and under 256 bytes a
-        query besides (an array object and its list slot, about 122): 577,747
-        bytes for 85,992 contributors.  int64 indices held 921,334 bytes, and
-        a weight array per query as well about 650 bytes a query besides."""
+    def test_field_keeps_only_g_smooth(self, s1_run):
+        """Smoothing S1@201 leaves the field holding g_smooth and a small
+        constant besides (the new field object, about 1 KiB), nothing per
+        contributor: its 85,992 contributors as int32 indices alone would
+        take 344 KB."""
         f = s1_run.field
         field = build_extension(f.space, f.items, f.f_h, f.query_idx, f.norm_tag)
         tracemalloc.start()
@@ -663,10 +663,9 @@ class TestSmoothingKernel:
             held = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        assert all(ix.dtype == np.int32 for ix in smoothed.contributors)
         hits = sum(len(ix) for ix in smoothed.contributors)
-        assert smoothed.n_queries == 1688
-        assert held <= 4 * hits + smoothed.g_smooth.nbytes + 256 * smoothed.n_queries
+        assert (smoothed.n_queries, hits) == (1688, 85_992)
+        assert held <= smoothed.g_smooth.nbytes + 4096
 
     def test_no_dense_query_center_temporary(self):
         """Peak traced memory of smoothing S3 at grid 1601 stays below the
@@ -768,6 +767,30 @@ class TestSmoothingSearch:
         sp = json_line_space(xs, h)
         q = np.array([i for i in range(len(xs)) if i not in h])
         return sp, q, constant_lip_items(_sequence_length(sp.nearest_h(q)[0]), len(h))
+
+    @pytest.mark.parametrize("case", ["S1", "S3", "metric"])
+    def test_blocks_yield_the_table_contributors(self, case):
+        """``_smooth_blocks`` covers the queries in consecutive blocks and
+        yields each query's contributors in ascending order, the centers the
+        loop over every center finds, with its weights bit for bit."""
+        if case == "metric":
+            sp, q, items = self.metric_line()
+            field = build_extension(sp, items, items[-1].values, q)
+        else:
+            field = run_field(case, {"S1": 41, "S3": 401}[case])
+        radii = field.center_dist_h / 3.0
+        rows = list(center_rows(field))
+        want = smooth_by_table(field, rows)[0]
+        start = 0
+        for a, b, bounds, c, w in extension._smooth_blocks(field):
+            assert a == start < b and len(bounds) == b - a + 1
+            assert bounds[0] == 0 and bounds[-1] == len(c) == len(w)
+            for q, s, t in zip(range(a, b), bounds[:-1], bounds[1:]):
+                assert np.all(np.diff(c[s:t]) > 0)
+                assert np.array_equal(c[s:t], want[q])
+                assert np.array_equal(w[s:t], radii[want[q]] - rows[q][want[q]])
+            start = b
+        assert start == field.n_queries
 
     def test_metric_matrix_field(self):
         sp, q, items = self.metric_line()
@@ -882,9 +905,10 @@ class TestSmoothingSearch:
             calls.append(len(q_pos))
             return pair_dists(space, q_pos, c_pos)
 
+        contributors = sum(len(c) for c in field.contributors)
         monkeypatch.setattr(extension, "_pair_dists", counting)
-        smoothed = smooth_extension(field)
-        return sum(calls), sum(len(c) for c in smoothed.contributors), max(calls)
+        smooth_extension(field)
+        return sum(calls), contributors, max(calls)
 
     def test_distance_count_on_s1_201(self, s1_run, monkeypatch):
         """Every center of the field is 5.70M (query, center) distances; the
@@ -983,8 +1007,8 @@ def diagnostics_by_tables(field):
     ratio_q = field.dist_h[:, None] / qh
     ratio_c = field.center_dist_h[:, None] / center_qh
     lo, hi = np.inf, -np.inf
-    for q in range(field.n_queries):
-        rr = ratio_c[field.contributors[q]] / ratio_q[q][None, :]
+    for q, cs in enumerate(smooth_by_table(field, center_rows(field))[0]):
+        rr = ratio_c[cs] / ratio_q[q][None, :]
         lo = min(lo, float(rr.min()))
         hi = max(hi, float(rr.max()))
     return slacks, bad, (lo, hi)
