@@ -103,11 +103,7 @@ def run_scenario(
         "n_seq": data.n_seq,
         "extension": _extension_summary(field) if field is not None else None,
         "reports": [r.to_dict() for r in reports],
-        "counts": {
-            "pass": statuses.count("pass"),
-            "fail": statuses.count("fail"),
-            "inconclusive": statuses.count("inconclusive"),
-        },
+        "counts": {s: statuses.count(s) for s in ("pass", "fail", "inconclusive")},
         "verdict": verdict,
     }
 
@@ -115,14 +111,8 @@ def run_scenario(
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         if field is not None:
-            if fmt == "csv":
-                (out_dir / f"{name}_field.csv").write_text(
-                    field_to_csv(field, data.primary_anchor_y)
-                )
-            else:
-                (out_dir / f"{name}_field.json").write_text(
-                    field_to_json(field, data.primary_anchor_y)
-                )
+            table = field_to_csv if fmt == "csv" else field_to_json
+            (out_dir / f"{name}_field.{fmt}").write_text(table(field, data.primary_anchor_y))
         (out_dir / f"{name}_manifest.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n"
         )

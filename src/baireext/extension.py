@@ -350,17 +350,12 @@ def _smooth_blocks(field: ExtensionField):
     and dist(c,H) <= d(q,c) + dist(q,H), so every contributor has
     d(q,c) < dist(q,H)/2 and |dist(c,H) - dist(q,H)| < dist(q,H)/2 (the
     triangle argument behind the factor-4 ratio).  The search looks only
-    there: on coordinate spaces inside the box of half-width dist(q,H)/2, read
-    from columns of coordinate 0 with each column sorted by coordinate 1; on a
-    metric matrix inside that band of the centers sorted by dist(c,H).  On
-    coordinate spaces each column is cut to the run of centers whose ball
-    extent y_c +- r_c along the search coordinate can hold the query (the
-    envelope search of ``_search_ranges``).
-    Distances and weights are evaluated for blocks of at most ``_PAIR_BLOCK``
-    candidate pairs (a single query may exceed it).  A block's candidates
-    are sorted once on the key q nc + c, unique since one query's ranges are
-    disjoint, so every query's candidates, and the contributors that pass
-    ``w > 0``, come in ascending center order.
+    there (``_search_ranges``).  Distances and weights are evaluated for
+    blocks of at most ``_PAIR_BLOCK`` candidate pairs (a single query may
+    exceed it).  A block's candidates are sorted once on the key q nc + c,
+    unique since one query's ranges are disjoint, so every query's
+    candidates, and the contributors that pass ``w > 0``, come in ascending
+    center order.
     """
     space = field.space
     center_pos, center_dh = field.center_pos, field.center_dist_h

@@ -53,10 +53,11 @@ __all__ = [
 # item over sampled pairs in closed balls B_Y(c, rho).  ``cs`` is a 1-D int
 # array of centers and ``rho`` one radius or one radius per center; the result
 # is a float array with one bound per center, and entry i depends only on
-# (cs[i], rho[i]), never on the other centers of the call.  An oracle is a
-# function of the inputs it was built from, so ``baire_approximate`` hands
-# one object to every item of a run of equal inputs: a memoizing envelope
-# then fills its cache once per run, and every answer is the same float.
+# (cs[i], rho[i]), never on the other centers of the call, so an oracle may
+# ask another about a subset of its rows and get the same floats.  An oracle
+# is a function of the inputs it was built from, so ``baire_approximate``
+# hands one object to every item of a run of equal inputs: a memoizing
+# envelope then fills its cache once per run, and every answer is the same float.
 LipOracle = Callable[[np.ndarray, float | np.ndarray], np.ndarray]
 
 def monotone_lip_envelope(raw: LipOracle, r_top: float, res: float) -> LipOracle:
@@ -69,7 +70,14 @@ def monotone_lip_envelope(raw: LipOracle, r_top: float, res: float) -> LipOracle
     memoized per center.  A query fills the (center, level) pairs it needs
     and the cache lacks with ``raw`` calls of up to ``_ROW_BLOCK`` pairs,
     one grid radius per pair.
+
+    An envelope on the same (r_top, res) grid comes back as it is: E(E(raw))
+    = E(raw), since a grid radius snaps to its own level and the minimum over
+    levels >= lo of the suffix minima is the suffix minimum at lo.  At most
+    the sign of a zero bound differs, which ``fmax(1, K)`` cannot see.
     """
+    if getattr(raw, "envelope_grid", None) == (r_top, res):
+        return raw
     grid = [res]
     while grid[-1] < r_top:
         grid.append(grid[-1] * 2.0)
@@ -99,6 +107,7 @@ def monotone_lip_envelope(raw: LipOracle, r_top: float, res: float) -> LipOracle
         suffix = np.fmin.accumulate(table[:, ::-1], axis=1)[:, ::-1]
         return np.fmin(suffix[inv, lo], np.inf)
 
+    lip.envelope_grid = (r_top, res)
     return lip
 
 
@@ -532,7 +541,10 @@ def lipschitz_mollify(
 
     The blend and its oracle depend on the input only through its values,
     its oracle and the radii delta; n enters through delta and the sup
-    bound alone.
+    bound alone.  The oracle is l_rho, the input's bound, on a ball with
+    no blend error, and bounds the cover only for the other balls.  A blend
+    that moved no sample keeps the input's oracle under the envelope,
+    which returns an envelope on its own grid as it is (E(E(raw)) = E(raw)).
     """
     tag = item.norm_tag
     D = space.dense_matrix()
@@ -554,6 +566,11 @@ def lipschitz_mollify(
         Dc = D[cs]
         s = Dc <= rho[:, None]  # D[c, c] = 0: no ball is empty
         e = np.where(s, err, -np.inf).max(axis=1, initial=-np.inf)
+        answer = old(cs, rho)  # l_rho: the blend is the identity on a ball without error
+        hot = np.flatnonzero(e != 0.0)  # NaN != 0: a NaN error is hot
+        if not hot.size:
+            return answer
+        Dc, s, e, rho, cs, l_rho = Dc[hot], s[hot], e[hot], rho[hot], cs[hot], answer[hot]
         active = Dc[:, centers] <= rho[:, None] + radii
         rad_max = np.where(active, radii, 0.0).max(axis=1, initial=0.0)
         near = Dc <= (rho + rad_max)[:, None]
@@ -563,10 +580,7 @@ def lipschitz_mollify(
         n_pair = 2.0 * np.maximum(mult, 1.0)
         w_min = np.where(s, pou.weight_sum, np.inf).min(axis=1, initial=np.inf)
         d_max = np.maximum(2.0 * rho, res)
-        l_rho = old(cs, rho)
-        blended = e != 0.0  # elsewhere the blend is the identity on the ball
-        lb = np.full(len(cs), np.inf)
-        lb[blended] = old(cs[blended], (rho + 2.0 * rad_max)[blended])
+        lb = old(cs, rho + 2.0 * rad_max)
         # quotient <= min(a(d), l_rho + 2E/d) with a(d) = alpha*(rad_max+d);
         # alpha carries the weight-sum variation (1 + N*rad_max/W) and the
         # max over pair distances d in [res, d_max] sits at the crossover
@@ -583,7 +597,9 @@ def lipschitz_mollify(
         # the branches in order of precedence, the first one last
         out = np.where(alpha == 0.0, l_rho, out)
         out = np.where(~np.isfinite(lb) | (w_min <= 0), l_rho + 2.0 * e / res, out)
-        return np.where(blended, out, l_rho)
+        answer = answer.copy()
+        answer[hot] = out
+        return answer
 
     return replace(
         item,
@@ -591,7 +607,7 @@ def lipschitz_mollify(
         sup_bound=_mollified_sup(item, n),
         # the crossover bound is not monotone where the blend error first
         # appears; the envelope restores the nondecreasing-in-radius invariant
-        lip_bound=monotone_lip_envelope(lip, float(D.max()), res),
+        lip_bound=monotone_lip_envelope(lip if err.any() else old, float(D.max()), res),
     )
 
 

@@ -30,14 +30,11 @@ nearest, or for a ball holding more than half the samples one
 (indptr, indices, data) in plain numpy, built from those pairs: row y lists
 the balls holding sample y in ascending order, with their normalised
 weights.  A locally finite cover puts each sample in a few balls, so the
-triple grows with the nonzeros, not with samples x balls; only the weight
+triple grows with the nonzeros, not with samples x balls (on S1 at grid 201
+about one pair per sample, against 213 x 208 dense entries); only the weight
 totals W(y) are summed over a dense block, to keep their summation order.
 ``dense_weights`` gives the dense table and ``ball_multiplicity`` counts,
-per sample, the balls of a mask that hold it.  On S1 at grid 201 (213 H
-samples) a mollify cover has about one pair per sample, where the dense
-tables held 213 x 208 entries; over its 126 covers a traced benchmark pass
-spends 0.020-0.032 s in ``partition_of_unity`` (0.042-0.065 s with the
-dense tables).
+per sample, the balls of a mask that hold it.
 
 ``build_refinement`` refines the raw cover {B(y, r_y)}, one ball per sample,
 into the balls B(p, r_p/2) of a greedy scan in sample order; each lies in
@@ -321,8 +318,9 @@ def build_refinement(space: SampledSpace, raw: CoverSystem) -> CoverSystem:
     if not (_is_every(raw.centers, n) and np.shape(raw.radii) == (n,)):
         raise ValueError("build_refinement needs one raw ball per sample, in sample order")
     half = np.asarray(raw.radii, dtype=float) / 2.0
+    ar = np.arange(n)
 
-    reach = np.triu(space.dense_matrix() < half[:, None], 1)
+    reach = (space.dense_matrix() < half[:, None]) & (ar[:, None] < ar)
     is_center = ~reach.any(axis=0)
     todo = ~is_center
     todo &= ~reach[is_center].any(axis=0)

@@ -147,8 +147,7 @@ def check_continuity(
         raise ValueError("smooth_extension has not been run")
     validate_path(field_.space, path)
     rows = np.array([field_.row_of(int(x)) for x in path.points])
-    dev = norm(field_.g_smooth[rows] - field_.f_h[path.anchor_y], field_.norm_tag)
-    dev = np.atleast_1d(dev)
+    dev = np.atleast_1d(norm(field_.g_smooth[rows] - field_.f_h[path.anchor_y], field_.norm_tag))
     trace = [{"step": j, "deviation": float(v)} for j, v in enumerate(dev)]
     third = max(1, len(dev) // 3)
     ok = bool((dev[third:] < tol).all()) if len(dev) > third else bool(dev[-1] < tol)
@@ -236,7 +235,6 @@ def check_ucpc(
             s = d0 < rho
             # no witness even at the smallest rho: the final index already
             # violates (its suffix max is itself), so report (eps, k_max, y*)
-            k_bad = k_max
             y_bad = int(np.flatnonzero(s)[int(dev[k_max - 1, s].argmax())])
             return CertReport(
                 prop="UCPC",
@@ -245,7 +243,7 @@ def check_ucpc(
                 details={
                     "y0": int(y0),
                     "eps": eps,
-                    "k": k_bad,
+                    "k": k_max,
                     "y": y_bad,
                     "value_dev": float(dev[k_max - 1, y_bad]),
                 },

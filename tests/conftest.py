@@ -63,10 +63,11 @@ def run_selection(bundle):
 def blend_calls(calls, items) -> list[int]:
     """Per item, the index of the recorded ``lipschitz_mollify`` call that
     built its blend.  The pipeline calls it once per distinct input and an
-    item with its predecessor's input shares that call's values and
-    post-blend oracle, so the oracle object names the call."""
-    built = {id(c.result.lip_bound): j for j, c in enumerate(calls["lipschitz_mollify"])}
-    return [built[id(it.lip_bound)] for it in items]
+    item with its predecessor's input shares that call's values array, so
+    the array names the call.  The oracle does not: a blend that moved no
+    sample may hand on its input's oracle, which other calls share."""
+    built = {id(c.result.values): j for j, c in enumerate(calls["lipschitz_mollify"])}
+    return [built[id(it.values)] for it in items]
 
 
 def run_scenario_objects(name: str, cfg: ScenarioConfig | None = None) -> SimpleNamespace:

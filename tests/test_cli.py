@@ -322,6 +322,21 @@ class TestDeterminism:
         )
         assert got == self.PINNED[name]
 
+    # SHA-256 of S1's manifest, diag and CSV field at grid 201 in l2
+    PINNED_S1_L2 = (
+        "15a0aacc050a883c4f9f6aa5b0c325e184b0574dd8662d34faf268e8d2b6b6a1",
+        "45b6bf896700cad29f3b02e1c054267947510860d437f599bc10c7aac6a30a87",
+        "84c60b41270ea5a05ce1dd59fd156c102b873c5c94fb4393a0de4fb102585348",
+    )
+
+    def test_s1_l2_bytes_are_pinned(self, tmp_path):
+        run_scenario("S1", ScenarioConfig(grid=201, norm="l2"), tmp_path, "csv")
+        got = tuple(
+            hashlib.sha256((tmp_path / f"S1_{suffix}").read_bytes()).hexdigest()
+            for suffix in ("manifest.json", "diag.jsonl", "field.csv")
+        )
+        assert got == self.PINNED_S1_L2
+
     def test_two_runs_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

@@ -2043,6 +2043,25 @@ class TestEnvelopeBatch:
         assert np.array_equal(env(cs[:3], 0.5), at_half)
         assert len(calls) == n_calls
 
+    def test_an_envelope_on_its_own_grid_comes_back_as_it_is(self):
+        """E(E(raw)) = E(raw) on one grid, so the envelope of an envelope on
+        the same (r_top, res) is the object itself; another grid wraps it, and
+        its answers are the envelope of the inner one's on that grid."""
+        env = monotone_lip_envelope(self.raw([]), 1.0, 0.01)
+        assert monotone_lip_envelope(env, 1.0, 0.01) is env
+
+        def inner(c, rho):
+            return float(env(np.array([c]), np.array([rho]))[0])
+
+        cs = np.array([0, 5, 3, 5, 11])
+        rhos = np.array([0.0, 0.02, 0.3, 1.5, 0.7])
+        for r_top, res in ((2.0, 0.01), (1.0, 0.03)):
+            wrapped = monotone_lip_envelope(env, r_top, res)
+            assert wrapped is not env
+            grid = radius_grid(res, r_top)
+            want = [envelope_by_levels(inner, grid, c, r) for c, r in zip(cs.tolist(), rhos)]
+            assert np.array_equal(wrapped(cs, rhos), want)
+
 
 def mollify_calls(run):
     """Call ``run()``, which returns items, and record its
@@ -2150,6 +2169,112 @@ class TestPostBlendOracle:
             [delta] = pipeline._mollify_radii(space, [item])
             self.check(space, mollify_calls(lambda: [pipeline.lipschitz_mollify(space, item, 2, delta)]), seen)
             assert branch in seen, seen
+
+    @staticmethod
+    def blends(bundle):
+        """Run ``baire_approximate(bundle)`` and return per
+        ``lipschitz_mollify`` call its input, its item, its cover and the
+        oracle it handed to ``monotone_lip_envelope``, with the set of ids of
+        the envelopes ``enforce_local_uniform_boundedness`` built."""
+        names = ("lipschitz_mollify", "partition_of_unity", "monotone_lip_envelope",
+                 "enforce_local_uniform_boundedness")
+        with recorded_calls(*names) as calls:
+            baire_approximate(bundle)
+
+        def made_by(name, caller):
+            return [c for c in calls[name] if c.caller == caller]
+
+        pous = made_by("partition_of_unity", "lipschitz_mollify")
+        wrapped = made_by("monotone_lip_envelope", "lipschitz_mollify")
+        blends = [
+            (c.args[1], c.result, pou.result, env.args[0])
+            for c, pou, env in zip(calls["lipschitz_mollify"], pous, wrapped)
+        ]
+        enforced = made_by("monotone_lip_envelope", "enforce_local_uniform_boundedness")
+        return blends, {id(c.result) for c in enforced}
+
+    def test_one_call_mixes_identity_and_crossover_balls(self):
+        """The post-blend oracle bounds only the balls its blend moved, and
+        answers l_rho elsewhere: one call over shuffled, repeated centers
+        with one radius per center gives the per-ball bound bit for bit, and
+        an empty call gives an empty array."""
+        bundle = get_scenario("S1").build(ScenarioConfig(grid=41)).bundle
+        space = bundle.hspace
+        res = space.resolution()
+        blends, _ = self.blends(bundle)
+        # the first blend that moved a sample
+        item, mo, pou, lip = next(b for b in blends if b[3] is not b[0].lip_bound)
+        seen = set()
+        body = post_blend_by_center(space, item, mo, pou, seen)
+        rng = np.random.default_rng(3)
+        cs = rng.integers(0, space.n_points, size=240)
+        rho = mixed_rhos([0.0, res, 0.05, 0.3, 0.02], len(cs))
+        want = np.array([body(int(c), r) for c, r in zip(cs, rho)])
+        assert lip(cs, rho).tobytes() == want.tobytes()
+        assert {"identity", "crossover"} <= seen
+        assert lip(np.zeros(0, dtype=int), 0.3).shape == (0,)
+
+    def test_balls_without_blend_error_make_one_input_call(self):
+        """The widened input bound is taken for the hot balls alone: a call
+        whose balls the blend left unmoved asks the input oracle once."""
+        bundle = get_scenario("S1").build(ScenarioConfig(grid=41)).bundle
+        space = bundle.hspace
+        with recorded_calls("lipschitz_mollify") as calls:
+            baire_approximate(bundle)
+        _, item, n, delta = next(
+            c.args for c in calls["lipschitz_mollify"]
+            if c.result.values.tobytes() != c.args[1].values.tobytes()
+        )
+        log = []
+
+        def counted(cs, rho):
+            log.append(len(cs))
+            return item.lip_bound(cs, rho)
+
+        with recorded_calls("monotone_lip_envelope") as wrapped:
+            mo = pipeline.lipschitz_mollify(space, replace(item, lip_bound=counted), n, delta)
+        lip = wrapped["monotone_lip_envelope"][0].args[0]
+        err = norm(mo.values - item.values, item.norm_tag)
+        cold, hot = np.flatnonzero(err == 0.0), np.flatnonzero(err != 0.0)
+        assert cold.size and hot.size
+        log.clear()
+        lip(cold, 0.0)  # each ball is its center alone
+        assert log == [len(cold)]
+        log.clear()
+        lip(np.concatenate([hot, cold]), 0.0)
+        assert log == [len(hot) + len(cold), len(hot)]
+
+    @pytest.mark.parametrize("name,grid,kept", [("S1", 41, 0), ("S3", 101, 5)])
+    def test_unmoved_blends_keep_their_input_oracle(self, name, grid, kept):
+        """A blend that moved no sample answers its input's bound on every
+        ball, so its item keeps the input's envelope as it is (S3: 5 of its
+        10 blends) or wraps the input oracle itself (S1's inputs are the
+        scenario's h_lip, no envelope); either way the answers are the
+        envelope of the input oracle."""
+        bundle = get_scenario(name).build(ScenarioConfig(grid=grid)).bundle
+        space = bundle.hspace
+        res, top = space.resolution(), float(space.dense_matrix().max())
+        levels = radius_grid(res, top)
+        blends, envelopes = self.blends(bundle)
+        rng = np.random.default_rng(7)
+        cs = rng.integers(0, space.n_points, size=16)
+        rhos = np.concatenate([rng.uniform(0.0, 1.5 * top, size=12), rng.uniform(0.0, 4.0 * res, size=4)])
+        unmoved = [(item, mo, lip) for item, mo, _, lip in blends
+                   if not norm(mo.values - item.values, item.norm_tag).any()]
+        assert unmoved
+        same = 0
+        for item, mo, lip in unmoved:
+            assert lip is item.lip_bound
+            if id(item.lip_bound) in envelopes:
+                assert mo.lip_bound is item.lip_bound
+                same += 1
+
+            def old(c, rho, _lip=item.lip_bound):
+                return float(_lip(np.array([c]), np.array([rho]))[0])
+
+            want = [envelope_by_levels(old, levels, int(c), r) for c, r in zip(cs, rhos)]
+            assert np.array_equal(mo.lip_bound(cs, rhos), want)
+        assert same == kept
 
 
 class TestScenarioHLip:
