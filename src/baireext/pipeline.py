@@ -30,8 +30,8 @@ from .space import (
     dense_weights,
     partition_of_unity,
 )
-from .target import EMPTY, ball_intersection_point, norm, radial_project, retraction_factor
-from .target import _box_intersection
+from .target import _intersection_points, norm, radial_project, retraction_factor
+from .target import ball_intersection_point  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 __all__ = [
     "FunSeqItem",
@@ -232,12 +232,10 @@ class SelectionState:
     outputs: np.ndarray  # (n_seq, nY, m)
 
 
-def _preimage_radii(D: np.ndarray, fdiff: np.ndarray, k: int) -> np.ndarray:
+def _preimage_radii(D: np.ndarray, fdiff: np.ndarray, k: int, cap: float) -> np.ndarray:
     """Largest metric-ball radius around each y inside the preimage of the
-    target ball B_Z(f(y), 2^-k)."""
-    cap = D.max() + 1.0
-    far = fdiff >= 2.0 ** (-k)
-    rho = np.where(far, D, np.inf).min(axis=1)
+    target ball B_Z(f(y), 2^-k), at most ``cap`` (``D.max() + 1``)."""
+    rho = D.min(axis=1, where=fdiff >= 2.0 ** (-k), initial=np.inf)
     return np.minimum(rho, cap)
 
 
@@ -266,11 +264,18 @@ def ucpc_transform(bundle: FunctionBundle) -> SelectionState:
     order: the sample, the ball's target center and radius, and the depth
     of the sample in the ball, as ``ball_depth`` gives them.  Each array
     doubles when it is full.  Only a ball holding y constrains y, so C_k is
-    one comparison over the pairs.  In l2 each sample off C_k passes its
-    margin-1/k balls, in level-then-ball order, to one
-    ``ball_intersection_point`` call; in linf one grouped max and min over
-    the margin balls of all of them gives each the point that call gives.
-    The covers themselves are not returned: only C_k and the outputs are.
+    one comparison over the pairs.
+
+    The cover depends on k only through which gaps ||f(y) - f(y')|| reach
+    2^-k, so once 2^-k is below f's smallest positive gap the preimage radii
+    repeat.  A level whose radii equal its predecessor's bit for bit reuses
+    that level's refined cover and its ``ball_depth`` pairs.
+
+    Each sample off C_k gets a point within 2^-k of its margin-1/k balls,
+    in level-then-ball order: one grouped ``_intersection_points`` call per
+    level gives every sample the point its own ``ball_intersection_point``
+    call gives.  The covers themselves are not returned: only C_k and the
+    outputs are.
     """
     space = bundle.hspace
     if space.mode != "finite":
@@ -280,20 +285,24 @@ def ucpc_transform(bundle: FunctionBundle) -> SelectionState:
     nY, m = bundle.f_values.shape
     D = space.dense_matrix()
     fdiff = norm(bundle.f_values[:, None, :] - bundle.f_values[None, :, :], tag)
+    cap = D.max() + 1.0
 
     c_masks: list[np.ndarray] = []
     outputs = np.zeros((n_seq, nY, m))
     pair_y, pair_z = np.zeros(0, dtype=np.intp), np.zeros((0, m))
     pair_r, pair_depth = np.zeros(0), np.zeros(0)
     n_pairs = 0
+    prev_rho = None
 
     for k in range(1, n_seq + 1):
-        rho = _preimage_radii(D, fdiff, k)
-        refined = build_refinement(space, CoverSystem(centers=np.arange(nY), radii=rho))
-        ys, bs, depth = ball_depth(space, refined.centers, refined.radii)
-        z = bundle.f_values[refined.centers]
+        rho = _preimage_radii(D, fdiff, k, cap)
+        if prev_rho is None or not _same_bits(rho, prev_rho):
+            refined = build_refinement(space, CoverSystem(centers=np.arange(nY), radii=rho))
+            ys, bs, depth = ball_depth(space, refined.centers, refined.radii)
+            zs = bundle.f_values[refined.centers[bs]]
+        prev_rho = rho
         pair_y = _append(pair_y, n_pairs, ys)
-        pair_z = _append(pair_z, n_pairs, z[bs])
+        pair_z = _append(pair_z, n_pairs, zs)
         pair_r = _append(pair_r, n_pairs, np.full(len(ys), 2.0 ** (-k)))
         pair_depth = _append(pair_depth, n_pairs, depth)
         n_pairs += len(ys)
@@ -314,17 +323,8 @@ def ucpc_transform(bundle: FunctionBundle) -> SelectionState:
         sel = sel[np.argsort(py[sel], kind="stable")]
         bounds = np.searchsorted(py[sel], np.arange(nY + 1))
         off = np.flatnonzero(~in_c)
-        if tag == "linf":
-            # every sample's boxes in one pass; a sample without margin
-            # balls keeps the origin, as ``ball_intersection_point`` gives it
-            pts, ok = np.zeros((len(off), m)), np.ones(len(off), dtype=bool)
-            has = np.flatnonzero(bounds[off + 1] > bounds[off])
-            r = pair_r[sel] + 2.0 ** (-k)
-            pts[has], ok[has] = _box_intersection(pair_z[sel], r, bounds[off[has]])
-        else:  # sel holds the samples off C_k alone, so it splits at their starts
-            groups = np.split(sel, bounds[off[1:]])
-            pts = [ball_intersection_point(pair_z[b], pair_r[b], 2.0 ** (-k), tag) for b in groups]
-            ok = np.array([pt is not EMPTY for pt in pts])
+        # sel holds the samples off C_k alone, so their starts split it
+        pts, ok = _intersection_points(pair_z[sel], pair_r[sel], bounds[off], 2.0 ** (-k), tag)
         if not ok.all():
             # f(y) is in every constraint ball, so this cannot happen
             raise RuntimeError(f"empty constraint set at level {k}, sample {off[~ok][0]}")

@@ -10,6 +10,7 @@ from baireext import pipeline
 from baireext.extension import build_extension, smooth_extension
 from baireext.scenarios import ScenarioConfig, get_scenario
 from baireext.space import CoverSystem, ball_depth
+from baireext.target import UndecidedIntersection
 
 
 @contextmanager
@@ -43,19 +44,29 @@ def recorded_calls(*names):
 
 def selection_levels(calls, bundle) -> list[SimpleNamespace]:
     """The levels of the ``ucpc_transform`` run in ``calls`` (recorded with
-    ``build_refinement``), in level order: level k's refined cover and its
-    target centers z = f(center), so that f maps each ball into
-    B_Z(z, 2^-k)."""
-    covers = [c.result for c in calls["build_refinement"] if c.caller == "ucpc_transform"]
+    ``_preimage_radii`` and ``build_refinement``), in level order: level k's
+    refined cover and its target centers z = f(center), so that f maps each
+    ball into B_Z(z, 2^-k).  A level refines a cover only when its preimage
+    radii differ from its predecessor's, so level k's cover is the one
+    refined from radii equal to its own."""
+    built = {
+        c.args[1].radii.tobytes(): c.result
+        for c in calls["build_refinement"] if c.caller == "ucpc_transform"
+    }
+    radii = [c.result for c in calls["_preimage_radii"] if c.caller == "ucpc_transform"]
+    covers = [built[rho.tobytes()] for rho in radii]
     return [
         SimpleNamespace(k=k, cover=cover, z=bundle.f_values[cover.centers])
         for k, cover in enumerate(covers, start=1)
     ]
 
 
+SELECTION_CALLS = ("ucpc_transform", "_preimage_radii", "build_refinement")
+
+
 def run_selection(bundle):
     """``ucpc_transform(bundle)`` and the selection levels it built."""
-    with recorded_calls("ucpc_transform", "build_refinement") as calls:
+    with recorded_calls(*SELECTION_CALLS) as calls:
         state = pipeline.ucpc_transform(bundle)
     return state, selection_levels(calls, bundle)
 
@@ -83,7 +94,7 @@ def run_scenario_objects(name: str, cfg: ScenarioConfig | None = None) -> Simple
     cfg = cfg or ScenarioConfig()
     data = get_scenario(name).build(cfg)
     diags: list[dict] = []
-    stages = ("ucpc_transform", "lipschitz_mollify", "build_refinement", "partition_of_unity")
+    stages = (*SELECTION_CALLS, "lipschitz_mollify", "partition_of_unity")
     with recorded_calls(*stages) as calls:
         items = pipeline.baire_approximate(data.bundle, diag=diags.append)
     field = None
@@ -131,6 +142,40 @@ def selection_passes(items, n, u_y, dist_h):
     radius = (n * (n + 2.0) + 2.0) * dist_h
     k = max(1.0, float(items[n - 1].lip_bound(np.array([u_y]), np.array([radius]))[0]))
     return not np.isinf(k) and dist_h < 1.0 / (n * k * (n * (n + 2.0) + 2.0))
+
+
+def l2_left_to_right(v):
+    """The Euclidean norm of one vector with its squares summed left to
+    right: the arithmetic of ``target._l2_rows`` below 8 columns."""
+    return np.sqrt(sum(x * x for x in v))
+
+
+def point_by_projection(balls, slack, tag, m, max_sweeps=10_000):
+    """A point within ``slack`` of the closed balls' intersection: the whole
+    space's origin for no balls, the box midpoint in linf, cyclic
+    projections from the first center in l2, one ball at a time; None when
+    certified empty, UndecidedIntersection when the sweeps run out."""
+    if not balls:
+        return np.zeros(m)
+    centers = np.array([c for c, _ in balls], dtype=float)
+    radii = np.array([r for _, r in balls], dtype=float)
+    if tag == "linf":
+        lo = (centers - (radii + slack)[:, None]).max(axis=0)
+        hi = (centers + (radii + slack)[:, None]).min(axis=0)
+        return (lo + hi) / 2.0 if np.all(lo <= hi) else None
+    for i in range(len(balls)):
+        for j in range(len(balls)):
+            if l2_left_to_right(centers[i] - centers[j]) > radii[i] + radii[j] + slack:
+                return None
+    z = centers[0].copy()
+    for _ in range(max_sweeps):
+        for c, r in zip(centers, radii):
+            d = l2_left_to_right(z - c)
+            if d > r:
+                z = c + (z - c) * (r / d)
+        if all(l2_left_to_right(z - c) <= r + slack for c, r in zip(centers, radii)):
+            return z
+    raise UndecidedIntersection(f"no point within slack {slack} after {max_sweeps} sweeps")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -350,14 +350,16 @@ class TestImports:
     def test_a_run_does_not_import_numpy_ma(self):
         """np.unique without index outputs imports ``numpy.ma`` on its first
         call (about 14 ms and 1.2 MiB); a run takes its distinct values
-        without it.  A fresh interpreter is needed, since any earlier test of
-        this process may have imported it."""
+        without it, and so do the l2 selection points.  A fresh interpreter
+        is needed, since any earlier test of this process may have imported
+        it."""
         code = (
             "import sys\n"
             "from baireext.cli import run_scenario\n"
             "from baireext.scenarios import ScenarioConfig\n"
             "run_scenario('S1', ScenarioConfig(grid=41))\n"
             "run_scenario('S3', ScenarioConfig(grid=201))\n"
+            "run_scenario('S2', ScenarioConfig(grid=41, norm='l2'))\n"
             "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
         )
         src = str(Path(baireext.__file__).resolve().parents[1])

@@ -17,12 +17,15 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 from conftest import (
+    SELECTION_CALLS,
     blend_calls,
     dense_ball_depth,
+    point_by_projection,
     raw_cover,
     recorded_calls,
     run_scenario_objects,
     run_selection,
+    selection_levels,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,7 +79,7 @@ from baireext.space import (
     load_space_json,
     partition_of_unity,
 )
-from baireext.target import EMPTY, ball_intersection_point, norm, radial_project
+from baireext.target import ball_intersection_point, norm, radial_project
 from baireext.verify import oscillation
 
 
@@ -238,7 +241,7 @@ class TestRefinementKernel:
             D = hspace.dense_matrix()
             fdiff = norm(bundle.f_values[:, None, :] - bundle.f_values[None, :, :], bundle.norm_tag)
             for lev in levels:
-                raw = raw_cover(pipeline._preimage_radii(D, fdiff, lev.k))
+                raw = raw_cover(pipeline._preimage_radii(D, fdiff, lev.k, D.max() + 1.0))
                 assert_cover_is(lev.cover, refine_by_pairs(hspace, raw))
 
     @settings(max_examples=300, deadline=None)
@@ -1375,33 +1378,6 @@ def constraint_balls(levels, tables, k, y):
     return balls
 
 
-def point_by_projection(balls, slack, tag, m, max_sweeps=10_000):
-    """A point within ``slack`` of the closed balls' intersection: the whole
-    space's origin for no balls, the box midpoint in linf, cyclic
-    projections from the first center in l2; None when certified empty."""
-    if not balls:
-        return np.zeros(m)
-    centers = np.array([c for c, _ in balls], dtype=float)
-    radii = np.array([r for _, r in balls], dtype=float)
-    if tag == "linf":
-        lo = (centers - (radii + slack)[:, None]).max(axis=0)
-        hi = (centers + (radii + slack)[:, None]).min(axis=0)
-        return (lo + hi) / 2.0 if np.all(lo <= hi) else None
-    for i in range(len(balls)):
-        for j in range(len(balls)):
-            if np.linalg.norm(centers[i] - centers[j]) > radii[i] + radii[j] + slack:
-                return None
-    z = centers[0].copy()
-    for _ in range(max_sweeps):
-        for c, r in zip(centers, radii):
-            d = np.linalg.norm(z - c)
-            if d > r:
-                z = c + (z - c) * (r / d)
-        if all(np.linalg.norm(z - c) <= r + slack for c, r in zip(centers, radii)):
-            return z
-    raise AssertionError("cyclic projections found no point")
-
-
 def selection_by_sample(bundle, levels):
     """(outputs, c_masks) of the selection transform over the given level
     covers, one level and one sample at a time: C_k from a loop over the
@@ -1436,28 +1412,65 @@ class TestSelectionArrays:
         "name, grid, steps",
         [("S2", 41, 12), ("S2", 201, 12), ("S3", 201, 12), ("S3", 3201, 12), ("S0", 201, 20)],
     )
-    def test_matches_per_sample_walk(self, monkeypatch, name, grid, steps, tag):
+    def test_matches_per_sample_walk(self, name, grid, steps, tag):
+        """Both norms take the points of every sample off C_k from one
+        grouped pass per level, with no per-sample intersection call."""
         data = get_scenario(name).build(ScenarioConfig(grid=grid, norm=tag, steps=steps))
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(len(args[0]))
-            return ball_intersection_point(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "ball_intersection_point", counted)
-        state, levels = run_selection(data.bundle)
+        with patch.object(pipeline, "ball_intersection_point", None):
+            state, levels = run_selection(data.bundle)
         outputs, c_masks = selection_by_sample(data.bundle, levels)
         assert len(levels) == len(state.c_masks) == data.n_seq
         assert np.array_equal(state.outputs, outputs)
         for got, want in zip(state.c_masks, c_masks):
             assert np.array_equal(got, want)
-        # in l2 one intersection call per sample off C_k, with its margin
-        # balls; linf takes the boxes of every sample in one pass
         off = [(k, y) for k, mask in enumerate(c_masks, start=1) for y in np.flatnonzero(~mask)]
-        tables = level_tables(data.bundle.hspace, levels)
-        per_sample = [len(constraint_balls(levels, tables, k, y)) for k, y in off]
-        assert calls == (per_sample if tag == "l2" else [])
         assert off or name == "S0"  # S0's raw sequence lies in every C_k
+
+    @pytest.mark.parametrize(
+        "name, grid, norm",
+        [("S2", grid, norm) for grid in (41, 81, 121, 161, 201) for norm in ("linf", "l2")]
+        + [("S3", 3201, "linf"), ("S3", 3201, "l2"), ("S0", 201, "linf")],
+    )
+    def test_one_cover_per_distinct_radius_row(self, name, grid, norm):
+        """A level whose preimage radii repeat its predecessor's bit for bit
+        refines no cover and measures no depth: every benchmark run of S2,
+        S3 in each norm and S0 has one distinct row and builds one cover."""
+        data = get_scenario(name).build(ScenarioConfig(grid=grid, norm=norm))
+        with recorded_calls(*SELECTION_CALLS, "ball_depth") as calls:
+            pipeline.ucpc_transform(data.bundle)
+        radii = [c.result for c in calls["_preimage_radii"]]
+        assert len(radii) == data.n_seq > 1
+        distinct = 1 + sum(a.tobytes() != b.tobytes() for a, b in zip(radii, radii[1:]))
+        assert distinct == 1
+        for stage in ("build_refinement", "ball_depth"):
+            assert sum(c.caller == "ucpc_transform" for c in calls[stage]) == distinct
+
+    @settings(max_examples=80, deadline=None)
+    @given(finite_spaces(), st.sampled_from(["linf", "l2"]), st.integers(1, 3), st.integers(1, 7), st.data())
+    def test_reused_covers_match_per_sample_walk(self, space, tag, m, n_seq, data):
+        """f on a 1/8 grid: its positive gaps are at least 1/8 = 2^-3, so the
+        preimage radii may change at levels 2 and 3 and repeat from then on.
+        The transform refines one cover per change and still gives the
+        outputs and C_k of the walk over every level's own cover."""
+        n = space.n_points
+        eighths = st.sampled_from(np.arange(-8, 9) / 8.0)
+        f = data.draw(hnp.arrays(float, (n, m), elements=eighths))
+        h = f + data.draw(hnp.arrays(float, (n_seq, n, m), elements=eighths))
+        bundle = FunctionBundle(
+            hspace=space, norm_tag=tag, h_values=h, f_values=f, h_lip=None,
+            conv_mask=np.ones(n, dtype=bool),
+        )
+        with recorded_calls(*SELECTION_CALLS) as calls:
+            state = pipeline.ucpc_transform(bundle)
+        levels = selection_levels(calls, bundle)
+        radii = [c.result for c in calls["_preimage_radii"]]
+        changes = sum(a.tobytes() != b.tobytes() for a, b in zip(radii, radii[1:]))
+        assert len(calls["build_refinement"]) == 1 + changes
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(radii[2:], radii[3:]))
+        outputs, c_masks = selection_by_sample(bundle, levels)
+        assert state.outputs.tobytes() == outputs.tobytes()
+        for got, want in zip(state.c_masks, c_masks):
+            assert np.array_equal(got, want)
 
     @settings(max_examples=60, deadline=None)
     @given(finite_spaces(), st.integers(1, 3), st.integers(1, 6), st.data())
@@ -1495,12 +1508,13 @@ class TestSelectionArrays:
             (k, y) for k, mask in enumerate(state.c_masks, start=1)
             for y in np.flatnonzero(~mask) if constraint_balls(levels, tables, k, y)
         )
-        box = pipeline._box_intersection
-        monkeypatch.setattr(pipeline, "_box_intersection", lambda *a: (box(*a)[0], False))
-        point = pipeline.ball_intersection_point
-        monkeypatch.setattr(
-            pipeline, "ball_intersection_point", lambda c, *a: EMPTY if len(c) else point(c, *a)
-        )
+        points = pipeline._intersection_points
+
+        def none_found(centers, radii, starts, *args):
+            pts, ok = points(centers, radii, starts, *args)
+            return pts, ok & (np.diff(starts, append=len(centers)) == 0)
+
+        monkeypatch.setattr(pipeline, "_intersection_points", none_found)
         with pytest.raises(RuntimeError, match=rf"^empty constraint set at level {k}, sample {y}$"):
             pipeline.ucpc_transform(data.bundle)
 

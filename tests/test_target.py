@@ -2,6 +2,7 @@
 intersections of closed ball families."""
 import numpy as np
 import pytest
+from conftest import point_by_projection
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -9,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from baireext.target import (
     EMPTY,
     UndecidedIntersection,
+    _intersection_points,
     _l2_rows,
     ball_intersection_point,
     norm,
@@ -207,6 +209,111 @@ class TestBallIntersection:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             ball_intersection_point(np.zeros((2, 1)), np.array([1.0, -1.0]))
+
+
+def triangle(side, m, angle=0.0, shift=0.0):
+    """Three unit balls centered on an equilateral triangle in the first two
+    of m >= 2 coordinates.  Their intersection is small for a side near
+    sqrt(3), so cyclic projections take several sweeps to reach it."""
+    tri = side * np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    centers = np.zeros((3, m))
+    centers[:, :2] = tri @ rot.T
+    return centers + shift, np.ones(3)
+
+
+@st.composite
+def ball_groups(draw):
+    """(m, groups): 1-5 families of 0-6 balls in R^m, m = 1-3, each a list
+    of (center, radius) pairs; from m = 2 on some are ``triangle`` families
+    with sides of 1.6-1.72, which need 2 to 25 l2 sweeps."""
+    m = draw(st.integers(1, 3))
+    groups = []
+    for _ in range(draw(st.integers(1, 5))):
+        if m >= 2 and draw(st.booleans()):
+            centers, radii = triangle(
+                draw(st.floats(1.6, 1.72)), m, draw(st.floats(0, 2 * np.pi)),
+                draw(hnp.arrays(float, m, elements=st.floats(-3, 3))),
+            )
+        else:
+            n = draw(st.integers(0, 6))
+            centers = draw(hnp.arrays(float, (n, m), elements=st.floats(-5, 5)))
+            radii = draw(hnp.arrays(float, n, elements=st.floats(0.1, 4.0)))
+        groups.append(list(zip(centers, radii)))
+    return m, groups
+
+
+def stacked(m, groups):
+    """(centers, radii, starts) of the families, one after another."""
+    centers = np.array([c for g in groups for c, _ in g], dtype=float).reshape(-1, m)
+    radii = np.array([r for g in groups for _, r in g], dtype=float)
+    return centers, radii, np.cumsum([0] + [len(g) for g in groups[:-1]])
+
+
+class TestGroupedIntersection:
+    """``_intersection_points`` against one ``ball_intersection_point`` call
+    per group, and that call against the ball-by-ball walk."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ball_groups(),
+        st.one_of(st.floats(0.0, 0.5), st.sampled_from([0.0, 1e-6, 1e-3, 1e-2])),
+        st.sampled_from(["l2", "linf"]),
+        st.sampled_from([1, 3, 10_000]),
+    )
+    def test_each_group_gets_the_bits_of_its_own_call(self, case, slack, tag, max_sweeps):
+        m, groups = case
+        own, undecided = [], False
+        for g in groups:
+            centers, radii, _ = stacked(m, [g])
+            try:
+                pt = ball_intersection_point(centers, radii, slack, tag, max_sweeps)
+            except UndecidedIntersection:
+                undecided = True
+                with pytest.raises(UndecidedIntersection):
+                    point_by_projection(g, slack, tag, m, max_sweeps)
+                continue
+            want = point_by_projection(g, slack, tag, m, max_sweeps)
+            assert (pt is EMPTY) == (want is None)
+            assert pt is EMPTY or pt.tobytes() == want.tobytes()
+            own.append(pt)
+        if undecided:  # one group out of sweeps stops the whole call
+            with pytest.raises(UndecidedIntersection):
+                _intersection_points(*stacked(m, groups), slack, tag, max_sweeps)
+            return
+        pts, ok = _intersection_points(*stacked(m, groups), slack, tag, max_sweeps)
+        assert pts.shape == (len(groups), m)
+        for pt, got, found in zip(own, pts, ok):
+            assert found == (pt is not EMPTY)
+            assert pt is EMPTY or got.tobytes() == pt.tobytes()
+
+    def test_a_converged_group_keeps_its_point_while_another_sweeps(self):
+        """At slack 0.01 the side-1.55 triangle is met in one sweep by a
+        point just outside its second ball, which another sweep would move;
+        the side-1.7 triangle needs three sweeps."""
+        quick, slow = triangle(1.55, 2), triangle(1.7, 2)
+        one = ball_intersection_point(*quick, slack=0.01, tag="l2", max_sweeps=1)
+        assert _l2_rows(one, quick[0])[1] > 1.0
+        with pytest.raises(UndecidedIntersection):
+            ball_intersection_point(*slow, slack=0.01, tag="l2", max_sweeps=2)
+        three = ball_intersection_point(*slow, slack=0.01, tag="l2", max_sweeps=3)
+        for groups in ([quick, slow], [slow, quick]):
+            centers = np.concatenate([c for c, _ in groups])
+            radii = np.concatenate([r for _, r in groups])
+            pts, ok = _intersection_points(centers, radii, [0, 3], 0.01, "l2", max_sweeps=3)
+            assert ok.all()
+            assert [p.tobytes() for p in pts] == [
+                (one if c is quick[0] else three).tobytes() for c, _ in groups
+            ]
+            with pytest.raises(UndecidedIntersection):
+                _intersection_points(centers, radii, [0, 3], 0.01, "l2", max_sweeps=2)
+
+    def test_a_group_without_balls_gets_the_origin(self):
+        centers, radii = balls_of([([3.0, 4.0], 1.0)])
+        for tag in ("l2", "linf"):
+            pts, ok = _intersection_points(centers, radii, [0, 0, 1], 0.0, tag)
+            assert ok.all()
+            assert np.array_equal(pts, [[0.0, 0.0], [3.0, 4.0], [0.0, 0.0]])
 
 
 @st.composite
