@@ -239,15 +239,18 @@ def _preimage_radii(D: np.ndarray, fdiff: np.ndarray, k: int, cap: float) -> np.
     return np.minimum(rho, cap)
 
 
-def _append(buf: np.ndarray, used: int, new: np.ndarray) -> np.ndarray:
-    """``buf`` with ``new`` written after its first ``used`` rows, in a copy
-    of twice the size when it does not fit."""
-    if used + len(new) > len(buf):
-        grown = np.empty((max(2 * len(buf), used + len(new)),) + buf.shape[1:], buf.dtype)
-        grown[:used] = buf[:used]
-        buf = grown
-    buf[used:used + len(new)] = new
-    return buf
+@dataclass
+class _CoverRun:
+    """Consecutive levels ``first``..``last`` with bit for bit equal preimage
+    radii ``rho``: one refined cover, as ``ball_depth`` pairs (sample ``ys``,
+    target center ``zs``, ``depth``); level i gives pair z the ball B_Z(z, 2^-i)."""
+
+    rho: np.ndarray
+    ys: np.ndarray
+    zs: np.ndarray
+    depth: np.ndarray
+    first: int
+    last: int
 
 
 def ucpc_transform(bundle: FunctionBundle) -> SelectionState:
@@ -259,23 +262,19 @@ def ucpc_transform(bundle: FunctionBundle) -> SelectionState:
     already satisfies the full constraint set (y in C_k) and otherwise picks a
     point within 2^-k of the margin-1/k constraint set.
 
-    The constraint balls of every level built so far are held as stacked
-    arrays of their (sample, ball) membership pairs, in level-then-sample
-    order: the sample, the ball's target center and radius, and the depth
-    of the sample in the ball, as ``ball_depth`` gives them.  Each array
-    doubles when it is full.  Only a ball holding y constrains y, so C_k is
-    one comparison over the pairs.
-
     The cover depends on k only through which gaps ||f(y) - f(y')|| reach
     2^-k, so once 2^-k is below f's smallest positive gap the preimage radii
-    repeat.  A level whose radii equal its predecessor's bit for bit reuses
-    that level's refined cover and its ``ball_depth`` pairs.
+    repeat.  A run of levels with equal radii shares one cover and one set of
+    (sample, ball) pairs (``_CoverRun``).  Only a ball holding y constrains
+    y, and a run's balls around one center are concentric, its last level's
+    the smallest, so C_k is one comparison per run against 2^-last (exact:
+    the radii are powers of two).
 
     Each sample off C_k gets a point within 2^-k of its margin-1/k balls,
-    in level-then-ball order: one grouped ``_intersection_points`` call per
-    level gives every sample the point its own ``ball_intersection_point``
-    call gives.  The covers themselves are not returned: only C_k and the
-    outputs are.
+    every level's copy of its run's balls in level-then-ball order: one
+    grouped ``_intersection_points`` call per level gives every sample the
+    point its own ``ball_intersection_point`` call gives.  Only C_k and the
+    outputs are returned.
     """
     space = bundle.hspace
     if space.mode != "finite":
@@ -289,42 +288,41 @@ def ucpc_transform(bundle: FunctionBundle) -> SelectionState:
 
     c_masks: list[np.ndarray] = []
     outputs = np.zeros((n_seq, nY, m))
-    pair_y, pair_z = np.zeros(0, dtype=np.intp), np.zeros((0, m))
-    pair_r, pair_depth = np.zeros(0), np.zeros(0)
-    n_pairs = 0
-    prev_rho = None
+    runs: list[_CoverRun] = []
 
     for k in range(1, n_seq + 1):
         rho = _preimage_radii(D, fdiff, k, cap)
-        if prev_rho is None or not _same_bits(rho, prev_rho):
+        if runs and _same_bits(rho, runs[-1].rho):
+            runs[-1].last = k
+        else:
             refined = build_refinement(space, CoverSystem(centers=np.arange(nY), radii=rho))
             ys, bs, depth = ball_depth(space, refined.centers, refined.radii)
-            zs = bundle.f_values[refined.centers[bs]]
-        prev_rho = rho
-        pair_y = _append(pair_y, n_pairs, ys)
-        pair_z = _append(pair_z, n_pairs, zs)
-        pair_r = _append(pair_r, n_pairs, np.full(len(ys), 2.0 ** (-k)))
-        pair_depth = _append(pair_depth, n_pairs, depth)
-        n_pairs += len(ys)
-        py = pair_y[:n_pairs]
+            runs.append(_CoverRun(rho, ys, bundle.f_values[refined.centers[bs]], depth, k, k))
 
         # C_k: h_k(y) lies in every constraint ball of the full system
         hk = bundle.h_values[k - 1]
-        viol = norm(hk[py] - pair_z[:n_pairs], tag) > pair_r[:n_pairs]
         in_c = np.ones(nY, dtype=bool)
-        in_c[py[viol]] = False
+        for run in runs:
+            in_c[run.ys[norm(hk[run.ys] - run.zs, tag) > 2.0 ** (-run.last)]] = False
         c_masks.append(in_c)
 
         outputs[k - 1] = hk
         if in_c.all():
             continue
-        # the margin balls of the samples off C_k, grouped by sample
-        sel = np.flatnonzero((pair_depth[:n_pairs] >= 1.0 / k) & ~in_c[py])
-        sel = sel[np.argsort(py[sel], kind="stable")]
-        bounds = np.searchsorted(py[sel], np.arange(nY + 1))
+        # every level's copy of the margin balls off C_k, stably grouped by sample
+        py, pz, pr = [], [], []
+        for run in runs:
+            keep = np.flatnonzero((run.depth >= 1.0 / k) & ~in_c[run.ys])
+            levels = np.arange(run.first, run.last + 1)
+            py.append(np.tile(run.ys[keep], len(levels)))
+            pz.append(np.tile(run.zs[keep], (len(levels), 1)))
+            pr.append(np.repeat(np.ldexp(1.0, -levels), len(keep)))  # 2^-i, exactly
+        py, pz, pr = map(np.concatenate, (py, pz, pr))
+        order = np.argsort(py, kind="stable")
+        bounds = np.searchsorted(py[order], np.arange(nY + 1))
         off = np.flatnonzero(~in_c)
-        # sel holds the samples off C_k alone, so their starts split it
-        pts, ok = _intersection_points(pair_z[sel], pair_r[sel], bounds[off], 2.0 ** (-k), tag)
+        # the margin balls hold the samples off C_k alone, so their starts split them
+        pts, ok = _intersection_points(pz[order], pr[order], bounds[off], 2.0 ** (-k), tag)
         if not ok.all():
             # f(y) is in every constraint ball, so this cannot happen
             raise RuntimeError(f"empty constraint set at level {k}, sample {off[~ok][0]}")

@@ -442,11 +442,8 @@ def _expand_lower_triangular(tri: Sequence[float], n: int) -> np.ndarray:
             f"lower-triangular matrix for {n} points needs {need} entries, got {len(tri)}"
         )
     m = np.zeros((n, n), dtype=float)
-    k = 0
-    for i in range(n):
-        for j in range(i + 1):
-            m[i, j] = m[j, i] = tri[k]
-            k += 1
+    i, j = np.tril_indices(n)
+    m[i, j] = m[j, i] = np.asarray(tri, dtype=float)
     return m
 
 
@@ -483,6 +480,9 @@ def load_space_json(text: str, mode: str = "finite", delta: float = 0.0) -> Samp
     "H": [indices]}.
     """
     doc = json.loads(text)
+    for key in ("points", "dist", "H"):
+        if not isinstance(doc, dict) or not isinstance(doc.get(key), list):
+            raise SpaceConfigError(f"space document needs a list under key {key!r}")
     labels = tuple(doc["points"])
     for k, e in enumerate(doc["dist"]):
         if isinstance(e, bool) or not isinstance(e, (int, float)):

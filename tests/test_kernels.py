@@ -1,6 +1,6 @@
 """Row-sized distance kernels, the sorted-neighbour cover kernels, the
 smoothing contributor search, the cover-level ball depth, the shared weight
-and field-row code, the selection transform on stacked ball arrays and the
+and field-row code, the selection transform over runs of shared covers and the
 array-only Lipschitz oracles: each one is compared bit for bit with the
 per-pair, per-query, per-ball, dense all-pairs, per-caller, per-sample or
 per-center formula it replaced, written out here."""
@@ -1359,7 +1359,7 @@ class TestSparseWeights:
 
 
 # ---------------------------------------------------------------------------
-# the selection transform on stacked ball arrays
+# the selection transform over runs of levels that share a cover
 # ---------------------------------------------------------------------------
 
 def level_tables(space, levels):
@@ -1444,6 +1444,45 @@ class TestSelectionArrays:
         assert distinct == 1
         for stage in ("build_refinement", "ball_depth"):
             assert sum(c.caller == "ucpc_transform" for c in calls[stage]) == distinct
+
+    def test_c_k_compares_each_cover_pair_once(self):
+        """S0 with 20 steps refines one cover for all its 202 levels.  Past
+        f's gap table, each ``norm`` call of the transform is one level's
+        C_k test, and it holds each of the cover's pairs once, not one copy
+        per level so far."""
+        data = get_scenario("S0").build(ScenarioConfig(steps=20))
+        with recorded_calls("ucpc_transform", "ball_depth", "norm") as calls:
+            pipeline.ucpc_transform(data.bundle)
+        (cover,) = [c.result for c in calls["ball_depth"] if c.caller == "ucpc_transform"]
+        fdiff, *tests = [c.args[0] for c in calls["norm"] if c.caller == "ucpc_transform"]
+        assert data.n_seq == 202
+        assert fdiff.shape[:2] == (data.bundle.hspace.n_points,) * 2
+        assert len(tests) == data.n_seq
+        assert max(len(rows) for rows in tests) == len(cover[0])
+
+    def test_l2_points_walk_every_level_copy_of_a_shared_cover(self):
+        """m = 2 in l2, f on a 1/8 grid: level 2 already counts every gap of
+        f, so levels 2 and 3 share one cover.  Sample 2 is off C_3, and its
+        margin balls are both levels' copies of that cover's balls; the walk
+        over the finest copy alone ends on other bits, so the transform's
+        point must be the walk's over every copy."""
+        space = json_line_space([1.0, 6.0, 7.0], h=[0])
+        f = np.array([[-5, -5], [1, -3], [0, -5]]) / 8.0
+        h = np.array([
+            [[3, -2], [4, -10], [-6, 2]], [[-8, 1], [6, -11], [0, -4]], [[-6, -12], [5, -7], [-3, -6]],
+        ]) / 8.0
+        bundle = FunctionBundle(
+            hspace=space, norm_tag="l2", h_values=h, f_values=f, h_lip=None,
+            conv_mask=np.ones(3, dtype=bool),
+        )
+        state, levels = run_selection(bundle)
+        assert levels[1].cover is levels[2].cover
+        outputs, c_masks = selection_by_sample(bundle, levels)
+        assert not c_masks[2][2]
+        assert state.outputs.tobytes() == outputs.tobytes()
+        finest = [levels[0], levels[2]]
+        balls = constraint_balls(finest, level_tables(space, finest), 3, 2)
+        assert point_by_projection(balls, 2.0 ** -3, "l2", 2).tobytes() != outputs[2, 2].tobytes()
 
     @settings(max_examples=80, deadline=None)
     @given(finite_spaces(), st.sampled_from(["linf", "l2"]), st.integers(1, 3), st.integers(1, 7), st.data())

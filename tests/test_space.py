@@ -14,6 +14,7 @@ from baireext.space import (
     CoverSystem,
     SampledSpace,
     SpaceConfigError,
+    _expand_lower_triangular,
     build_refinement,
     dense_weights,
     load_space_json,
@@ -253,6 +254,42 @@ class TestFiniteMetricLoading:
             load_space_json(json.dumps({**doc, **changes}))
         assert "\n" not in str(got.value)
         return str(got.value)
+
+    @pytest.mark.parametrize("text, key", [
+        ("{}", "points"),
+        ("[]", "points"),
+        ('"points"', "points"),
+        ('{"points": ["a", "b", "c"], "dist": [0, 1, 0, 2, 1.5, 0]}', "H"),
+    ])
+    def test_missing_key_rejected(self, text, key):
+        """A document that is not an object, or lacks a key, is refused by
+        the first key it lacks, not with a KeyError or TypeError."""
+        with pytest.raises(SpaceConfigError) as got:
+            load_space_json(text)
+        assert str(got.value) == f"space document needs a list under key {key!r}"
+
+    @pytest.mark.parametrize("key, value", [
+        ("points", "abc"), ("points", 3), ("dist", 5), ("dist", "0"), ("dist", None),
+        ("H", 0), ("H", "0"), ("H", {"0": 1}),
+    ])
+    def test_non_list_key_rejected(self, key, value):
+        """A string is refused too, though it iterates: "abc" would load as
+        three labels."""
+        assert self.load_error(**{key: value}) == f"space document needs a list under key {key!r}"
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 40])
+    def test_lower_triangular_expansion_matches_row_loop(self, n):
+        """Row-major lower-triangular entries fill both triangles, bit for
+        bit as the (i, j <= i) loop writes them; ints and floats alike."""
+        rng = np.random.default_rng(n)
+        tri = [float(v) if p % 3 else int(10 * v) for p, v in enumerate(rng.random(n * (n + 1) // 2))]
+        want = np.zeros((n, n))
+        pos = 0
+        for i in range(n):
+            for j in range(i + 1):
+                want[i, j] = want[j, i] = tri[pos]
+                pos += 1
+        assert _expand_lower_triangular(tri, n).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("entry, shown", [(0.7, "0.7"), (True, "True"), ("1", "'1'")])
     def test_non_integer_h_entry_rejected(self, entry, shown):
