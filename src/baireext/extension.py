@@ -30,8 +30,8 @@ whose ball extent y_c +- dist(c,H)/3 can hold y_q (``_search_ranges``).  Along
 a line dist(., H) is 1-Lipschitz, so both ball ends are nondecreasing and the
 run holds little more than the contributors.  Each block of candidates is
 sorted once into (query, center) order before its distances are taken.  The
-field table is written column by column, byte for byte the text of the
-``field_rows`` dicts.
+field table is written ``_ROW_BLOCK`` rows at a time, column by column, byte
+for byte the text of the ``field_rows`` dicts.
 """
 from __future__ import annotations
 
@@ -335,10 +335,27 @@ def _search_ranges(field: ExtensionField, q_pos: np.ndarray, center_pos, center_
 
 def _pair_dists(space: SampledSpace, q_pos: np.ndarray, c_pos: np.ndarray) -> np.ndarray:
     """d(q, c) per pair of rows of ``q_pos`` and ``c_pos`` (coordinate rows, or
-    sample indices on a metric matrix)."""
+    sample indices on a metric matrix) as a fresh array; (dim, pairs) arrays
+    seen transposed give ``_l2_rows`` contiguous columns."""
     if space.coords is None:
         return space.dmat[q_pos, c_pos]
     return _l2_rows(c_pos, q_pos)
+
+
+def _block_candidates(order, lo, hi, base, count) -> np.ndarray:
+    """The candidate centers ``order[lo:hi]`` of a block's entries, with
+    ``count`` per query, each query's run in ascending order.  ``base`` is
+    q nc per query: the keys q nc + c are unique, since one query's ranges
+    are disjoint, so one sort orders every query's run."""
+    span = hi - lo
+    at = np.repeat(lo - (np.cumsum(span) - span), span)
+    at += np.arange(len(at))
+    c = order.take(at)
+    base = np.repeat(base, count)
+    c += base
+    c.sort()
+    c -= base
+    return c
 
 
 def _smooth_blocks(field: ExtensionField):
@@ -352,10 +369,8 @@ def _smooth_blocks(field: ExtensionField):
     triangle argument behind the factor-4 ratio).  The search looks only
     there (``_search_ranges``).  Distances and weights are evaluated for
     blocks of at most ``_PAIR_BLOCK`` candidate pairs (a single query may
-    exceed it).  A block's candidates are sorted once on the key q nc + c,
-    unique since one query's ranges are disjoint, so every query's
-    candidates, and the contributors that pass ``w > 0``, come in ascending
-    center order.
+    exceed it).  Every query's candidates (``_block_candidates``), and the
+    contributors that pass ``w > 0``, come in ascending center order.
     """
     space = field.space
     center_pos, center_dh = field.center_pos, field.center_dist_h
@@ -365,41 +380,44 @@ def _smooth_blocks(field: ExtensionField):
     order, eq, lo, hi = _search_ranges(field, q_pos, center_pos, center_dh)
     first = np.searchsorted(eq, np.arange(nq + 1))  # each query's first entry
     before = np.concatenate([[0], np.cumsum(hi - lo)])[first]  # pairs ahead of q
+    q_pos, center_pos = q_pos.T, center_pos.T  # gathers keep coordinates contiguous
     a = 0
     while a < nq:
         # queries a..b-1 bring at most _PAIR_BLOCK candidate pairs (or a alone)
         b = max(a + 1, int(np.searchsorted(before, before[a] + _PAIR_BLOCK, "right")) - 1)
         e = slice(first[a], first[b])
-        span = hi[e] - lo[e]
-        at = np.repeat(lo[e] - (np.cumsum(span) - span), span) + np.arange(span.sum())
-        # the sorted keys q nc + c leave each query's candidates in its own run
         edges = before[a : b + 1] - before[a]
         count = np.diff(edges)
-        base = np.repeat(np.arange(a, b) * nc, count)
-        c = np.sort(base + order[at]) - base
-        w = radii.take(c) - _pair_dists(
-            space, np.repeat(q_pos[a:b], count, axis=0), center_pos.take(c, axis=0)
+        c = _block_candidates(order, lo[e], hi[e], np.arange(a, b) * nc, count)
+        w = _pair_dists(
+            space, np.repeat(q_pos[..., a:b], count, axis=-1).T, center_pos.take(c, axis=-1).T
         )
+        np.subtract(radii.take(c), w, out=w)
         keep = w > 0
-        bounds = np.concatenate([[0], np.cumsum(keep)])[edges]
+        drop = np.flatnonzero(~keep)
+        bounds = edges
+        if drop.size:
+            bounds = edges - np.searchsorted(drop, edges)
+            c, w = c[keep], w[keep]
         empty = np.flatnonzero(bounds[1:] == bounds[:-1])
         if empty.size:
             q = int(field.query_idx[a + empty[0]])
             raise CoverageError(f"query {q} is covered by no smoothing ball")
-        yield a, b, bounds.tolist(), c[keep], w[keep]
+        yield a, b, bounds.tolist(), c, w
         a = b
 
 
 def smooth_extension(field: ExtensionField) -> ExtensionField:
     """Fill g_smooth: blend of g over {B(x_a, dist(x_a,H)/3)} with the weights
-    of ``_smooth_blocks``.  Each query's own weight sum and product with its
-    rows of the gathered g give the float a scan over every center gives."""
+    of ``_smooth_blocks``.  Each query's own pairwise weight sum and product
+    with its rows of the gathered g give the float a scan over every center
+    gives (``reduceat`` sums in another order)."""
     g_smooth = np.zeros_like(field.g)
     for a, b, bounds, c, w in _smooth_blocks(field):
         gc = field.center_g.take(c, axis=0)  # a query's rows are one C-contiguous slice
-        for q, s, t in zip(range(a, b), bounds, bounds[1:]):
-            wv = w[s:t]
-            g_smooth[q] = np.divide(wv, np.add.reduce(wv), out=wv) @ gc[s:t]
+        sums = [np.add.reduce(w[s:t]) for s, t in zip(bounds, bounds[1:])]
+        w /= np.repeat(sums, np.diff(bounds))
+        g_smooth[a:b] = [w[s:t] @ gc[s:t] for s, t in zip(bounds, bounds[1:])]
     return replace(field, g_smooth=g_smooth)
 
 
@@ -512,7 +530,7 @@ def _field_columns(field: ExtensionField, anchor_y: int) -> list[tuple]:
 
 
 def _cell_text(values: np.ndarray, special: Optional[dict] = None) -> list[list[str]]:
-    """``repr`` of every value, one list per component (one for a (nq,)
+    """``repr`` of every value, one list per component (one for a (rows,)
     column): the shortest round-trip float form.  ``special`` respells the
     non-finite floats."""
     out = []
@@ -522,6 +540,16 @@ def _cell_text(values: np.ndarray, special: Optional[dict] = None) -> list[list[
             text = [special.get(t, t) for t in text]
         out.append(text)
     return out
+
+
+def _row_blocks(columns: list[np.ndarray], special: Optional[dict] = None):
+    """Per ``_ROW_BLOCK`` rows of ``columns``, one tuple of ``_cell_text``
+    strings per row, so only one block's cells exist at a time."""
+    for a in range(0, len(columns[0]), _ROW_BLOCK):
+        text = []
+        for values in columns:
+            text += _cell_text(values[a:a + _ROW_BLOCK], special)
+        yield zip(*text)
 
 
 # json's spellings of the non-finite floats
@@ -541,22 +569,22 @@ def field_to_csv(field: ExtensionField, anchor_y: int) -> str:
     """The ``field_rows`` table as CSV: x0.. (or x_index), dist_h, n_of_x,
     u_index, g.., g_smooth.., q_nt, alp5_rhs, alp5_slack.  Cells are ``repr``
     text: the shortest round-trip float form, bit-stable across runs."""
-    heads, text = [], []
-    for _, values, col_heads in _field_columns(field, anchor_y):
-        heads += col_heads
-        text += _cell_text(values)
-    return "\n".join([",".join(heads), *map(",".join, zip(*text))]) + "\n"
+    cols = _field_columns(field, anchor_y)
+    text = [",".join(head for _, _, heads in cols for head in heads) + "\n"]
+    for rows in _row_blocks([values for _, values, _ in cols]):
+        text.append("\n".join(map(",".join, rows)) + "\n")
+    return "".join(text)
 
 
 def field_to_json(field: ExtensionField, anchor_y: int) -> str:
     """``json.dumps(field_rows(field, anchor_y), sort_keys=True)``, written
     column by column: keys in sorted order, floats in ``repr`` form and
     NaN, Infinity and -Infinity spelled as json spells them."""
-    parts, text = [], []
-    for key, values, _ in sorted(_field_columns(field, anchor_y), key=lambda c: c[0]):
-        cells = _cell_text(values, _JSON_FLOATS)
-        slots = ", ".join(["%s"] * len(cells))
+    cols = sorted(_field_columns(field, anchor_y), key=lambda c: c[0])
+    parts = []
+    for key, values, _ in cols:
+        slots = ", ".join(["%s"] * (1 if values.ndim == 1 else values.shape[1]))
         parts.append(f'"{key}": ' + (slots if values.ndim == 1 else f"[{slots}]"))
-        text += cells
     row = "{" + ", ".join(parts) + "}"
-    return "[" + ", ".join(row % cells for cells in zip(*text)) + "]"
+    blocks = _row_blocks([values for _, values, _ in cols], _JSON_FLOATS)
+    return "[" + ", ".join([", ".join([row % cells for cells in rows]) for rows in blocks]) + "]"

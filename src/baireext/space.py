@@ -95,7 +95,7 @@ _WINDOW = 8
 _PROBE_MIN = 128
 # candidate (query, center) pairs per block of the smoothing search: bounds
 # its pair-sized distance and weight temporaries
-_PAIR_BLOCK = 4096
+_PAIR_BLOCK = 16384
 
 
 class SpaceConfigError(ValueError):
@@ -477,13 +477,19 @@ def load_space_json(text: str, mode: str = "finite", delta: float = 0.0) -> Samp
     """Load a finite metric space from a JSON document.
 
     Schema: {"points": [labels], "dist": row-major lower-triangular matrix,
-    "H": [indices]}.
+    "H": [indices]}; a label is a string or a number.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise SpaceConfigError(f"space document is not JSON: {err}") from None
     for key in ("points", "dist", "H"):
         if not isinstance(doc, dict) or not isinstance(doc.get(key), list):
             raise SpaceConfigError(f"space document needs a list under key {key!r}")
     labels = tuple(doc["points"])
+    for k, e in enumerate(labels):
+        if isinstance(e, bool) or not isinstance(e, (str, int, float)):
+            raise SpaceConfigError(f"point label {k} is {e!r}, not a string or a number")
     for k, e in enumerate(doc["dist"]):
         if isinstance(e, bool) or not isinstance(e, (int, float)):
             raise SpaceConfigError(f"dist entry {k} is {e!r}, not a number")

@@ -673,8 +673,10 @@ class TestSmoothingKernel:
     def test_no_dense_query_center_temporary(self):
         """Peak traced memory of smoothing S3 at grid 1601 stays below the
         nq x nc float64 table the dense formula needed.  What it frees again
-        stays within a few pair blocks plus the per-query and per-center
-        search arrays: every candidate pair at once (about 640k here) would
+        stays within 1,663,744 bytes, the allowance of 4096-pair blocks
+        (8 (32 * 4096 + 16 (nq + nc)) at nq = 1602, nc = 3204), written as
+        bytes so a larger block cannot loosen it; 16384-pair blocks free
+        about 1.23 MB.  Every candidate pair at once (about 640k here) would
         take some 30 MB."""
         cfg = ScenarioConfig(grid=1601)
         data = get_scenario("S3").build(cfg)
@@ -692,7 +694,60 @@ class TestSmoothingKernel:
         dense_bytes = nq * nc * 8
         assert dense_bytes > 20_000_000
         assert peak < dense_bytes
-        assert peak - held < 8 * (32 * _PAIR_BLOCK + 16 * (nq + nc))
+        assert (nq, nc) == (1602, 3204)
+        assert peak - held < 1_663_744
+
+    @staticmethod
+    def smoothing_with_block(field, block, monkeypatch):
+        """(g_smooth, contributors, factor-4 range) of ``field`` smoothed in
+        blocks of ``block`` candidate pairs, and (blocks that kept every
+        candidate, blocks that dropped some)."""
+        with monkeypatch.context() as patch:
+            patch.setattr(extension, "_PAIR_BLOCK", block)
+            evaluated = []
+            pair_dists = extension._pair_dists
+
+            def counting(space, q_pos, c_pos):
+                evaluated.append(len(q_pos))
+                return pair_dists(space, q_pos, c_pos)
+
+            patch.setattr(extension, "_pair_dists", counting)
+            kept = [len(c) for *_, c, _ in extension._smooth_blocks(field)]
+            whole = sum(k == n for k, n in zip(kept, evaluated))
+            smoothed = smooth_extension(field)
+            got = (smoothed.g_smooth, smoothed.contributors, factor4_ratio_range(smoothed))
+        return got, (whole, len(kept) - whole)
+
+    @pytest.mark.parametrize("which", ["S1@201", "S3@201", "dmat"])
+    def test_pair_block_size_changes_no_bit(self, which, s1_run, s3_run, monkeypatch):
+        """g_smooth, the contributors and the factor-4 range are the same bits
+        with pair blocks of 1, 97, 4096 and ``_PAIR_BLOCK`` candidates: on
+        S1@201 (the plane), S3@201 (a line) and the JSON-metric line of
+        ``test_dmat_branch_matches_stacked_table``.  Each field has blocks
+        that keep every candidate (yielded as they are) and blocks that drop
+        some (compressed)."""
+        if which == "dmat":
+            xs, h = DYADIC_XS, DYADIC_H
+            q = np.array([i for i in range(len(xs)) if i not in h])
+            items = constant_lip_items(12, len(h))
+            field = build_extension(json_line_space(xs, h), items, items[-1].values, q)
+        else:
+            field = (s1_run if which == "S1@201" else s3_run).field
+        want = None
+        paths = np.zeros(2, dtype=int)
+        for block in (_PAIR_BLOCK, 1, 97, 4096):
+            (g_smooth, contributors, ratios), counts = self.smoothing_with_block(
+                field, block, monkeypatch
+            )
+            paths += counts
+            if want is None:
+                want = g_smooth, contributors, ratios
+                continue
+            assert g_smooth.tobytes() == want[0].tobytes(), block
+            assert len(contributors) == len(want[1]) == field.n_queries
+            assert all(np.array_equal(a, b) for a, b in zip(contributors, want[1])), block
+            assert ratios == want[2], block
+        assert paths.min() > 0, paths
 
 
 def run_field(name, grid):
@@ -1665,6 +1720,60 @@ class TestFieldRows:
         assert field_rows(field, 0) == []
         assert field_to_json(field, 0) == json.dumps([]) == "[]"
         assert field_to_csv(field, 0) == csv_by_rows(field, [])
+
+    @staticmethod
+    def first_rows(field, k):
+        """``field`` cut to its first ``k`` queries: every column the writers
+        read, so the NT columns are those rows' own."""
+        cut = slice(0, k)
+        return replace(
+            field,
+            query_idx=field.query_idx[cut],
+            dist_h=field.dist_h[cut],
+            u_x=field.u_x[cut],
+            u_y=field.u_y[cut],
+            n_of_x=field.n_of_x[cut],
+            g=field.g[cut],
+            g_smooth=field.g_smooth[cut],
+        )
+
+    @pytest.mark.parametrize("k", [0, 1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1])
+    def test_writers_match_the_row_builders_at_block_edges(self, s1_run, k):
+        """The writers build their text ``_ROW_BLOCK`` rows at a time; at 0,
+        1, block - 1, block and block + 1 rows of S1@201 the text is the
+        ``json.dumps`` of ``field_rows`` and the CSV of its rows.  At block + 1
+        the one row of the second block holds NaN and -inf, so only that
+        block respells non-finite floats."""
+        anchor = s1_run.data.primary_anchor_y
+        field = self.first_rows(s1_run.field, k)
+        assert field.n_queries == k
+        if k == _ROW_BLOCK + 1:
+            spelled = field.g_smooth.copy()
+            spelled[-1] = [np.nan, -np.inf]
+            field = replace(field, g_smooth=spelled)
+        rows = field_rows(field, anchor)
+        text = field_to_json(field, anchor)
+        assert text == json.dumps(rows, sort_keys=True)
+        assert field_to_csv(field, anchor) == csv_by_rows(field, rows)
+        if k == _ROW_BLOCK + 1:
+            assert text.count("NaN") == text.count("-Infinity") == 1
+
+    def test_writers_hold_one_row_block(self, s1_run):
+        """Each writer's peak traced memory on S1@201 (1688 rows) stays under
+        twice its text (the block strings and their join) plus 400,000
+        bytes: the table's columns (about 160 kB) and the cell strings of
+        one ``_ROW_BLOCK`` block (at most about 270 kB).  Text built from
+        every row's cells at once peaked at 5.7 (JSON) and 11.2 (CSV) times
+        the text."""
+        field, anchor = s1_run.field, s1_run.data.primary_anchor_y
+        for writer in (field_to_csv, field_to_json):
+            tracemalloc.start()
+            try:
+                text = writer(field, anchor)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * len(text) + 400_000, (writer.__name__, peak, len(text))
 
 
 def rows_by_query(field, anchor_y):

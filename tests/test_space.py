@@ -277,6 +277,32 @@ class TestFiniteMetricLoading:
         three labels."""
         assert self.load_error(**{key: value}) == f"space document needs a list under key {key!r}"
 
+    @pytest.mark.parametrize(
+        "text", ["{", "", '{"points": ["a"],', "[1, 2", '{"H": [0]} x', "nan?"]
+    )
+    def test_malformed_json_rejected(self, text):
+        """Text that is not JSON is refused with a one-line SpaceConfigError,
+        not json's JSONDecodeError (a ValueError of another type)."""
+        with pytest.raises(SpaceConfigError) as got:
+            load_space_json(text)
+        assert str(got.value).startswith("space document is not JSON: ")
+        assert "\n" not in str(got.value)
+
+    @pytest.mark.parametrize("label, shown", [
+        ([1], "[1]"), ({"a": 1}, "{'a': 1}"), (None, "None"), (True, "True"),
+    ])
+    def test_non_scalar_label_rejected(self, label, shown):
+        """A label is a string or a number; a list, an object, null or a
+        bool is refused by its index."""
+        assert self.load_error(points=["a", label, "c"]) == (
+            f"point label 1 is {shown}, not a string or a number"
+        )
+
+    def test_number_labels_load(self):
+        doc = {"points": [0, 1.5, "c"], "dist": [0, 1, 0, 2, 1.5, 0], "H": [0]}
+        sp = load_space_json(json.dumps(doc))
+        assert sp.labels == (0, 1.5, "c")
+
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 40])
     def test_lower_triangular_expansion_matches_row_loop(self, n):
         """Row-major lower-triangular entries fill both triangles, bit for
