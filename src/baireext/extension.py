@@ -342,16 +342,16 @@ def _pair_dists(space: SampledSpace, q_pos: np.ndarray, c_pos: np.ndarray) -> np
     return _l2_rows(c_pos, q_pos)
 
 
-def _block_candidates(order, lo, hi, base, count) -> np.ndarray:
+def _block_candidates(order, lo, hi, q_keys, count) -> np.ndarray:
     """The candidate centers ``order[lo:hi]`` of a block's entries, with
-    ``count`` per query, each query's run in ascending order.  ``base`` is
+    ``count`` per query, each query's run in ascending order.  ``q_keys`` is
     q nc per query: the keys q nc + c are unique, since one query's ranges
     are disjoint, so one sort orders every query's run."""
     span = hi - lo
     at = np.repeat(lo - (np.cumsum(span) - span), span)
     at += np.arange(len(at))
     c = order.take(at)
-    base = np.repeat(base, count)
+    base = np.repeat(q_keys, count)
     c += base
     c.sort()
     c -= base
