@@ -342,22 +342,6 @@ def _pair_dists(space: SampledSpace, q_pos: np.ndarray, c_pos: np.ndarray) -> np
     return _l2_rows(c_pos, q_pos)
 
 
-def _block_candidates(order, lo, hi, q_keys, count) -> np.ndarray:
-    """The candidate centers ``order[lo:hi]`` of a block's entries, with
-    ``count`` per query, each query's run in ascending order.  ``q_keys`` is
-    q nc per query: the keys q nc + c are unique, since one query's ranges
-    are disjoint, so one sort orders every query's run."""
-    span = hi - lo
-    at = np.repeat(lo - (np.cumsum(span) - span), span)
-    at += np.arange(len(at))
-    c = order.take(at)
-    base = np.repeat(q_keys, count)
-    c += base
-    c.sort()
-    c -= base
-    return c
-
-
 def _smooth_blocks(field: ExtensionField):
     """Yields (a, b, bounds, c, w) per pair block: query q of a..b-1 has the
     contributors ``c[bounds[q - a]:bounds[q - a + 1]]``, ascending, with the
@@ -369,8 +353,8 @@ def _smooth_blocks(field: ExtensionField):
     triangle argument behind the factor-4 ratio).  The search looks only
     there (``_search_ranges``).  Distances and weights are evaluated for
     blocks of at most ``_PAIR_BLOCK`` candidate pairs (a single query may
-    exceed it).  Every query's candidates (``_block_candidates``), and the
-    contributors that pass ``w > 0``, come in ascending center order.
+    exceed it).  Every query's candidates, and the contributors that pass
+    ``w > 0``, come in ascending center order.
     """
     space = field.space
     center_pos, center_dh = field.center_pos, field.center_dist_h
@@ -388,17 +372,24 @@ def _smooth_blocks(field: ExtensionField):
         e = slice(first[a], first[b])
         edges = before[a : b + 1] - before[a]
         count = np.diff(edges)
-        c = _block_candidates(order, lo[e], hi[e], np.arange(a, b) * nc, count)
+        # candidates order[lo:hi] per entry; the keys q nc + c are unique (one
+        # query's ranges are disjoint), so one sort orders every query's run
+        span = hi[e] - lo[e]
+        c = np.repeat(lo[e] - (np.cumsum(span) - span), span)
+        c += np.arange(len(c))
+        c = order.take(c)
+        key_base = np.repeat(np.arange(a, b) * nc, count)
+        c += key_base
+        c.sort()
+        c -= key_base
+        del key_base
         w = _pair_dists(
             space, np.repeat(q_pos[..., a:b], count, axis=-1).T, center_pos.take(c, axis=-1).T
         )
         np.subtract(radii.take(c), w, out=w)
         keep = w > 0
-        drop = np.flatnonzero(~keep)
-        bounds = edges
-        if drop.size:
-            bounds = edges - np.searchsorted(drop, edges)
-            c, w = c[keep], w[keep]
+        bounds = edges - np.searchsorted(np.flatnonzero(~keep), edges)
+        c, w = c[keep], w[keep]
         empty = np.flatnonzero(bounds[1:] == bounds[:-1])
         if empty.size:
             q = int(field.query_idx[a + empty[0]])
