@@ -219,9 +219,11 @@ def _validate_continuity_declarations(
     ``verify.oscillation`` at each radius comes from one value-difference
     table per point: with the largest ball's samples sorted by distance, each
     smaller ball is a prefix, and its oscillation a running maximum.  Points
-    go ``_ROW_BLOCK`` at a time, each ball padded to the block's largest; a
-    padded sample lies past every prefix that is read, and max is exact, so
-    each profile is the one a point's own table gives."""
+    go ``_ROW_BLOCK`` at a time.  Each ball size is one count per radius on
+    the block's distance rows; the tables are built per group of points
+    whose largest balls hold the same number of samples, so no table is
+    padded, and a largest ball of fewer than two samples has oscillation 0
+    at every radius.  The first failing point in ``idx`` order is named."""
     # the probe balls are open and a grid neighbour can sit at exactly k*scale,
     # where linspace rounding puts it a few ulps inside or outside; shrinking
     # the radius by a relative 1e-9 keeps such a point out of the ball
@@ -232,15 +234,20 @@ def _validate_continuity_declarations(
     for a in range(0, len(idx), _ROW_BLOCK):
         ys = idx[a:a + _ROW_BLOCK]
         rows = hspace.cross_dists(ys, everyone)
-        sizes = (rows[:, :, None] < radii).sum(axis=1)  # samples strictly inside
-        # each ball's samples by distance, ties by index, padded past its size
-        width = max(int(sizes[:, 0].max()), 1)
-        near = np.where(rows < radii[0], rows, np.inf).argsort(axis=1, kind="stable")[:, :width]
-        vals = f_values[near]
-        diffs = norm(vals[:, :, None, :] - vals[:, None, :, :], tag)
-        prefix_max = np.maximum.accumulate(np.tril(diffs).max(axis=2, initial=0.0), axis=1)
-        at = np.take_along_axis(prefix_max, np.maximum(sizes - 1, 0), axis=1)
-        oscs = np.where(sizes >= 2, at, 0.0)
+        # samples strictly inside each ball
+        sizes = np.stack([np.count_nonzero(rows < r, axis=1) for r in radii], axis=1)
+        # each largest ball's samples by distance, ties by index
+        order = np.where(rows < radii[0], rows, np.inf).argsort(axis=1, kind="stable")
+        oscs = np.zeros(sizes.shape)
+        for width in np.flatnonzero(np.bincount(sizes[:, 0])).tolist():
+            if width < 2:
+                continue
+            g = np.flatnonzero(sizes[:, 0] == width)
+            vals = f_values[order[g, :width]]
+            diffs = norm(vals[:, :, None, :] - vals[:, None, :, :], tag)
+            prefix_max = np.maximum.accumulate(np.tril(diffs).max(axis=2, initial=0.0), axis=1)
+            at = np.take_along_axis(prefix_max, np.maximum(sizes[g] - 1, 0), axis=1)
+            oscs[g] = np.where(sizes[g] >= 2, at, 0.0)
         bad = (oscs[:, 1:] > oscs[:, :-1] + 1e-12).any(axis=1) | (oscs[:, -1] > 1e-9)
         if bad.any():
             p = int(bad.argmax())

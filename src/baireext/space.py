@@ -39,9 +39,11 @@ per sample, the balls of a mask that hold it.
 ``build_refinement`` refines the raw cover {B(y, r_y)}, one ball per sample,
 into the balls B(p, r_p/2) of a greedy scan in sample order; each lies in
 p's own raw ball, so no parent links are kept.  One (samples x samples)
-block of the dense distance matrix decides the scan.  It keeps that block:
-read through ``_near_pairs`` its scan took 6-9 ms less over S1's 126 covers
-at grid 201 (about 2% of a pass) and 1-3 ms more over S2's denser covers.
+block decides the scan: ``D < r/2`` on the dense distance matrix, masked in
+place by the space's kept ``upper_triangle()`` (n^2 bytes: 45 KB at S1's
+213 H samples).  It keeps that block: read through ``_near_pairs`` its
+scan took 6-9 ms less over S1's 126 covers at grid 201 (about 2% of a
+pass) and 1-3 ms more over S2's denser covers.
 
 ``SampledSpace.nearest_h`` is the one place that computes dist(x, H) and a
 nearest H sample u(x).  It streams the distances to the H samples in blocks
@@ -54,7 +56,8 @@ coordinate column at a time: below 8 coordinates these are the floats of
 All objects are immutable after construction and all operations are pure.
 A coordinate-only space builds its dense distance matrix on the first
 ``dense_matrix()`` call and keeps it, read-only, for the later calls; every
-space likewise keeps its ``resolution()`` and its ``neighbour_order()``.
+space likewise keeps its ``resolution()``, its ``neighbour_order()`` and its
+``upper_triangle()``.
 """
 from __future__ import annotations
 
@@ -123,6 +126,7 @@ class SampledSpace:
     _dense: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     _resolution: Optional[float] = field(default=None, init=False, repr=False, compare=False)
     _order: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _upper: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.coords is None and self.dmat is None:
@@ -214,6 +218,16 @@ class SampledSpace:
             order.flags.writeable = False
             object.__setattr__(self, "_order", order)
         return self._order
+
+    def upper_triangle(self) -> np.ndarray:
+        """(N, N) booleans, True at [i, j] for i < j, built on the first call
+        and kept, read-only."""
+        if self._upper is None:
+            ar = np.arange(self.n_points)
+            upper = ar[:, None] < ar
+            upper.flags.writeable = False
+            object.__setattr__(self, "_upper", upper)
+        return self._upper
 
     def resolution(self) -> float:
         """Smallest positive pairwise distance among the samples, computed on
@@ -318,9 +332,9 @@ def build_refinement(space: SampledSpace, raw: CoverSystem) -> CoverSystem:
     if not (_is_every(raw.centers, n) and np.shape(raw.radii) == (n,)):
         raise ValueError("build_refinement needs one raw ball per sample, in sample order")
     half = np.asarray(raw.radii, dtype=float) / 2.0
-    ar = np.arange(n)
 
-    reach = (space.dense_matrix() < half[:, None]) & (ar[:, None] < ar)
+    reach = space.dense_matrix() < half[:, None]
+    reach &= space.upper_triangle()
     is_center = ~reach.any(axis=0)
     todo = ~is_center
     todo &= ~reach[is_center].any(axis=0)

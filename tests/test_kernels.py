@@ -244,6 +244,30 @@ class TestRefinementKernel:
                 raw = raw_cover(pipeline._preimage_radii(D, fdiff, lev.k, D.max() + 1.0))
                 assert_cover_is(lev.cover, refine_by_pairs(hspace, raw))
 
+    def test_upper_triangle_is_built_once_and_read_only(self):
+        """The scan's mask is the strict upper triangle, built by the first
+        refinement and kept, read-only; a restriction builds its own."""
+        sp = cloud_space(30, 2, seed=5)
+        build_refinement(sp, raw_cover(np.full(30, 0.3)))
+        first = sp._upper
+        assert first is not None and sp.upper_triangle() is first
+        build_refinement(sp, raw_cover(np.full(30, 0.1)))
+        assert sp.upper_triangle() is first
+        assert not first.flags.writeable
+        assert np.array_equal(first, np.triu(np.ones((30, 30), bool), 1))
+        sub = sp.restrict(np.arange(10))
+        assert sub.upper_triangle() is not first
+        assert np.array_equal(sub.upper_triangle(), np.triu(np.ones((10, 10), bool), 1))
+
+    def test_matches_scalar_pair_loop_on_ties_and_zero_radii(self):
+        """A dmat space whose samples sit at equal steps, with half radii
+        equal to a step (a sample on the sphere) and zero radii."""
+        space = json_line_space([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0], h=[0, 2])
+        raw = raw_cover(np.array([0.5, 0.0, 0.5, 1.0, 0.5, 0.0, 1.0]))
+        ref = build_refinement(space, raw)
+        assert ref.n_balls > 1
+        assert_cover_is(ref, refine_by_pairs(space, raw))
+
     @settings(max_examples=300, deadline=None)
     @given(refinement_cases())
     def test_matches_scalar_pair_loop_on_any_cover(self, case):
@@ -2596,6 +2620,45 @@ class TestScenarioHelpers:
                     assert validation_error(real, *args) == want
                     verdicts.add(want is None)
         assert verdicts == {True, False}
+        # one more declared set: two points that fail on noise, the first
+        # with a smaller largest ball than the second, so grouping the tables
+        # by ball size cannot change which point the error names.  Noise
+        # fails where the smallest ball holds a neighbour: S1's H at its
+        # build scale, the other scenarios' at 1.5 resolutions
+        sc = scale if name == "S1" else 1.5 * hspace.resolution()
+        vals = f_values + 1e-8 * noise
+        fails = [
+            y for y in idx.tolist()
+            if validation_error(validate_by_point, hspace, vals, [y], sc, tag) is not None
+        ]
+        largest = {y: np.count_nonzero(hspace.dists_from(y) < 8 * sc * (1.0 - 1e-9)) for y in fails}
+        pair = np.array([min(fails, key=largest.get), max(fails, key=largest.get)])
+        assert largest[pair[0]] < largest[pair[1]]
+        for order in (pair, pair[::-1]):
+            args = (hspace, vals, order, sc, tag)
+            want = validation_error(validate_by_point, *args)
+            assert want.startswith(f"declared continuity point {int(order[0])} ")
+            assert validation_error(real, *args) == want
+
+    def test_continuity_check_holds_no_padded_table(self, monkeypatch):
+        """The call of the S1 build at grid 201 peaks below 3 MiB traced: its
+        value-difference tables are built per largest-ball size, so none is
+        padded to the block's widest ball (padded, the call peaked at 7.13
+        MiB)."""
+        calls = []
+        monkeypatch.setattr(
+            scenarios, "_validate_continuity_declarations", lambda *args: calls.append(args)
+        )
+        get_scenario("S1").build(ScenarioConfig(grid=201))
+        (args,) = calls
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _validate_continuity_declarations(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 3 * 2**20
 
     @pytest.mark.parametrize("name", ["S1", "S2", "S3"])
     def test_continuity_check_matches_oscillation_calls(self, name):
