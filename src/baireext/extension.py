@@ -86,6 +86,8 @@ def _passes(n: int, k, dist_h):
 def select_ceiling(dist_h: float) -> int:
     """Largest n that could pass the selection test even with K = 1; any
     satisfying n obeys n (n (n+2) + 2) < 1/dist, so the scan starts here."""
+    if not dist_h > 0:
+        raise ValueError("selection needs dist(x, H) > 0")
     n = 0
     while (n + 1) * ((n + 1) * (n + 3) + 2) * dist_h < 1.0:
         n += 1
@@ -107,9 +109,7 @@ def _ceilings(dist_h: np.ndarray, n_items: int) -> np.ndarray:
     bad = ~(dist_h > 0) | (ceilings > n_items)
     if bad.any():
         d = float(dist_h[np.argmax(bad)])
-        if not d > 0:
-            raise ValueError("selection needs dist(x, H) > 0")
-        raise ValueError(
+        raise ValueError(  # select_ceiling(d) refuses a d that is not positive
             f"selection ceiling {select_ceiling(d)} exceeds the {n_items} built items; "
             "increase the sequence length"
         )

@@ -135,39 +135,32 @@ class _PointSet:
 
     A new point takes the index of the nearest stored point (the lowest index
     on a tie) when that one lies within ``tol``, and is appended otherwise.
-    Stored points are hashed into cells of side 2 tol, so every point within
-    ``tol`` sits in one of the 3^dim cells around the new point's cell, with
-    room to spare for the rounding of the cell coordinates.
 
-    A batch is read in numpy first: a new point with no stored point and no
-    other new point in its 3^dim cells is appended, and the relation is
+    A batch is read in numpy first, and only this pass hashes points into
+    cells of side 2 tol: every point within ``tol`` of a new point sits in
+    one of the 3^dim cells around its cell, with room to spare for the
+    rounding of the cell coordinates.  A new point with no stored point and
+    no other new point in those cells is appended, and the relation is
     symmetric, so no other point can merge into it.  Runs of such points are
     appended in bulk, in batch order; the other points take the scalar rule
-    one at a time.
+    one at a time, which scans every stored point.
     """
 
     def __init__(self, dim: int, tol: float = _DEDUP_TOL):
-        self._buf = np.zeros((16, dim))  # grows geometrically
-        self._n = 0
+        self.pts = np.zeros((0, dim))
         self.tol = tol
-        self._cells: dict[tuple, list[int]] = {}
         self._around = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=dim)))
-
-    @property
-    def pts(self) -> np.ndarray:
-        return self._buf[: self._n]
 
     def add(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        cells = np.floor(pts / (2.0 * self.tol))
-        free = self._uncontested(cells)
+        free = self._uncontested(np.floor(pts / (2.0 * self.tol)))
         out = np.empty(len(pts), dtype=int)
         cuts = [0, *(np.flatnonzero(np.diff(free)) + 1).tolist(), len(pts)]
         for s, t in zip(cuts, cuts[1:]):
             if free[s]:
-                out[s:t] = self._append(pts[s:t], cells[s:t])
+                out[s:t] = self._append(pts[s:t])
             else:
-                out[s:t] = [self._add_one(pts[i], cells[i]) for i in range(s, t)]
+                out[s:t] = [self._add_one(pts[i]) for i in range(s, t)]
         return out
 
     def _uncontested(self, cells: np.ndarray) -> np.ndarray:
@@ -183,31 +176,19 @@ class _PointSet:
         count = np.bincount(near_ids[:, k // 2], minlength=len(ids))  # new points per cell
         return ~taken[near_ids].any(axis=1) & (count[near_ids].sum(axis=1) == 1)
 
-    def _add_one(self, p: np.ndarray, cell: np.ndarray) -> int:
+    def _add_one(self, p: np.ndarray) -> int:
         """The scalar rule for one point."""
-        near = (cell + self._around).tolist()
-        cand = sorted(j for c in near for j in self._cells.get(tuple(c), ()))
-        if cand:
-            d = _l2_rows(self._buf[cand], p)
+        if len(self.pts):
+            d = _l2_rows(self.pts, p)
             j = int(np.argmin(d))
             if d[j] <= self.tol:
-                return cand[j]
-        return int(self._append(p[None], cell[None])[0])
+                return j
+        return int(self._append(p[None])[0])
 
-    def _append(self, pts: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        n, k = self._n, len(pts)
-        cap = len(self._buf)
-        while cap < n + k:
-            cap *= 2
-        if cap > len(self._buf):
-            buf = np.zeros((cap, self._buf.shape[1]))
-            buf[:n] = self._buf[:n]
-            self._buf = buf
-        self._buf[n : n + k] = pts
-        for j, cell in enumerate(cells.tolist(), start=n):
-            self._cells.setdefault(tuple(cell), []).append(j)
-        self._n += k
-        return np.arange(n, n + k)
+    def _append(self, pts: np.ndarray) -> np.ndarray:
+        n = len(self.pts)
+        self.pts = np.concatenate([self.pts, pts])
+        return np.arange(n, len(self.pts))
 
 
 def _validate_continuity_declarations(

@@ -5,9 +5,10 @@ A family of closed balls is two stacked arrays: the centers, one row per
 ball, and the radii.  The default norm is l-infinity, under which every ball
 intersection is a box and the selection surrogate is exact.  l2 is supported
 through a cyclic projection solver that exploits the slack the selection
-step grants.  Both run over groups of balls at once
+step grants.  Both take groups of balls in one call
 (``_intersection_points``: one group per sample off C_k in the selection
-transform), and ``ball_intersection_point`` is the one-group call.
+transform; an l2 group that needs projecting walks its own balls), and
+``ball_intersection_point`` is the one-group call.
 
 Every Euclidean row norm of the package, here and in ``space`` and
 ``extension``, goes through ``_l2_rows``, the step distances of the cyclic
@@ -136,25 +137,37 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(len(owner)) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
 
 
+def _cyclic_projection(centers: np.ndarray, radii: np.ndarray, slack: float, max_sweeps: int):
+    """Cyclic projections onto l2 balls from the first center, one ball at a
+    time in row order, until the point is within ``slack`` of every ball;
+    UndecidedIntersection when the sweeps run out, or when a sweep left the
+    point in place and it still violates (no later sweep could move it)."""
+    z = centers[0]
+    for _ in range(max_sweeps):
+        moved = False
+        for c, r in zip(centers, radii):
+            d = _l2_rows(z, c)
+            if d > r:
+                z, moved = c + (z - c) * (r / d), True
+        if (_l2_rows(z, centers) <= radii + slack).all():
+            return z
+        if not moved:
+            break
+    raise UndecidedIntersection(f"no feasible point within slack {slack} after {max_sweeps} sweeps")
+
+
 def _projection_intersection(
     centers: np.ndarray, radii: np.ndarray, starts: np.ndarray, slack: float, max_sweeps: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per group of l2 balls (rows ``starts[i]`` up to the next start; no
     group may be empty): a point within ``slack`` of the intersection of the
-    closed balls, and whether one was found, by cyclic projections.
+    closed balls, and whether one was found.
 
     A group is certified empty when two of its centers are farther apart
-    than their slack-inflated radius sum; it is not projected.  Every other
-    group starts from its first center and projects onto its balls in row
-    order, sweep after sweep, until its point is within ``slack`` of every
-    ball; from then on it is frozen while the others sweep on.  A sweep
-    moves the point only at a ball it lies outside of, so each pass of the
-    sweep loop measures the point against every ball ahead of it and
-    projects onto the first it lies outside of: the floats of a ball-by-ball
-    walk.  A group reads only its own point and balls, so its floats do not
-    depend on the other groups.  UndecidedIntersection is raised when a
-    group runs out of sweeps, or when a sweep left its point where it was
-    and it still violates.
+    than their slack-inflated radius sum; it is not projected.  A group
+    whose first center lies in all its balls gets that center, where a walk
+    would leave it (a NaN distance fails the test, and the walk raises).
+    Every other group walks ``_cyclic_projection`` on its own balls.
     """
     ends = np.append(starts[1:], len(centers))
     group = np.repeat(np.arange(len(starts)), ends - starts)
@@ -166,40 +179,11 @@ def _projection_intersection(
     found[group[i[far]]] = False
 
     z = centers[starts]
-    live = found.copy()
-    for _ in range(max_sweeps):
-        rows = np.flatnonzero(live[group])
-        if not rows.size:
-            break
-        gid = group[rows]
-        # a sweep's first pass measures every ball, so it holds the slack
-        # test's distances for each group the sweep then leaves in place
-        dist = d = _l2_rows(z[gid], centers[rows])
-        moved = np.zeros(len(starts), dtype=bool)
-        at, g = rows, gid
-        while True:
-            out = np.flatnonzero(d > radii[at])
-            if not out.size:
-                break
-            first = out[np.diff(g[out], prepend=-1) != 0]  # per group
-            g, b = g[first], at[first]
-            z[g] = centers[b] + (z[g] - centers[b]) * (radii[b] / d[first])[:, None]
-            moved[g] = True
-            more = b + 1 < ends[g]
-            own, at = _ranges(b[more] + 1, ends[g[more]])
-            g = g[more][own]
-            d = _l2_rows(z[g], centers[at])
-        again = np.flatnonzero(moved[gid])
-        dist[again] = _l2_rows(z[gid[again]], centers[rows[again]])
-        unmet = np.zeros(len(starts), dtype=bool)
-        unmet[gid[~(dist <= radii[rows] + slack)]] = True
-        if (unmet & ~moved).any():  # fixed point that still violates: cannot happen, guard
-            break
-        live = unmet
-    if live.any():
-        raise UndecidedIntersection(
-            f"no feasible point within slack {slack} after {max_sweeps} sweeps"
-        )
+    outside = np.zeros(len(starts), dtype=bool)
+    outside[group[~(_l2_rows(z[group], centers) <= radii)]] = True
+    for g in np.flatnonzero(found & outside):
+        s, e = starts[g], ends[g]
+        z[g] = _cyclic_projection(centers[s:e], radii[s:e], slack, max_sweeps)
     return z, found
 
 

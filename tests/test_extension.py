@@ -82,6 +82,13 @@ class TestSelection:
         assert select_ceiling(0.2) == 0  # even n=1 needs 5*dist < 1
         assert select_ceiling(1e-3) == 9
 
+    @pytest.mark.parametrize("dist_h", [0.0, -1.0, float("nan")])
+    def test_ceiling_refuses_a_distance_that_is_not_positive(self, dist_h):
+        """n (n (n+2) + 2) * 0 < 1 holds for every n, so without the refusal
+        dist 0 would loop forever; NaN would give ceiling 0."""
+        with pytest.raises(ValueError, match=r"^selection needs dist\(x, H\) > 0$"):
+            select_ceiling(dist_h)
+
     def test_select_example_near_one_twentieth(self):
         items = flat_items(3)
         assert select_n(items, 0, 0.049) == 2

@@ -2545,7 +2545,7 @@ class TestScenarioHelpers:
         scalar = []
         add_one = _PointSet._add_one
         monkeypatch.setattr(
-            _PointSet, "_add_one", lambda self, p, cell: scalar.append(1) or add_one(self, p, cell)
+            _PointSet, "_add_one", lambda self, p: scalar.append(1) or add_one(self, p)
         )
         ps, ref = _PointSet(dim), PointSetByStacking(dim)
         for chunk in chunks:

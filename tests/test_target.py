@@ -308,6 +308,15 @@ class TestGroupedIntersection:
             with pytest.raises(UndecidedIntersection):
                 _intersection_points(centers, radii, [0, 3], 0.01, "l2", max_sweeps=2)
 
+    def test_a_nan_radius_group_is_undecided_beside_a_normal_group(self):
+        """NaN fails every comparison, so the group's first center is not
+        taken as inside its balls: the walk cannot move it into a NaN ball
+        and raises, whatever the other group does."""
+        centers = np.array([[0.0, 0.0], [0.5, 0.0], [3.0, 0.0], [3.5, 0.0]])
+        for radii in ([1.0, 1.0, 1.0, np.nan], [1.0, np.nan, 1.0, 1.0]):
+            with pytest.raises(UndecidedIntersection):
+                _intersection_points(centers, np.array(radii), [0, 2], 0.0, "l2")
+
     def test_a_group_without_balls_gets_the_origin(self):
         centers, radii = balls_of([([3.0, 4.0], 1.0)])
         for tag in ("l2", "linf"):
