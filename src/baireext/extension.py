@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .pipeline import FunSeqItem, m_bound
-from .space import _PAIR_BLOCK, _ROW_BLOCK, CoverageError, SampledSpace
+from .space import _ROW_BLOCK, CoverageError, SampledSpace
 from .target import _l2_rows, norm
 
 __all__ = [
@@ -61,6 +61,10 @@ __all__ = [
     "field_to_csv",
     "field_to_json",
 ]
+
+# candidate (query, center) pairs per block of the smoothing search: bounds
+# its pair-sized distance and weight temporaries
+_PAIR_BLOCK = 16384
 
 
 def _k_values(items: list[FunSeqItem], n: int, u_y: np.ndarray, dist_h: np.ndarray) -> np.ndarray:
@@ -201,6 +205,17 @@ def _extend_rows(items, f_h, dist_h, u_y, n_count):
         rows = n_of == n
         g[rows] = items[n - 1].values[u_y[rows]]
     return n_of, g, k_evals, k_inf
+
+
+def _sequence_length(dist_h: np.ndarray) -> int:
+    """Items needed so the selection scan can start at its analytic ceiling
+    for every query (``dist_h`` holds their distances to H) and for the
+    midpoint smoothing centers, whose distance to H is at least half the
+    query's."""
+    if len(dist_h) == 0:
+        return 1
+    # the ceiling is nonincreasing in the distance: the nearest query decides
+    return max(1, select_ceiling(float(dist_h.min()) / 2.0))
 
 
 def build_extension(
@@ -438,8 +453,9 @@ def alp5_rhs(field: ExtensionField, anchor_y: int) -> np.ndarray:
 def _query_blocks(field: ExtensionField):
     """(first query, d(x, a) rows) for every ``_ROW_BLOCK`` block of queries;
     row i of a block is the query ``first + i`` against every H sample."""
+    space = field.space
     for a in range(0, field.n_queries, _ROW_BLOCK):
-        yield a, field.space.h_dists(field.query_idx[a:a + _ROW_BLOCK])
+        yield a, space.cross_dists(field.query_idx[a:a + _ROW_BLOCK], space.h_idx)
 
 
 def general_inequality_slacks(field: ExtensionField) -> dict[str, float]:
@@ -480,10 +496,11 @@ def factor4_ratio_range(field: ExtensionField) -> tuple[float, float]:
     must stay in [1/4, 4]."""
     if field.g_smooth is None:
         raise ValueError("smooth_extension has not been run")
+    dists, h = field.space.cross_dists, field.space.h_idx
     lo, hi = np.inf, -np.inf
     for a, b, bounds, c, _ in _smooth_blocks(field):
-        ratio_q = field.dist_h[a:b, None] / field.space.h_dists(field.query_idx[a:b])
-        ratio_c = field.center_dist_h[c, None] / field.space.h_dists(field.center_pos[c])
+        ratio_q = field.dist_h[a:b, None] / dists(field.query_idx[a:b], h)
+        ratio_c = field.center_dist_h[c, None] / dists(field.center_pos[c], h)
         rr = ratio_c / np.repeat(ratio_q, np.diff(bounds), axis=0)
         lo = min(lo, float(rr.min()))
         hi = max(hi, float(rr.max()))

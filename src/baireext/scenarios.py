@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .extension import select_ceiling
+from .extension import _sequence_length
 from .pipeline import FunctionBundle
 from .space import _ROW_BLOCK, SampledSpace
 from .target import NORM_TAGS, _l2_rows, norm
@@ -236,17 +236,6 @@ def _validate_continuity_declarations(
                 f"declared continuity point {int(ys[p])} has oscillation profile "
                 f"{oscs[p].tolist()}"
             )
-
-
-def _sequence_length(dist_h: np.ndarray) -> int:
-    """Items needed so the selection scan can start at its analytic ceiling
-    for every query (``dist_h`` holds their distances to H) and for the
-    midpoint smoothing centers, whose distance to H is at least half the
-    query's."""
-    if len(dist_h) == 0:
-        return 1
-    # the ceiling is nonincreasing in the distance: the nearest query decides
-    return max(1, select_ceiling(float(dist_h.min()) / 2.0))
 
 
 def _geometric_radii(t0: float, steps: int, clearance: float = 1.0) -> np.ndarray:

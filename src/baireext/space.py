@@ -45,25 +45,28 @@ place by the space's kept ``upper_triangle()`` (n^2 bytes: 45 KB at S1's
 scan took 6-9 ms less over S1's 126 covers at grid 201 (about 2% of a
 pass) and 1-3 ms more over S2's denser covers.
 
-``SampledSpace.nearest_h`` is the one place that computes dist(x, H) and a
-nearest H sample u(x).  It streams the distances to the H samples in blocks
-of ``_ROW_BLOCK`` rows, so no caller holds a (points x H) table.
+``SampledSpace.cross_dists(x, cols)`` is the one distance method: from
+samples or free coordinate points to some samples (or all), reading
+``dmat`` rows for samples when the space has one.  ``SampledSpace.nearest_h``
+is the one place that computes dist(x, H) and a nearest H sample u(x).  It
+streams the distances to the H samples in blocks of ``_ROW_BLOCK`` rows, so
+no caller holds a (points x H) table.
 
 Euclidean distances come from the row-norm kernel ``target._l2_rows``, one
 coordinate column at a time: below 8 coordinates these are the floats of
 ``np.linalg.norm``, with no (rows x samples x dim) difference array.
 
 All objects are immutable after construction and all operations are pure.
-A coordinate-only space builds its dense distance matrix on the first
-``dense_matrix()`` call and keeps it, read-only, for the later calls; every
-space likewise keeps its ``resolution()``, its ``neighbour_order()`` and its
+A space keeps four values, each built on first use and then read-only
+(``SampledSpace._kept``): a coordinate-only space's ``dense_matrix()``, and
+every space's ``resolution()``, ``neighbour_order()`` and
 ``upper_triangle()``.
 """
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -96,9 +99,6 @@ _WINDOW = 8
 # 84 us; 256: 76 against 320 us); with balls holding most samples it costs
 # about a fifth more (256: 836 against 700 us)
 _PROBE_MIN = 128
-# candidate (query, center) pairs per block of the smoothing search: bounds
-# its pair-sized distance and weight temporaries
-_PAIR_BLOCK = 16384
 
 
 class SpaceConfigError(ValueError):
@@ -123,10 +123,6 @@ class SampledSpace:
     mode: str = "sampled"  # "finite" | "sampled"
     delta: float = 0.0  # resolution; required > 0 in sampled mode
     labels: Optional[tuple] = None
-    _dense: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
-    _resolution: Optional[float] = field(default=None, init=False, repr=False, compare=False)
-    _order: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
-    _upper: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.coords is None and self.dmat is None:
@@ -156,37 +152,26 @@ class SampledSpace:
             return self.dmat[i]
         return _l2_rows(self.coords, self.coords[i])
 
-    def dists_coords(self, q: np.ndarray, idx: Optional[np.ndarray] = None) -> np.ndarray:
-        """Distances from free coordinate points ``q`` (k, dim) to samples.
-
-        Only available for Euclidean spaces.
-        """
-        if self.coords is None:
+    def cross_dists(self, x: np.ndarray, cols: Optional[np.ndarray] = None) -> np.ndarray:
+        """Distances (len(x), len(cols)) from the samples ``x`` (a 1-D index
+        array, read from ``dmat`` rows when the space has one) or from free
+        coordinate points ``x`` (k, dim), which only Euclidean spaces accept,
+        to the samples ``cols`` (every sample when None), in a fresh array.
+        For samples, entry [i, j] is bit-equal to ``dists_from(x[i])[cols[j]]``."""
+        if np.ndim(x) == 1:
+            x = np.asarray(x, dtype=int)
+            if self.dmat is not None:
+                rows = self.dmat.take(x, axis=0)
+                return rows if cols is None else rows.take(np.asarray(cols, dtype=int), axis=1)
+            x = self.coords[x]
+        elif self.coords is None:
             raise SpaceConfigError("coordinate queries need a Euclidean space")
-        pts = self.coords if idx is None else self.coords[idx]
-        q = np.atleast_2d(np.asarray(q, dtype=float))
-        return _l2_rows(q[:, None, :], pts[None, :, :])
-
-    def cross_dists(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Distances (len(rows), len(cols)) between two lists of samples, in a
-        fresh array; entry [i, j] is bit-equal to
-        ``dists_from(rows[i])[cols[j]]``."""
-        if self.dmat is not None:
-            rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
-            return self.dmat.take(rows, axis=0).take(cols, axis=1)
-        return self.dists_coords(self.coords[rows], cols)
-
-    def h_dists(self, x: np.ndarray) -> np.ndarray:
-        """Distances (len(x), nH) to the H samples from the samples ``x`` (a
-        1-D index array) or from free coordinate points ``x`` (k, dim), which
-        only Euclidean spaces accept."""
-        if np.ndim(x) == 2:
-            return self.dists_coords(x, self.h_idx)
-        return self.cross_dists(np.asarray(x, dtype=int), self.h_idx)
+        pts = self.coords if cols is None else self.coords[cols]
+        return _l2_rows(np.asarray(x, dtype=float)[:, None, :], pts[None, :, :])
 
     def nearest_h(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(dist_h, u_y) for every sample or free point of ``x`` (as in
-        ``h_dists``): dist(x, H) over the sampled H, and the H-sample-order
+        ``cross_dists``): dist(x, H) over the sampled H, and the H-sample-order
         index of the nearest H sample, the lowest one on a tie.  The exact
         nearest sample meets the slack contract d(x, u(x)) <= 2 dist(x, H)
         with room to spare.  Rows are processed ``_ROW_BLOCK`` at a time."""
@@ -194,49 +179,48 @@ class SampledSpace:
         u_y = np.empty(len(x), dtype=np.intp)
         for a in range(0, len(x), _ROW_BLOCK):
             b = slice(a, a + _ROW_BLOCK)
-            d = self.h_dists(x[b])
+            d = self.cross_dists(x[b], self.h_idx)
             dist_h[b] = d.min(axis=1)
             u_y[b] = d.argmin(axis=1)
         return dist_h, u_y
 
+    def _kept(self, key: str, build):
+        """The value kept under ``key`` in the instance dict, from ``build()``
+        on the first call; an array is kept read-only.  A key must not be a
+        method's name, or the kept value would shadow the method."""
+        kept = self.__dict__
+        if key not in kept:
+            value = build()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            kept[key] = value
+        return kept[key]
+
     def dense_matrix(self) -> np.ndarray:
         if self.dmat is not None:
             return self.dmat
-        if self._dense is None:
-            m = self.dists_coords(self.coords)
-            m.flags.writeable = False
-            object.__setattr__(self, "_dense", m)
-        return self._dense
+        return self._kept("_dense", lambda: self.cross_dists(self.coords))
 
     def neighbour_order(self) -> np.ndarray:
         """(N, N) sample indices: row i lists every sample by its distance
         from sample i, nearest first and ties in index order (a stable
-        argsort of the dense row), built on the first call and kept,
-        read-only."""
-        if self._order is None:
-            order = np.argsort(self.dense_matrix(), axis=1, kind="stable")
-            order.flags.writeable = False
-            object.__setattr__(self, "_order", order)
-        return self._order
+        argsort of the dense row), kept."""
+        return self._kept("_order", lambda: np.argsort(self.dense_matrix(), axis=1, kind="stable"))
 
     def upper_triangle(self) -> np.ndarray:
-        """(N, N) booleans, True at [i, j] for i < j, built on the first call
-        and kept, read-only."""
-        if self._upper is None:
-            ar = np.arange(self.n_points)
-            upper = ar[:, None] < ar
-            upper.flags.writeable = False
-            object.__setattr__(self, "_upper", upper)
-        return self._upper
+        """(N, N) booleans, True at [i, j] for i < j, kept."""
+        n = self.n_points
+        return self._kept("_upper", lambda: np.arange(n)[:, None] < np.arange(n))
 
     def resolution(self) -> float:
-        """Smallest positive pairwise distance among the samples, computed on
-        the first call and kept."""
-        if self._resolution is None:
+        """Smallest positive pairwise distance among the samples, kept."""
+
+        def build():
             m = self.dense_matrix()
             pos = m[m > 0]
-            object.__setattr__(self, "_resolution", float(pos.min()) if pos.size else np.inf)
-        return self._resolution
+            return float(pos.min()) if pos.size else np.inf
+
+        return self._kept("_resolution", build)
 
     def restrict(self, indices: np.ndarray) -> "SampledSpace":
         """Subspace on ``indices`` with a dense distance matrix; every point of

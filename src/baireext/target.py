@@ -238,7 +238,7 @@ def ball_intersection_point(
         raise ValueError("slack must be nonnegative")
     centers = np.asarray(centers, dtype=float)
     radii = np.asarray(radii, dtype=float)
-    if np.any(radii < 0):
+    if not np.all(radii >= 0):  # NaN too
         raise ValueError("ball radius must be nonnegative")
     [pt], [ok] = _intersection_points(centers, radii, [0], slack, tag, max_sweeps)
     return pt if ok else EMPTY

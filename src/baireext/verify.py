@@ -67,8 +67,13 @@ class CertReport:
 
 def validate_path(space: SampledSpace, path: ApproachPath) -> None:
     """Check the path invariants; raises ValueError naming the violation."""
-    if path.anchor_x not in set(int(i) for i in space.h_idx):
+    pos = np.flatnonzero(space.h_idx == path.anchor_x)
+    if pos.size == 0:
         raise ValueError(f"anchor {path.anchor_x} is not an H sample")
+    if path.anchor_y != pos[0]:
+        raise ValueError(
+            f"anchor_y {path.anchor_y} is not anchor_x {path.anchor_x}'s H position {int(pos[0])}"
+        )
     da = space.dists_from(path.anchor_x)
     h_mask = space.h_mask
     points = np.asarray(path.points, dtype=int)

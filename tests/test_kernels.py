@@ -34,6 +34,8 @@ from hypothesis.extra import numpy as hnp
 from baireext import extension, pipeline, scenarios
 from baireext import space as space_mod
 from baireext.extension import (
+    _PAIR_BLOCK,
+    _sequence_length,
     branch_condition_violations,
     build_extension,
     factor4_ratio_range,
@@ -59,12 +61,10 @@ from baireext.pipeline import (
 from baireext.scenarios import (
     ScenarioConfig,
     _PointSet,
-    _sequence_length,
     _validate_continuity_declarations,
     get_scenario,
 )
 from baireext.space import (
-    _PAIR_BLOCK,
     _ROW_BLOCK,
     _near_pairs,
     CoverageError,
@@ -79,7 +79,7 @@ from baireext.space import (
     load_space_json,
     partition_of_unity,
 )
-from baireext.target import ball_intersection_point, norm, radial_project
+from baireext.target import _l2_rows, ball_intersection_point, norm, radial_project
 from baireext.verify import oscillation
 
 
@@ -244,13 +244,16 @@ class TestRefinementKernel:
                 raw = raw_cover(pipeline._preimage_radii(D, fdiff, lev.k, D.max() + 1.0))
                 assert_cover_is(lev.cover, refine_by_pairs(hspace, raw))
 
-    def test_upper_triangle_is_built_once_and_read_only(self):
+    def test_upper_triangle_is_built_once_and_read_only(self, monkeypatch):
         """The scan's mask is the strict upper triangle, built by the first
-        refinement and kept, read-only; a restriction builds its own."""
+        refinement and kept, read-only; a restriction builds its own.  So is
+        every kept value: the dense matrix of a coordinate-only space, the
+        neighbour order and the resolution, whose later calls read no dense
+        matrix."""
         sp = cloud_space(30, 2, seed=5)
         build_refinement(sp, raw_cover(np.full(30, 0.3)))
-        first = sp._upper
-        assert first is not None and sp.upper_triangle() is first
+        first = vars(sp)["_upper"]
+        assert sp.upper_triangle() is first
         build_refinement(sp, raw_cover(np.full(30, 0.1)))
         assert sp.upper_triangle() is first
         assert not first.flags.writeable
@@ -258,6 +261,23 @@ class TestRefinementKernel:
         sub = sp.restrict(np.arange(10))
         assert sub.upper_triangle() is not first
         assert np.array_equal(sub.upper_triangle(), np.triu(np.ones((10, 10), bool), 1))
+
+        dense_calls = []
+        dense = SampledSpace.dense_matrix
+        monkeypatch.setattr(SampledSpace, "dense_matrix", lambda s: dense_calls.append(s) or dense(s))
+        sp = cloud_space(30, 2, seed=5)
+        sub = sp.restrict(np.arange(10))
+        for name in ("dense_matrix", "neighbour_order", "resolution"):
+            for space in (sp, sub):
+                kept = getattr(space, name)()
+                dense_calls.clear()
+                assert getattr(space, name)() is kept
+                assert len(dense_calls) == (name == "dense_matrix")  # no rebuild reads it
+            assert getattr(sub, name)() is not getattr(sp, name)()
+        assert not sp.dense_matrix().flags.writeable  # sub's is its dmat, kept as given
+        assert not sp.neighbour_order().flags.writeable
+        assert not sub.neighbour_order().flags.writeable
+        assert sub.resolution() == sub.dmat[sub.dmat > 0].min()
 
     def test_matches_scalar_pair_loop_on_ties_and_zero_radii(self):
         """A dmat space whose samples sit at equal steps, with half radii
@@ -449,6 +469,18 @@ class TestQueryToH:
         sp = cloud_space(50, dim, seed=30 + dim)
         rows = np.array([49, 3, 17, 3])
         assert np.array_equal(sp.cross_dists(rows, sp.h_idx), stacked_h_rows(sp, rows))
+        # free points: the bits of the row-norm kernel, against every sample
+        q = np.random.default_rng(dim).uniform(-1.0, 1.0, size=(7, dim))
+        want = _l2_rows(q[:, None], sp.coords[None])
+        assert np.array_equal(sp.cross_dists(q), want)
+        assert np.array_equal(sp.cross_dists(q, sp.h_idx), want[:, sp.h_idx])
+        # a restriction keeps coords and dmat: sample rows read dmat
+        sub = sp.restrict(np.arange(20))
+        marked = sub.dmat.copy()
+        marked[rows % 20, 5] = -1.0
+        sub = replace(sub, dmat=marked)
+        assert np.array_equal(sub.cross_dists(rows % 20), marked[rows % 20])
+        assert np.array_equal(sub.cross_dists(rows % 20, [5, 0]), marked[np.ix_(rows % 20, [5, 0])])
 
     @pytest.mark.parametrize(
         "rows, cols",

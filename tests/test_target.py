@@ -1,5 +1,7 @@
 """Target-space geometry: norms, radial projections onto balls, and slack
 intersections of closed ball families."""
+import itertools
+
 import numpy as np
 import pytest
 from conftest import point_by_projection
@@ -207,8 +209,9 @@ class TestBallIntersection:
         assert np.all(np.linalg.norm(z - centers, axis=1) <= radii + 0.5 + 1e-9)
 
     def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            ball_intersection_point(np.zeros((2, 1)), np.array([1.0, -1.0]))
+        for r, tag in itertools.product([-1.0, np.nan], ["linf", "l2"]):
+            with pytest.raises(ValueError, match="nonnegative"):
+                ball_intersection_point(np.zeros((2, 1)), np.array([1.0, r]), tag=tag)
 
 
 def triangle(side, m, angle=0.0, shift=0.0):

@@ -57,6 +57,16 @@ class TestValidatePath:
         with pytest.raises(ValueError, match="not an H sample"):
             validate_path(field.space, bad)
 
+    def test_anchor_y_must_be_the_anchors_h_position(self):
+        # H = {1, 3}: sample 3 is H sample 1, and H sample 0 is another point
+        space = SampledSpace(
+            coords=np.arange(5.0)[:, None], dmat=None, h_idx=np.array([1, 3]), mode="finite"
+        )
+        validate_path(space, ApproachPath(anchor_x=3, anchor_y=1, points=np.array([0, 4])))
+        bad = ApproachPath(anchor_x=3, anchor_y=0, points=np.array([0, 4]))
+        with pytest.raises(ValueError, match="anchor_y 0 .* anchor_x 3"):
+            validate_path(space, bad)
+
     def test_path_point_in_h_rejected(self):
         field, path = synthetic_field([0.1] * 4)
         bad = ApproachPath(anchor_x=0, anchor_y=0, points=np.array([1, 0]))
